@@ -45,7 +45,7 @@ from .groupcoh import (
     witt_cocycle,
 )
 from .oracle import OracleError, rotation_euler
-from .reps import load_rep
+from .reps import RepFormatError, load_rep
 from .witt import WittElement
 
 EXIT_OK = 0
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RelatorError, TagError) as exc:
+    except (RelatorError, RepFormatError, TagError) as exc:
         sys.stderr.write(f"invalid representation: {exc}\n")
         return EXIT_BAD_REP
     except GenericityError as exc:

@@ -15,14 +15,18 @@ returned chain has boundary zero, which tests verify.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._value import Value
 
-@dataclass(frozen=True)
-class Simplex:
-    vertices: tuple[int, ...]
-    faces: tuple[int, ...]
+
+class Simplex(Value):
+    """Ordered vertex ids and the ids of the faces opposite each vertex."""
+
+    __slots__ = ("vertices", "faces")
+
+    def __init__(self, vertices: tuple[int, ...], faces: tuple[int, ...]):
+        self._set(vertices=vertices, faces=faces)
 
     @property
     def dim(self) -> int:
@@ -126,15 +130,13 @@ class DeltaComplex:
         return cls(levels)
 
 
-@dataclass
-class Chain:
+class Chain(Value):
     """A finitely supported integer chain in a fixed dimension."""
 
-    dim: int
-    coeffs: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("dim", "coeffs")
 
-    def __post_init__(self):
-        self.coeffs = {s: c for s, c in self.coeffs.items() if c != 0}
+    def __init__(self, dim: int, coeffs: dict[int, int] | None = None):
+        self._set(dim=dim, coeffs={s: c for s, c in (coeffs or {}).items() if c != 0})
 
     def __add__(self, other: "Chain") -> "Chain":
         if other.dim != self.dim:

@@ -11,18 +11,22 @@ checks wholesale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 from typing import Literal, Sequence
 
+from ._kernels import det_int
+from ._value import Value
 from .exactmath import (
     Scalar,
     abs_scalar,
+    clear_denominators,
     determinant,
     exact_div,
     is_linearly_generic,
+    is_rational,
     sign,
-    solve_square,
 )
 from .witt import WittElement
 
@@ -58,16 +62,15 @@ def is_generic_tuple(points: Sequence[Point], n: int | None = None) -> bool:
     return is_linearly_generic(list(points), n)
 
 
-@dataclass(frozen=True)
-class USymbol:
+class USymbol(Value):
     """Value in the sign coefficient group of P^{n-1} tuples, n even: c * [+]."""
 
-    n: int
-    coefficient: int
+    __slots__ = ("n", "coefficient")
 
-    def __post_init__(self):
-        if self.n % 2:
+    def __init__(self, n: int, coefficient: int):
+        if n % 2:
             raise ValueError("the coefficient group is zero for odd n")
+        self._set(n=n, coefficient=coefficient)
 
     def __add__(self, other: "USymbol") -> "USymbol":
         if other.n != self.n:
@@ -88,16 +91,15 @@ class USymbol:
         return f"{c}*[+]"
 
 
-@dataclass(frozen=True)
-class RawPlusSymbol:
+class RawPlusSymbol(Value):
     """Uncanonicalized symbol [s; s_1 ... s_n] of a positive-space tuple."""
 
-    leading: int
-    tail: tuple[int, ...]
+    __slots__ = ("leading", "tail")
 
-    def __post_init__(self):
-        if self.leading not in (-1, 1) or any(s not in (-1, 1) for s in self.tail):
+    def __init__(self, leading: int, tail: tuple[int, ...]):
+        if leading not in (-1, 1) or any(s not in (-1, 1) for s in tail):
             raise ValueError("signs must be +-1")
+        self._set(leading=leading, tail=tail)
 
     @property
     def n(self) -> int:
@@ -109,16 +111,15 @@ class RawPlusSymbol:
         return f"[{lead};{tail}]"
 
 
-@dataclass(frozen=True)
-class UPlusSymbol:
+class UPlusSymbol(Value):
     """Canonical coefficients on the basis {a+ : a = 0..floor(n/2)}."""
 
-    n: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("n", "coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.n // 2 + 1:
+    def __init__(self, n: int, coefficients: tuple[int, ...]):
+        if len(coefficients) != n // 2 + 1:
             raise ValueError("coefficient vector has wrong length")
+        self._set(n=n, coefficients=coefficients)
 
     @classmethod
     def zero(cls, n: int) -> "UPlusSymbol":
@@ -157,15 +158,73 @@ class UPlusSymbol:
         return " + ".join(parts) if parts else "0"
 
 
-def _relation_coefficients(points: Sequence[Point]) -> tuple[Scalar, list[Scalar]]:
-    """det(v_1..v_n) and the coefficients of v_{n+1} = sum a_i v_i."""
-    n = len(points) - 1
-    basis = [tuple(p) for p in points[:n]]
-    det = determinant(basis)
-    if not det:
+def subset_minors(points: Sequence[Point], n: int) -> dict[tuple[int, ...], Scalar]:
+    """det of every n-subset of the lifts (ascending indices), in one pass.
+
+    Rational lifts are first scaled to integers, each by its own positive
+    denominator lcm, and go through the integer kernel.  That multiplies
+    each minor by a positive number, which changes no sign, no
+    vanishing, and no square class of a product in which every lift
+    occurs an even number of times.  Lifts over Q(sqrt(d)) are used as
+    they are.
+    """
+    if is_rational(points):
+        lifts = [clear_denominators(p)[0] for p in points]
+        det = det_int
+    else:
+        lifts = [list(p) for p in points]
+        det = determinant
+    return {
+        subset: det([lifts[i] for i in subset])
+        for subset in combinations(range(len(points)), n)
+    }
+
+
+def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
+    """D_j = det of the n+1 lifts in K^n without lift j, for j = 0..n.
+
+    Every symbol of the tuple is read from these (see ``subset_minors``
+    for the positive rescaling of rational lifts).
+    """
+    everything = tuple(range(len(points)))
+    return _face_minors(subset_minors(points, len(points) - 1), everything)
+
+
+def _face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:
+    """The maximal minors of the sub-tuple ``face`` (ascending indices)."""
+    return [minors[face[:j] + face[j + 1 :]] for j in range(len(face))]
+
+
+def _generic_minors(points: Sequence[Point]) -> list[Scalar]:
+    minors = maximal_minors(points)
+    if not minors[-1]:
         raise GenericityError("first n lifts are linearly dependent")
-    coeffs = solve_square(list(basis), tuple(points[n]))
-    return det, coeffs
+    if not all(minors):
+        raise GenericityError("tuple is not generic")
+    return minors
+
+
+def raw_symbol_from_minors(minors: Sequence[Scalar]) -> RawPlusSymbol:
+    """[s; s_1..s_n] from the nonzero maximal minors D_0..D_n.
+
+    With v_n = sum a_i v_i, Cramer gives a_i = (-1)^(n-i+1) D_i / D_n,
+    and s = sgn D_n.
+    """
+    n = len(minors) - 1
+    lead = sign(minors[n])
+    tail = tuple((-1) ** (n - i + 1) * sign(minors[i]) * lead for i in range(n))
+    return RawPlusSymbol(lead, tail)
+
+
+def u_symbol_from_minors(minors: Sequence[Scalar]) -> USymbol:
+    """sgn(det(v_0..v_{n-1}) * a_0 * ... * a_{n-1}) from the maximal minors."""
+    raw = raw_symbol_from_minors(minors)
+    return USymbol(raw.n, raw.leading * prod(raw.tail))
+
+
+def witt_symbol_from_minors(minors: Sequence[Scalar]) -> WittElement:
+    """<det(u,v) det(v,w) det(w,u)> = <-D_0 D_1 D_2> for a triple in Q^2."""
+    return WittElement.symbol(-minors[0] * minors[1] * minors[2])
 
 
 def u_symbol(points: Sequence[Point]) -> USymbol:
@@ -179,14 +238,7 @@ def u_symbol(points: Sequence[Point]) -> USymbol:
         raise ValueError("u_symbol needs even n")
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P^{n - 1}")
-    det, coeffs = _relation_coefficients(points)
-    s = sign(det)
-    for c in coeffs:
-        sc = sign(c)
-        if sc == 0:
-            raise GenericityError("tuple is not generic")
-        s *= sc
-    return USymbol(n, s)
+    return u_symbol_from_minors(_generic_minors(points))
 
 
 def uplus_raw_symbol(points: Sequence[Point]) -> RawPlusSymbol:
@@ -197,14 +249,7 @@ def uplus_raw_symbol(points: Sequence[Point]) -> RawPlusSymbol:
     n = len(points) - 1
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P_+^{n - 1}")
-    det, coeffs = _relation_coefficients(points)
-    tail = []
-    for c in coeffs:
-        sc = sign(c)
-        if sc == 0:
-            raise GenericityError("tuple is not generic")
-        tail.append(sc)
-    return RawPlusSymbol(sign(det), tuple(tail))
+    return raw_symbol_from_minors(_generic_minors(points))
 
 
 def uplus_canonicalize(raw: RawPlusSymbol) -> UPlusSymbol:
@@ -255,32 +300,34 @@ def boundary_symbol_sum(points: Sequence[Point], mode: Mode):
     lets tests assert exactly that.
     """
     n = len(points) - 2
-    if not is_generic_tuple(points, n):
+    if any(len(p) != n for p in points):
+        raise ValueError("ambient dimension mismatch")
+    minors = subset_minors(points, n)
+    if not all(minors.values()):
         raise GenericityError("tuple is not generic")
     if mode == "P":
+
+        def symbol(face_minors):
+            return u_symbol_from_minors(face_minors).coefficient
+
         total = 0
-        for j in range(len(points)):
-            face = [p for i, p in enumerate(points) if i != j]
-            term = u_symbol(face).coefficient
-            total += term if j % 2 == 0 else -term
-        return total
-    if mode == "P+":
+    elif mode == "P+":
+
+        def symbol(face_minors):
+            return uplus_canonicalize(raw_symbol_from_minors(face_minors))
+
         total = UPlusSymbol.zero(n)
-        for j in range(len(points)):
-            face = [p for i, p in enumerate(points) if i != j]
-            term = uplus_symbol(face)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-    if mode == "witt":
+    elif mode == "witt":
         if n != 2:
             raise ValueError("witt mode needs 2-dimensional lifts")
-        total = WittElement.zero()
-        for j in range(len(points)):
-            face = [p for i, p in enumerate(points) if i != j]
-            term = witt_triple_symbol(*face)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-    raise ValueError(f"unknown mode {mode!r}")
+        symbol, total = witt_symbol_from_minors, WittElement.zero()
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    everything = tuple(range(n + 2))
+    for j in everything:
+        term = symbol(_face_minors(minors, everything[:j] + everything[j + 1 :]))
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 def homological_core_check(c: UPlusSymbol) -> bool:

@@ -325,16 +325,22 @@ def render_scalar(x: Scalar) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _clear_row_denominators(row: Sequence[Rational]) -> tuple[list[int], int]:
-    mult = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    return [int(Fraction(x) * mult) for x in row], mult
+def is_rational(rows: Iterable[Sequence[Scalar]]) -> bool:
+    """True iff every entry is an int or a Fraction."""
+    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+
+
+def clear_denominators(row: Sequence[Rational]) -> tuple[list[int], int]:
+    """(m * row, m) for the least positive integer m making every entry integral."""
+    mult = lcm(*(x.denominator for x in row)) if row else 1
+    return [x.numerator * (mult // x.denominator) for x in row], mult
 
 
 def _det_rational(rows: Sequence[Sequence[Rational]]) -> Fraction:
     cleared = []
     denom = 1
     for row in rows:
-        ints, mult = _clear_row_denominators(row)
+        ints, mult = clear_denominators(row)
         cleared.append(ints)
         denom *= mult
     return Fraction(det_int(cleared), denom)
@@ -374,7 +380,7 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         return Fraction(1)
     if all(isinstance(x, int) for row in rows for x in row):
         return det_int([list(r) for r in rows])
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+    if is_rational(rows):
         return _det_rational(rows)
     return _det_generic(rows)
 
@@ -384,8 +390,8 @@ def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
-    if all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        cleared = [_clear_row_denominators(row)[0] for row in rows]
+    if is_rational(rows):
+        cleared = [clear_denominators(row)[0] for row in rows]
         return rank_int(cleared, ncols)
     # generic field echelon
     m = [list(r) for r in rows]
@@ -534,6 +540,8 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        if is_rational(self.rows):
+            return self._inverse_rational()
         d = self.det()
         if not d:
             raise ValueError("singular matrix")
@@ -544,6 +552,31 @@ class Matrix:
             for j in range(n)
         ]
         return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+
+    def _inverse_rational(self) -> "Matrix":
+        # self = a / denom with a integral, so self^-1 = denom * adj(a) / det(a)
+        n = self.nrows
+        flat, denom = clear_denominators([x for row in self.rows for x in row])
+        a = [flat[i * n : (i + 1) * n] for i in range(n)]
+        d = det_int(a)
+        if not d:
+            raise ValueError("singular matrix")
+        inv = []
+        for i in range(n):
+            # adj(a)[i][j] = (-1)^(i+j) * det(a without row j and column i)
+            without_col = [r[:i] + r[i + 1 :] for r in a]
+            inv.append(
+                [
+                    Fraction(
+                        (-1) ** (i + j)
+                        * denom
+                        * det_int(without_col[:j] + without_col[j + 1 :]),
+                        d,
+                    )
+                    for j in range(n)
+                ]
+            )
+        return Matrix(inv)
 
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows))
@@ -573,6 +606,22 @@ class Matrix:
                         return None
                 elif self.rows[i][j]:
                     return None
+        return c
+
+    def scalar_multiple_of(self, other: "Matrix") -> Scalar | None:
+        """The scalar c with self == c*other, or None.
+
+        c is read off the first nonzero entry of other (for an invertible
+        other it lies in row 0); None also when other is zero.
+        """
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            return None
+        pairs = [
+            (x, y) for r1, r2 in zip(self.rows, other.rows) for x, y in zip(r1, r2)
+        ]
+        c = next((exact_div(x, y) for x, y in pairs if y), None)
+        if c is None or any(not _eq_scalar(x, c * y) for x, y in pairs):
+            return None
         return c
 
     def __repr__(self):

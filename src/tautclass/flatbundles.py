@@ -11,14 +11,14 @@ tuple over the cycle's top simplices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
+from ._value import Value
 from .complexes import Chain, DeltaComplex, ProductComplex, boundary
-from .configs import GenericityError, uplus_symbol, u_symbol, witt_triple_symbol
+from .configs import GenericityError
 from .exactmath import (
     Field,
     exact_div,
@@ -54,8 +54,11 @@ class TagError(ValueError):
 
 def _tag_scalar_ok(residual: Matrix, tag: str) -> bool:
     c = residual.scalar_multiple_of_identity()
-    if c is None:
-        return False
+    return c is not None and _tag_allows(c, tag)
+
+
+def _tag_allows(c: Scalar, tag: str) -> bool:
+    """Whether the scalar matrix c*I lies in the tag's scalar subgroup."""
     if tag in LINEAR_TAGS:
         return not (c - 1)
     if tag == "PGL+":
@@ -111,8 +114,11 @@ class FlatBundle:
                 h01 = self.holonomy[s.faces[2]]
                 h12 = self.holonomy[s.faces[0]]
                 h02 = self.holonomy[s.faces[1]]
-                residual = h02.inverse() @ (h12 @ h01)
-                if not _tag_scalar_ok(residual, self.tag):
+                # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
+                path = h12 @ h01
+                c = path.scalar_multiple_of(h02)
+                if c is None or not _tag_allows(c, self.tag):
+                    residual = h02.inverse() @ path
                     raise ValueError(
                         f"triangle condition fails on 2-simplex {sid} "
                         f"(residual {residual!r})"
@@ -146,16 +152,16 @@ class FlatBundle:
         return out
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Value):
     """A vertex-indexed choice of nonzero fiber vectors."""
 
-    values: dict[int, tuple[Scalar, ...]]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        for v, vec in self.values.items():
+    def __init__(self, values: dict[int, tuple[Scalar, ...]]):
+        for v, vec in values.items():
             if vec_is_zero(vec):
                 raise ValueError(f"section vanishes at vertex {v}")
+        self._set(values=values)
 
     def to_json(self) -> dict:
         from .exactmath import render_scalar
@@ -163,18 +169,18 @@ class Section:
         return {str(v): [render_scalar(x) for x in vec] for v, vec in self.values.items()}
 
 
-@dataclass(frozen=True)
-class Selector:
+class Selector(Value):
     """Which characteristic class to evaluate: eu, eu_k, eu_plus or witt."""
 
-    kind: str  # "eu" | "euk" | "euplus" | "witt"
-    k: int | None = None
+    __slots__ = ("kind", "k")
 
-    def __post_init__(self):
-        if self.kind not in ("eu", "euk", "euplus", "witt"):
-            raise ValueError(f"unknown selector kind {self.kind!r}")
-        if (self.kind == "euk") != (self.k is not None):
+    def __init__(self, kind: str, k: int | None = None):
+        # kind is "eu" | "euk" | "euplus" | "witt"
+        if kind not in ("eu", "euk", "euplus", "witt"):
+            raise ValueError(f"unknown selector kind {kind!r}")
+        if (kind == "euk") != (k is not None):
             raise ValueError("selector euk needs k, others must not have it")
+        self._set(kind=kind, k=k)
 
     @classmethod
     def parse(cls, text: str) -> "Selector":
@@ -695,26 +701,31 @@ def evaluate_class(
     if selector.kind == "witt":
         if n != 2 or bundle.field != QQ or bundle.tag != "SL":
             raise ValueError("the witt selector needs an SL(2, Q) bundle")
-    support = list(z.coeffs)
-    if not is_generic_section(bundle, s, "basic", support):
-        raise GenericityError("section is not generic on the support of z")
+    # one pass per top simplex: its maximal minors decide genericity and
+    # give the symbol (they are positive multiples of the true minors)
+    minors = {}
+    for sid in z.coeffs:
+        minors[sid] = configs.maximal_minors(bundle.corner_values(s, n, sid))
+        if not all(minors[sid]):
+            raise GenericityError("section is not generic on the support of z")
     per_simplex = {}
     if selector.kind == "witt":
         acc = WittElement.zero()
         for sid, c in z.coeffs.items():
-            term = witt_triple_symbol(*bundle.corner_values(s, n, sid))
+            term = configs.witt_symbol_from_minors(minors[sid])
             per_simplex[sid] = term.to_text()
             acc = acc + term.scale(c)
     elif selector.kind == "eu":
         acc = 0
         for sid, c in z.coeffs.items():
-            term = u_symbol(bundle.corner_values(s, n, sid))
+            term = configs.u_symbol_from_minors(minors[sid])
             per_simplex[sid] = str(term)
             acc += c * term.coefficient
     else:
         total = configs.UPlusSymbol.zero(n)
         for sid, c in z.coeffs.items():
-            term = uplus_symbol(bundle.corner_values(s, n, sid))
+            raw = configs.raw_symbol_from_minors(minors[sid])
+            term = configs.uplus_canonicalize(raw)
             per_simplex[sid] = str(term)
             total = total + term.scale(c)
         acc = total if selector.kind == "euplus" else total.coefficients[selector.k]

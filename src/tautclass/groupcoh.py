@@ -12,9 +12,9 @@ the group-cohomology picture and the bundle pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._value import Value
 from .complexes import surface_complex
 from .exactmath import Matrix, Scalar, determinant, sign, vec_is_zero
 from .flatbundles import bundle_from_surface_rep
@@ -81,11 +81,13 @@ def psl_canonical(m: Matrix) -> Matrix:
     return m
 
 
-@dataclass
-class BarChain2:
+class BarChain2(Value):
     """An integer combination of homogeneous triples of PSL(2,Q) matrices."""
 
-    terms: list[tuple[int, tuple[Matrix, Matrix, Matrix]]]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: list[tuple[int, tuple[Matrix, Matrix, Matrix]]]):
+        self._set(terms=terms)
 
     def __add__(self, other: "BarChain2") -> "BarChain2":
         return BarChain2(self.terms + other.terms)

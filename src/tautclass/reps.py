@@ -15,22 +15,45 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._value import Value
 from .exactmath import Field, Matrix, QQ, field_from_json, parse_scalar
 
 FIXTURES_ENV = "TAUTCLASS_FIXTURES"
 
 
-@dataclass
-class SurfaceRep:
-    field: Field
-    genus: int
-    tag: str
-    matrices: list[Matrix]
-    inexact: bool = False  # decimal entries present: oracle-only
+class RepFormatError(ValueError):
+    """A representation file is missing a key or has one of the wrong type."""
+
+
+class SurfaceRep(Value):
+    """Generator matrices A1, B1, ..., Ag, Bg of a surface representation.
+
+    ``inexact`` marks decimal entries (oracle-only); then ``matrices`` is
+    empty and ``raw_float`` holds the entries for the oracle.
+    """
+
+    __slots__ = ("field", "genus", "tag", "matrices", "inexact", "raw_float")
+
+    def __init__(
+        self,
+        field: Field,
+        genus: int,
+        tag: str,
+        matrices: list[Matrix],
+        inexact: bool = False,
+        raw_float: list[list[list[float]]] | None = None,
+    ):
+        self._set(
+            field=field,
+            genus=genus,
+            tag=tag,
+            matrices=matrices,
+            inexact=inexact,
+            raw_float=raw_float,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -49,23 +72,49 @@ def _parse_entry(text: str, field: Field):
     try:
         return parse_scalar(text, field)
     except ValueError:
+        pass
+    try:
         return float(text)  # decimal literal: oracle-only
+    except ValueError:
+        raise RepFormatError(f"key 'matrices': cannot parse entry {text!r}") from None
+
+
+def _is_matrix_list(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(m, list) and all(isinstance(row, list) for row in m) for m in x
+    )
 
 
 def rep_from_dict(data: dict) -> SurfaceRep:
-    field = field_from_json(data["field"])
-    genus = int(data["genus"])
-    tag = data["tag"]
+    """Parse a representation; RepFormatError names a missing or ill-typed key."""
+    if not isinstance(data, dict):
+        raise RepFormatError("a representation must be a JSON object")
+    for key in ("field", "genus", "tag", "matrices"):
+        if key not in data:
+            raise RepFormatError(f"missing key {key!r}")
+    try:
+        field = field_from_json(data["field"])
+    except (TypeError, ValueError) as exc:
+        raise RepFormatError(f"key 'field': {exc}") from None
+    genus, tag, matrices = data["genus"], data["tag"], data["matrices"]
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 1:
+        raise RepFormatError(
+            f"key 'genus' must be a positive integer, got {genus!r:.80}"
+        )
+    if not isinstance(tag, str):
+        raise RepFormatError(f"key 'tag' must be a string, got {tag!r:.80}")
+    if not _is_matrix_list(matrices):
+        raise RepFormatError(
+            f"key 'matrices' must be a list of matrices given as lists of rows, "
+            f"got {matrices!r:.80}"
+        )
     parsed = [
         [[_parse_entry(str(x), field) for x in row] for row in rows]
-        for rows in data["matrices"]
+        for rows in matrices
     ]
     if any(isinstance(x, float) for m in parsed for row in m for x in row):
-        rep = SurfaceRep(field, genus, tag, [], inexact=True)
-        rep.raw_float = [
-            [[float(x) for x in row] for row in m] for m in parsed
-        ]  # type: ignore[attr-defined]
-        return rep
+        raw_float = [[[float(x) for x in row] for row in m] for m in parsed]
+        return SurfaceRep(field, genus, tag, [], inexact=True, raw_float=raw_float)
     return SurfaceRep(field, genus, tag, [Matrix(m) for m in parsed])
 
 
@@ -84,7 +133,11 @@ def resolve_rep_path(path: str) -> Path:
 
 def load_rep(path: str) -> SurfaceRep:
     with open(resolve_rep_path(path)) as fh:
-        return rep_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise RepFormatError(f"not a JSON file: {exc}") from None
+    return rep_from_dict(data)
 
 
 def save_rep(rep: SurfaceRep, path: str) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +211,26 @@ def test_csv_output(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert any(line.startswith("suite,witt-relations") for line in lines)
+
+
+@pytest.mark.parametrize("key", ["field", "genus", "tag", "matrices"])
+def test_rep_without_key_is_invalid_representation(capsys, tmp_path, key):
+    data = json.loads(Path(rep_path("g2_fuchs.json")).read_text())
+    del data[key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"invalid representation: missing key {key!r}\n"
+
+
+def test_rep_with_ill_typed_genus_or_broken_json(capsys, tmp_path):
+    data = json.loads(Path(rep_path("g2_fuchs.json")).read_text())
+    data["genus"] = "2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
+    assert "key 'genus' must be a positive integer" in capsys.readouterr().err
+    bad.write_text("{not json")
+    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
+    assert capsys.readouterr().err.startswith("invalid representation: not a JSON file")

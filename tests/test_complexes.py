@@ -195,3 +195,15 @@ def test_subsimplex_extraction():
     assert d == 1
     assert cx.simplices[1][sid].vertices == (1, 3)
     assert cx.edge_between_corners(3, top, 0, 2) == cx.subsimplex(3, top, (0, 2))[1]
+
+
+def test_value_types_compare_by_fields_and_are_immutable():
+    a, b = Simplex((0, 1), (0, 0)), Simplex((0, 1), (0, 0))
+    assert a == b and hash(a) == hash(b) and a != Simplex((1, 0), (0, 0))
+    assert repr(a) == "Simplex(vertices=(0, 1), faces=(0, 0))"
+    assert Chain(2, {0: 1, 3: 0}) == Chain(2, {0: 1}) != Chain(1, {0: 1})
+    assert Chain(2).coeffs == {} and Chain(2) != (2, {})
+    with pytest.raises(AttributeError):
+        a.vertices = (1, 0)
+    with pytest.raises(AttributeError):
+        Chain(2).coeffs = {0: 1}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -10,15 +11,17 @@ from tautclass.configs import (
     boundary_symbol_sum,
     homological_core_check,
     is_generic_tuple,
+    maximal_minors,
     pplus_normalize,
     proj_normalize,
     u_symbol,
     uplus_canonicalize,
     uplus_raw_symbol,
     uplus_symbol,
+    witt_symbol_from_minors,
     witt_triple_symbol,
 )
-from tautclass.exactmath import Matrix, determinant
+from tautclass.exactmath import Matrix, QuadraticField, determinant, sign, solve_square
 from tautclass.witt import WittElement, square_class
 
 
@@ -201,3 +204,111 @@ def test_normalizations():
     assert pplus_normalize((-2, 4)) == (-1, 2)
     with pytest.raises(ValueError):
         proj_normalize((0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the minors pass against Cramer's rule on the relation, as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _relation_coefficients(points):
+    """det(v_1..v_n) and the coefficients of v_{n+1} = sum a_i v_i, by Cramer."""
+    n = len(points) - 1
+    basis = [tuple(p) for p in points[:n]]
+    det = determinant(basis)
+    if not det:
+        raise GenericityError("first n lifts are linearly dependent")
+    return det, solve_square(list(basis), tuple(points[n]))
+
+
+def _cramer_raw(points):
+    det, coeffs = _relation_coefficients(points)
+    if any(not c for c in coeffs):
+        raise GenericityError("tuple is not generic")
+    return sign(det), tuple(sign(c) for c in coeffs)
+
+
+_Q2 = QuadraticField(2)
+
+_SCALARS = {
+    "int": lambda rng: rng.randint(-4, 4),
+    "fraction": lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+    "quad": lambda rng: _Q2.from_pair(rng.randint(-3, 3), rng.randint(-3, 3)),
+}
+
+
+def _random_tuple(rng, kind, n):
+    return [tuple(_SCALARS[kind](rng) for _ in range(n)) for _ in range(n + 1)]
+
+
+def _minors_raw(points):
+    raw = uplus_raw_symbol(points)
+    return raw.leading, raw.tail
+
+
+def _outcome(fn, points):
+    try:
+        return fn(points)
+    except GenericityError as exc:
+        return ("GenericityError", str(exc))
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minors_symbols_match_cramer_oracle(kind, n):
+    rng = random.Random(f"{kind}-{n}")
+    generic = 0
+    for _ in range(40 if kind != "quad" or n < 5 else 12):
+        tup = _random_tuple(rng, kind, n)
+        if rng.random() < 0.2:
+            # force a dependency: two projectively equal points
+            i, j = rng.sample(range(n + 1), 2)
+            tup[i] = tuple(2 * x for x in tup[j])
+        expected = _outcome(_cramer_raw, tup)
+        assert _outcome(_minors_raw, tup) == expected, tup
+        if expected[0] == "GenericityError":
+            if n % 2 == 0:
+                assert _outcome(u_symbol, tup) == expected
+            continue
+        generic += 1
+        assert all(maximal_minors(tup))
+        if n % 2 == 0:
+            lead, tail = expected
+            assert u_symbol(tup).coefficient == lead * prod(tail)
+    assert generic >= 5
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_witt_symbol_from_minors_matches_triple_symbol(kind):
+    rng = random.Random(kind)
+    checked = 0
+    for _ in range(60):
+        tup = _random_tuple(rng, kind, 2)
+        try:
+            expected = witt_triple_symbol(*tup)
+        except GenericityError:
+            assert not all(maximal_minors(tup))
+            continue
+        assert witt_symbol_from_minors(maximal_minors(tup)) == expected
+        checked += 1
+    assert checked >= 20
+
+
+def test_boundary_sums_vanish_over_fractions_and_quad():
+    rng = random.Random(6)
+    for kind in ("fraction", "quad"):
+        for n in (2, 4):
+            done = 0
+            while done < 5:
+                tup = _random_tuple(rng, kind, n) + [
+                    tuple(_SCALARS[kind](rng) for _ in range(n))
+                ]
+                if not is_generic_tuple(tup, n):
+                    with pytest.raises(GenericityError):
+                        boundary_symbol_sum(tup, "P")
+                    continue
+                assert boundary_symbol_sum(tup, "P") == 0
+                assert boundary_symbol_sum(tup, "P+").is_zero()
+                if kind == "fraction" and n == 2:
+                    assert boundary_symbol_sum(tup, "witt").is_zero()
+                done += 1

@@ -209,3 +209,56 @@ def test_rank_bounds(n):
     rng = random.Random(n)
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n + 1)]
     assert 0 <= rank(rows, n) <= n
+
+
+def _cramer_inverse(m):
+    """Column j of m^-1 solves m x = e_j (Cramer over the field)."""
+    n = m.nrows
+    cols = [
+        solve_square(list(zip(*m.rows)), [1 if i == j else 0 for i in range(n)])
+        for j in range(n)
+    ]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def test_rational_inverse_matches_cramer():
+    rng = random.Random(11)
+    for n in range(1, 6):
+        done = 0
+        while done < 8:
+            m = Matrix(
+                [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+            if not m.det():
+                continue
+            inv = m.inverse()
+            assert [list(r) for r in inv.rows] == _cramer_inverse(m)
+            assert all(type(x) is Fraction for row in inv.rows for x in row)
+            done += 1
+    # integer input gives Fraction entries too
+    inv = Matrix([[2, 1], [1, 1]]).inverse()
+    assert inv.rows == ((1, -1), (-1, 2))
+    assert all(type(x) is Fraction for row in inv.rows for x in row)
+
+
+def test_singular_inverse_raises():
+    for m in (
+        Matrix([[1, 2], [2, 4]]),
+        Matrix([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]]),
+        Matrix([[0]]),
+    ):
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            m.inverse()
+
+
+def test_scalar_multiple_of():
+    h = Matrix([[0, 2], [Fraction(1, 3), 1]])
+    assert Matrix([[0, -4], [Fraction(-2, 3), -2]]).scalar_multiple_of(h) == -2
+    assert Matrix([[0, -4], [Fraction(-2, 3), 2]]).scalar_multiple_of(h) is None
+    assert Matrix([[1, 0], [0, 1]]).scalar_multiple_of(Matrix([[0, 0], [0, 0]])) is None
+    q = QuadraticField(2)
+    r2 = q.sqrt_gen()
+    assert Matrix([[r2, 0], [0, r2]]).scalar_multiple_of(Matrix.identity(2)) == r2

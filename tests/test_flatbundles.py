@@ -109,6 +109,59 @@ def test_quotient_tags_accept_scalar_triangle_residuals():
         FlatBundle(sc, 2, "PGL+", bad)
 
 
+def _triangle_residual_oracle(bundle_base, hol, tag):
+    """The first failing 2-simplex and its residual h02^-1 h12 h01, or None."""
+    for sid, simplex in enumerate(bundle_base.simplices[2]):
+        h01, h12, h02 = (hol[simplex.faces[k]] for k in (2, 0, 1))
+        residual = h02.inverse() @ (h12 @ h01)
+        c = residual.scalar_multiple_of_identity()
+        ok = c is not None and (
+            c == 1 if tag in ("GL+", "SL") else (c != 0 if tag == "PGL+" else c > 0)
+        )
+        if not ok:
+            return f"triangle condition fails on 2-simplex {sid} (residual {residual!r})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "tag, c, accepted",
+    [
+        ("PGL+", -2, True),
+        ("P+GL+", -2, False),
+        ("P+GL+", 3, True),
+        ("PGL+", 3, True),
+        ("GL+", 2, False),
+        ("SL", 1, True),
+    ],
+)
+def test_triangle_condition_up_to_tag_scalar(tag, c, accepted):
+    sc, _ = surface_complex(1)
+    bundle = bundle_from_surface_rep(sc, genus1_diagonal().matrices, "SL")
+    hol = dict(bundle.holonomy)
+    hol[1] = Matrix([[c, 0], [0, c]]) @ hol[1]
+    expected = _triangle_residual_oracle(sc, hol, tag)
+    assert (expected is None) == accepted
+    if accepted:
+        FlatBundle(sc, 2, tag, hol)
+    else:
+        with pytest.raises(ValueError) as err:
+            FlatBundle(sc, 2, tag, hol)
+        assert str(err.value) == expected
+
+
+def test_triangle_failure_message_for_non_scalar_residual():
+    sc, _ = surface_complex(2)
+    rep = genus2_fuchsian()
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    hol = dict(bundle.holonomy)
+    hol[5] = Matrix([[1, Fraction(1, 2)], [0, 1]]) @ hol[5]
+    expected = _triangle_residual_oracle(sc, hol, "SL")
+    assert expected is not None and "residual Matrix[" in expected
+    with pytest.raises(ValueError) as err:
+        FlatBundle(sc, 2, "SL", hol)
+    assert str(err.value) == expected
+
+
 def test_transport_identity_and_path_independence():
     sc, _ = surface_complex(2)
     rep = genus2_fuchsian()

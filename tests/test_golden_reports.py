@@ -1,0 +1,67 @@
+"""Byte-for-byte regression of CLI reports against recorded goldens.
+
+Each case runs ``cli.main`` in-process from the repository root with
+relative fixture paths and compares the exit code and the exact stdout
+with ``golden/reports.json``.  Every ``eval`` selector is recorded on
+every fixture, including the combinations that exit non-zero, plus one
+genus-2 ``product``.
+
+Regenerate the goldens (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
+SELECTORS = ["eu0", "eu", "euk:1", "euplus", "witt"]
+
+
+def _commands() -> list[list[str]]:
+    fixtures = sorted(p.name for p in (REPO / "fixtures").glob("*.json"))
+    cmds = [
+        ["eval", "--rep", f"fixtures/{name}", "--selector", sel, "--seed", "3"]
+        for name in fixtures
+        for sel in SELECTORS
+    ]
+    cmds.append(
+        ["product", "--repA", "fixtures/g2_fuchs.json", "--repB", "fixtures/g2_swap.json"]
+    )
+    return cmds
+
+
+def _golden() -> dict[str, dict]:
+    return {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=" ".join)
+def test_report_matches_golden(argv, capsys, monkeypatch):
+    from tautclass.cli import main
+
+    monkeypatch.chdir(REPO)
+    expected = _golden()[" ".join(argv)]
+    code = main(list(argv))
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import os
+
+    from tautclass.cli import main
+
+    os.chdir(REPO)
+    cases = []
+    for argv in _commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        cases.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN}")

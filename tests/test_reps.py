@@ -72,3 +72,31 @@ def test_fixture_env_resolution(monkeypatch, fixtures_dir, tmp_path):
         load_rep("g1_diag.json")
     monkeypatch.setenv("TAUTCLASS_FIXTURES", str(fixtures_dir))
     assert load_rep("g1_diag.json").genus == 1
+
+
+def test_rep_format_errors_name_the_key():
+    from tautclass.reps import RepFormatError
+
+    good = {
+        "field": "Q",
+        "genus": 1,
+        "tag": "SL",
+        "matrices": [[["2", "0"], ["0", "1/2"]], [["3", "0"], ["0", "1/3"]]],
+    }
+    assert rep_from_dict(good).raw_float is None
+    for key, bad_value, text in [
+        ("field", "R", "key 'field'"),
+        ("field", {"quad": 4}, "key 'field'"),
+        ("genus", True, "key 'genus'"),
+        ("genus", 0, "key 'genus'"),
+        ("tag", 3, "key 'tag'"),
+        ("matrices", [["1"]], "key 'matrices'"),
+        ("matrices", [[["x"]]], "key 'matrices'"),
+    ]:
+        with pytest.raises(RepFormatError, match=text):
+            rep_from_dict({**good, key: bad_value})
+    for key in good:
+        data = dict(good)
+        del data[key]
+        with pytest.raises(RepFormatError, match=f"missing key '{key}'"):
+            rep_from_dict(data)
