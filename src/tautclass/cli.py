@@ -4,7 +4,9 @@ All commands emit a deterministic JSON report on stdout (elapsed time
 goes to stderr so that identical flags and seed give byte-identical
 reports) and use a single seeded generator.  Exit codes: 0 pass,
 1 property failure, 2 usage, 3 invalid representation, 4 resampling
-exhaustion.
+exhaustion, 5 factorization bound exceeded (a square class whose
+cofactor trial division cannot certify), 6 internal error (any other
+uncaught exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 from math import comb
 
@@ -46,13 +49,15 @@ from .groupcoh import (
 )
 from .oracle import OracleError, rotation_euler
 from .reps import RepFormatError, load_rep
-from .witt import WittElement
+from .witt import FactorizationError, WittElement
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BAD_REP = 3
 EXIT_RESAMPLING = 4
+EXIT_FACTOR_BOUND = 5
+EXIT_INTERNAL = 6
 
 
 def _parse_field(text: str):
@@ -480,6 +485,14 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except FactorizationError as exc:
+        sys.stderr.write(f"factorization bound exceeded: {exc}\n")
+        return EXIT_FACTOR_BOUND
+    except Exception as exc:
+        # a fault of the program, never a property failure (exit 1)
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

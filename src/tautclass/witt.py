@@ -1,10 +1,21 @@
 """The Witt group of Q with a complete, exact equality decision.
 
 Elements are integer combinations of square classes of Q (squarefree
-integers).  Zero-testing goes through the classical invariants of the
-associated diagonal form: dimension parity, signature, discriminant and
-Hasse invariants at the relevant places, computed with the convention
-eps(q) = prod_{i<j} (a_i, a_j)_p.
+integers), kept as sorted (rep, multiplicity) terms; arithmetic merges
+terms and never expands a multiplicity.
+
+Zero-testing uses the splitting W(Q) = Z + sum_p W(F_p) by the signature
+and the second residue maps d_p (Milnor-Husemoller, *Symmetric Bilinear
+Forms*, Ch. IV): an element is zero iff its signature is 0 and d_p of it
+is 0 at every prime p dividing a term.  For a squarefree rep r divisible
+by p, d_p<r> = <r/p mod p>, and each residue group has a simple test:
+W(F_2) = Z/2, W(F_p) = Z/4 for p = 3 mod 4 and Z/2 x Z/2 for p = 1 mod 4.
+The cost is linear in the number of terms.
+
+The classical invariants of the associated diagonal form (dimension,
+signature, discriminant, Hasse invariants at the relevant places with the
+convention eps(q) = prod_{i<j} (a_i, a_j)_p) are still reported, computed
+from the terms.
 
 Over a real quadratic field only the two real signatures are exposed;
 anything they cannot decide is reported as undecided.
@@ -14,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterable, Union
 
 from .exactmath import QuadExt, sign
@@ -41,7 +53,7 @@ def _factorize(n: int, bound: int) -> dict[int, int]:
             n //= p
         p += 1 if p == 2 else 2
     if n > 1:
-        root = _isqrt(n)
+        root = isqrt(n)
         if root * root == n:
             # even exponents never influence a square class, so the root
             # need not be certified prime here
@@ -53,12 +65,6 @@ def _factorize(n: int, bound: int) -> dict[int, int]:
         else:
             raise FactorizationError(f"cofactor {n} exceeds bound {bound}")
     return out
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def square_class(q: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> int:
@@ -74,29 +80,51 @@ def square_class(q: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> int:
     return out if q > 0 else -out
 
 
-def _val_unit(q: Fraction, p: int) -> tuple[int, Fraction]:
-    """p-adic valuation and unit part of a nonzero rational."""
-    num, den = q.numerator, q.denominator
+def _val_unit(n: int, p: int) -> tuple[int, int]:
+    """p-adic valuation and unit part of a nonzero integer."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, n
 
 
-def _legendre(u: Fraction, p: int) -> int:
-    """Legendre symbol of a p-adic unit modulo an odd prime p."""
-    a = (u.numerator * u.denominator) % p
-    t = pow(a, (p - 1) // 2, p)
-    return -1 if t == p - 1 else 1
+def _legendre(u: int, p: int) -> int:
+    """Legendre symbol of an integer prime to the odd prime p."""
+    return -1 if pow(u % p, (p - 1) // 2, p) == p - 1 else 1
 
 
-def _mod8(u: Fraction) -> int:
-    # for odd den, den^2 = 1 mod 8, so num*den represents u mod 8
-    return (u.numerator * u.denominator) % 8
+def _check_place(place) -> None:
+    if place == "inf":
+        return
+    if not isinstance(place, int) or place < 2 or any(
+        place % q == 0 for q in range(2, isqrt(place) + 1)
+    ):
+        raise ValueError(f"place must be a prime or 'inf', got {place!r}")
+
+
+def _hilbert(a: int, b: int, place) -> int:
+    """Hilbert symbol of nonzero integers at a place already checked."""
+    if place == "inf":
+        return -1 if (a < 0 and b < 0) else 1
+    p = place
+    alpha, u = _val_unit(a, p)
+    beta, v = _val_unit(b, p)
+    if p != 2:
+        out = 1
+        if (alpha * beta) % 2 and p % 4 == 3:
+            out = -out
+        if beta % 2 and _legendre(u, p) < 0:
+            out = -out
+        if alpha % 2 and _legendre(v, p) < 0:
+            out = -out
+        return out
+    eps_u = (u % 4 - 1) // 2  # 0 for u=1 mod 4, 1 for u=3 mod 4
+    eps_v = (v % 4 - 1) // 2
+    omega_u = 0 if u % 8 in (1, 7) else 1
+    omega_v = 0 if v % 8 in (1, 7) else 1
+    exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
+    return -1 if exponent % 2 else 1
 
 
 def hilbert_symbol(a: Rational, b: Rational, place) -> int:
@@ -107,28 +135,9 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if place == "inf":
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    if not isinstance(p, int) or p < 2 or any(p % q == 0 for q in range(2, _isqrt(p) + 1)):
-        raise ValueError(f"place must be a prime or 'inf', got {place!r}")
-    alpha, u = _val_unit(a, p)
-    beta, v = _val_unit(b, p)
-    if p != 2:
-        out = 1
-        if (alpha * beta) % 2 and (p - 1) // 2 % 2:
-            out = -out
-        if beta % 2 and _legendre(u, p) < 0:
-            out = -out
-        if alpha % 2 and _legendre(v, p) < 0:
-            out = -out
-        return out
-    eps_u = (_mod8(u) % 4 - 1) // 2  # 0 for u=1 mod 4, 1 for u=3 mod 4
-    eps_v = (_mod8(v) % 4 - 1) // 2
-    omega_u = 0 if _mod8(u) in (1, 7) else 1
-    omega_v = 0 if _mod8(v) in (1, 7) else 1
-    exponent = eps_u * eps_v + alpha * omega_v + beta * omega_u
-    return -1 if exponent % 2 else 1
+    _check_place(place)
+    # n/d and n*d differ by the square d^2, and the symbol only sees square classes
+    return _hilbert(a.numerator * a.denominator, b.numerator * b.denominator, place)
 
 
 class WittElement:
@@ -149,33 +158,46 @@ class WittElement:
             tuple(sorted((r, m) for r, m in acc.items() if m != 0)),
         )
 
+    @classmethod
+    def _canonical(cls, terms: tuple[tuple[int, int], ...]) -> "WittElement":
+        """An element from terms already canonical: squarefree reps, sorted,
+        distinct, with nonzero multiplicities."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "_terms", terms)
+        return w
+
     def __setattr__(self, *args):
         raise AttributeError("WittElement is immutable")
 
     @classmethod
     def symbol(cls, q: Rational) -> "WittElement":
         """The generator <q>, canonicalized to its square class."""
-        return cls([(square_class(q), 1)])
+        return cls._canonical(((square_class(q), 1),))
 
     @classmethod
     def zero(cls) -> "WittElement":
-        return cls()
+        return cls._canonical(())
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
 
     def __add__(self, other: "WittElement") -> "WittElement":
-        return WittElement(list(self._terms) + list(other._terms))
+        acc = dict(self._terms)
+        for rep, mult in other._terms:
+            acc[rep] = acc.get(rep, 0) + mult
+        return WittElement._canonical(tuple(sorted((r, m) for r, m in acc.items() if m)))
 
     def __neg__(self) -> "WittElement":
-        return WittElement([(r, -m) for r, m in self._terms])
+        return WittElement._canonical(tuple((r, -m) for r, m in self._terms))
 
     def __sub__(self, other: "WittElement") -> "WittElement":
         return self + (-other)
 
     def scale(self, m: int) -> "WittElement":
-        return WittElement([(r, k * m) for r, k in self._terms])
+        if m == 0:
+            return WittElement.zero()
+        return WittElement._canonical(tuple((r, k * m) for r, k in self._terms))
 
     def __eq__(self, other):
         if not isinstance(other, WittElement):
@@ -201,43 +223,58 @@ class WittElement:
 
     def discriminant(self) -> int:
         """Square class of the product of the diagonal entries."""
-        prod = 1
-        for e in self.diagonal_entries():
-            prod *= e
-        return square_class(prod) if prod else 1
+        out = 1
+        for rep, mult in self._terms:
+            if mult % 2:
+                # out * entry / gcd^2 is the squarefree class of their product
+                entry = rep if mult > 0 else -rep
+                g = gcd(out, entry)
+                out = (out // g) * (entry // g)
+        return out
 
     def relevant_places(self) -> list:
         primes = {2}
-        for e in self.diagonal_entries():
-            for p in _factorize(abs(e), DEFAULT_FACTOR_BOUND):
-                primes.add(p)
+        for rep, _ in self._terms:
+            primes.update(_factorize(abs(rep), DEFAULT_FACTOR_BOUND))
         return sorted(primes)
 
     def hasse_invariant(self, p) -> int:
-        entries = self.diagonal_entries()
+        """prod_{i<j} (a_i, a_j)_p over the diagonal entries, from the terms.
+
+        An entry e repeated k times meets itself in C(k, 2) pairs and an
+        entry f repeated l times in k*l pairs.
+        """
+        _check_place(p)
+        entries = [(rep if mult > 0 else -rep, abs(mult)) for rep, mult in self._terms]
         out = 1
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                out *= hilbert_symbol(entries[i], entries[j], p)
+        for i, (e, k) in enumerate(entries):
+            if (k * (k - 1) // 2) % 2 and _hilbert(e, e, p) < 0:
+                out = -out
+            for f, l in entries[i + 1 :]:
+                if (k * l) % 2 and _hilbert(e, f, p) < 0:
+                    out = -out
         return out
 
     def is_zero(self) -> bool:
-        """Exact Witt-triviality over Q via the classical invariants."""
-        entries = self.diagonal_entries()
-        n = len(entries)
-        if n == 0:
-            return True
-        if n % 2:
-            return False
+        """Exact Witt-triviality over Q: the signature and every second
+        residue vanish."""
         if self.signature() != 0:
             return False
-        m = n // 2
-        if self.discriminant() != square_class((-1) ** m):
-            return False
-        hyp_exp = (m * (m - 1) // 2) % 2
-        for p in self.relevant_places():
-            hyperbolic = hilbert_symbol(-1, -1, p) ** hyp_exp
-            if self.hasse_invariant(p) != hyperbolic:
+        # prime -> [sum of m, sum of m over terms whose residue is a non-square]
+        residues: dict[int, list[int]] = {}
+        for rep, mult in self._terms:
+            for p in _factorize(abs(rep), DEFAULT_FACTOR_BOUND):
+                acc = residues.setdefault(p, [0, 0])
+                acc[0] += mult
+                if p != 2 and _legendre(rep // p, p) < 0:
+                    acc[1] += mult
+        for p, (total, nonsquare) in residues.items():
+            if p % 4 == 3:
+                # W(F_p) = Z/4, and <u> = chi_p(u) <1> there
+                if (total - 2 * nonsquare) % 4:
+                    return False
+            elif total % 2 or nonsquare % 2:
+                # W(F_2) = Z/2; W(F_p) = Z/2 x Z/2 (rank, discriminant) for p = 1 mod 4
                 return False
         return True
 

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import rep_path
+from tautclass import cli
 from tautclass.cli import main
 
 
@@ -234,3 +236,29 @@ def test_rep_with_ill_typed_genus_or_broken_json(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
     assert capsys.readouterr().err.startswith("invalid representation: not a JSON file")
+
+
+def test_factorization_bound_has_its_own_exit_code(capsys, monkeypatch):
+    # two primes above the trial-division bound 10^6: the cofactor cannot be certified
+    big = Fraction(1_000_003 * 1_000_033)
+    monkeypatch.setattr(cli, "_random_rational", lambda rng, bound=99: big)
+    code = main(["verify", "witt-relations", "--samples", "1"])
+    assert code == cli.EXIT_FACTOR_BOUND == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "factorization bound exceeded: cofactor 1000036000099 exceeds bound 1000000\n"
+    )
+
+
+def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args, rng):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli.SUITES, "witt-relations", broken)
+    code = main(["verify", "witt-relations"])
+    assert code == cli.EXIT_INTERNAL == 6
+    assert code != cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.endswith("internal error: KeyError('lost')\n")

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tautclass.exactmath import QuadExt
+from tautclass.exactmath import QuadExt, sign
 from tautclass.witt import (
     FactorizationError,
     SenselessSymbolError,
@@ -15,6 +16,96 @@ from tautclass.witt import (
     quad_witt_is_zero,
     square_class,
 )
+
+
+def _prime_places(entries) -> list:
+    """2 and every prime dividing an entry, by trial division."""
+    places = {2}
+    for e in entries:
+        n, p = abs(e), 2
+        while p * p <= n:
+            while n % p == 0:
+                places.add(p)
+                n //= p
+            p += 1
+        if n > 1:
+            places.add(n)
+    return sorted(places)
+
+
+def _hasse_is_zero(w: WittElement) -> bool:
+    """The classical decision, kept as the oracle of the residue decision.
+
+    Expands the element into its diagonal form and compares dimension
+    parity, signature, discriminant and the Hasse invariants
+    eps = prod_{i<j} (a_i, a_j)_p at every relevant place with those of a
+    hyperbolic form.  O(dim^2) symbols per place: small dimensions only.
+    """
+    entries = w.diagonal_entries()
+    n = len(entries)
+    if n == 0:
+        return True
+    if n % 2 or sum(sign(e) for e in entries) != 0:
+        return False
+    m = n // 2
+    prod = 1
+    for e in entries:
+        prod *= e
+    if square_class(prod) != square_class((-1) ** m):
+        return False
+    symbol = lru_cache(maxsize=None)(hilbert_symbol)
+    hyp_exp = (m * (m - 1) // 2) % 2
+    for p in _prime_places(entries):
+        eps = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                eps *= symbol(entries[i], entries[j], p)
+        if eps != symbol(-1, -1, p) ** hyp_exp:
+            return False
+    return True
+
+
+# the sign, 2, primes = 3 mod 4 and primes = 1 mod 4
+FACTORS = (-1, 2, 3, 7, 5, 13)
+
+
+def _random_rep(rng) -> int:
+    rep = 1
+    for f in FACTORS:
+        if rng.random() < 0.4:
+            rep *= f
+    return rep
+
+
+def _four_term(a, b) -> WittElement:
+    return (
+        WittElement.symbol(a)
+        + WittElement.symbol(b)
+        - WittElement.symbol(a + b)
+        - WittElement.symbol(a * b * (a + b))
+    )
+
+
+def _random_element(rng) -> WittElement:
+    """Balanced pairs of random reps with multiplicities up to +-50, so
+    the signature vanishes and the residues decide, plus at times a
+    scaled four-term relation."""
+    terms = []
+    for _ in range(rng.randint(1, 2)):
+        r, s, m = _random_rep(rng), _random_rep(rng), rng.randint(-50, 50)
+        terms += [(r, m), (s, -m if sign(r) == sign(s) else m)]
+    w = WittElement(terms)
+    if rng.random() < 0.5:
+        a, b = _random_rep(rng), _random_rep(rng)
+        if a + b:
+            w = w + _four_term(a, b).scale(rng.randint(-5, 5))
+    return w
+
+
+# 2<1> - 2<3>: dimension, signature and discriminant are those of zero;
+# only the Hasse invariant at 3 (the residue in W(F_3) = Z/4) is not
+HASSE_ONLY = WittElement([(1, 2), (3, -2)])
+
 
 nonzero_rationals = st.fractions(
     min_value=-60, max_value=60, max_denominator=30
@@ -196,3 +287,97 @@ def test_quadratic_field_signatures():
     assert quad_witt_is_zero([(one_plus, 1)]) is False
     # <r2> + <-r2> kills both signatures: undecided
     assert quad_witt_is_zero([(r2, 1), (-r2, 1)]) is None
+
+
+def test_residue_decision_agrees_with_hasse_oracle():
+    rng = random.Random(7)
+    decided = {True: 0, False: 0}
+    for _ in range(300):
+        w = _random_element(rng)
+        assert w.is_zero() == _hasse_is_zero(w), w
+        decided[w.is_zero()] += 1
+    for _ in range(100):
+        a, b = _random_rep(rng), _random_rep(rng)
+        if a + b:
+            w = _four_term(a, b)
+            assert w.is_zero() and _hasse_is_zero(w)
+    # both answers are exercised, not just the easy one
+    assert min(decided.values()) >= 50, decided
+
+
+@pytest.mark.parametrize(
+    "element, zero",
+    [
+        (HASSE_ONLY, False),
+        (HASSE_ONLY.scale(2), True),  # Z/4 at p = 3: twice it vanishes
+        (WittElement([(2, 1), (1, -1)]), False),  # residue at 2 only
+        (WittElement([(2, 2), (1, -2)]), True),  # W(F_2) = Z/2
+        (WittElement([(5, 1), (1, -1)]), False),  # residue <1> at 5, rank odd
+        (WittElement([(10, 2), (1, -2)]), True),  # 10 = 1 + 9 is a sum of two squares
+        (WittElement([(10, 1), (5, -1), (2, -1), (1, 1)]), False),  # <2> - <1> at 5 only
+        (WittElement([(5, 2), (1, -2)]), True),  # 2<1> at 5: hyperbolic over F_5
+        (WittElement([(-3, 1), (3, 1)]), True),  # <-1> = -<1> at 3
+        # (<3> - <1>)(<7> - <1>): (3, 7)_7 = -1, seen by the residue at 7 only
+        (WittElement([(21, 1), (3, -1), (7, -1), (1, 1)]), False),
+    ],
+)
+def test_residue_decision_examples(element, zero):
+    assert element.is_zero() is zero
+    assert _hasse_is_zero(element) is zero
+
+
+def _relation_sum(scale: int) -> WittElement:
+    """Four scaled four-term relations on sixteen distinct square classes."""
+    w = WittElement.zero()
+    for a, b in ((1, 22), (3, 7), (5, -13), (-11, 17)):
+        w = w + _four_term(a, b).scale(scale)
+    assert len(w.terms) == 16
+    return w
+
+
+def test_dimension_640_decided():
+    zero = _relation_sum(40)
+    assert zero.dimension() == 640
+    assert zero.is_zero()
+    assert not (zero + HASSE_ONLY).is_zero()
+    small = _relation_sum(1)
+    assert small.dimension() == 16
+    for w in (small, small + HASSE_ONLY, small - WittElement.symbol(2) + WittElement.symbol(3)):
+        assert w.is_zero() == _hasse_is_zero(w)
+
+
+def test_invariants_from_terms_match_the_diagonal_form():
+    rng = random.Random(11)
+    for _ in range(150):
+        terms = [(_random_rep(rng), rng.randint(-6, 6)) for _ in range(rng.randint(0, 4))]
+        w = WittElement(terms)
+        entries = w.diagonal_entries()
+        prod = 1
+        for e in entries:
+            prod *= e
+        assert w.discriminant() == square_class(prod)
+        assert w.relevant_places() == _prime_places(entries)
+        for p in w.relevant_places() + [11, "inf"]:
+            eps = 1
+            for i in range(len(entries)):
+                for j in range(i + 1, len(entries)):
+                    eps *= hilbert_symbol(entries[i], entries[j], p)
+            assert w.hasse_invariant(p) == eps, (w, p)
+    with pytest.raises(ValueError):
+        HASSE_ONLY.hasse_invariant(9)
+
+
+def test_arithmetic_terms_are_canonical():
+    rng = random.Random(12)
+    reps = [1, -1, 4, 12, -18, 50, Fraction(3, 4), Fraction(-5, 27), 7, 98]
+    for _ in range(200):
+        t1 = [(rng.choice(reps), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+        t2 = [(rng.choice(reps), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+        w1, w2 = WittElement(t1), WittElement(t2)
+        k = rng.randint(-3, 3)
+        assert (w1 + w2).terms == WittElement(t1 + t2).terms
+        assert (w1 - w2).terms == WittElement(t1 + [(r, -m) for r, m in t2]).terms
+        assert (-w1).terms == WittElement([(r, -m) for r, m in t1]).terms
+        assert w1.scale(k).terms == WittElement([(r, k * m) for r, m in t1]).terms
+    for q in reps:
+        assert WittElement.symbol(q).terms == WittElement([(q, 1)]).terms
