@@ -1,18 +1,13 @@
-"""Pure-Python integer linear-algebra kernels.
+"""Integer linear-algebra kernels, in plain Python.
 
 These are the hot inner loops of the whole package: every symbol,
 genericity test and class evaluation reduces to exact determinants and
 ranks of small integer matrices.  The Bareiss elimination keeps all
 intermediate values integral, which avoids rational blow-up when many
 determinants are multiplied downstream.
-
-A compiled twin of this module (``_fast``) is preferred at import time
-when available; both must produce identical results.
 """
 
 from __future__ import annotations
-
-BACKEND = "pure"
 
 
 def det_int(rows: list[list[int]]) -> int:

@@ -11,7 +11,6 @@ checks wholesale.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 from typing import Literal, Sequence
@@ -282,7 +281,7 @@ def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
     d1 = determinant([tuple(u), tuple(v)])
     d2 = determinant([tuple(v), tuple(w)])
     d3 = determinant([tuple(w), tuple(u)])
-    prod = Fraction(d1) * Fraction(d2) * Fraction(d3)
+    prod = d1 * d2 * d3
     if prod == 0:
         raise GenericityError("triple contains a linearly dependent pair")
     return WittElement.symbol(prod)

@@ -393,27 +393,7 @@ def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
     if is_rational(rows):
         cleared = [clear_denominators(row)[0] for row in rows]
         return rank_int(cleared, ncols)
-    # generic field echelon
-    m = [list(r) for r in rows]
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        pivot = m[rk][col]
-        for i in range(rk + 1, len(m)):
-            factor = exact_div(m[i][col], pivot)
-            for j in range(col, ncols):
-                m[i][j] = m[i][j] - factor * m[rk][j]
-        rk += 1
-        if rk == len(m):
-            break
-    return rk
+    return ncols - len(nullspace(rows, ncols))
 
 
 def solve_square(
@@ -537,42 +517,31 @@ class Matrix:
         return tuple(_dot(row, vec) for row in self.rows)
 
     def inverse(self) -> "Matrix":
+        # self = a / denom, so self^-1 = denom * adj(a) / det(a).  Over Q
+        # one denominator is cleared for the whole matrix and the minors
+        # go through the integer kernel; over Q(sqrt(d)), a = self.
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        flat = [x for row in self.rows for x in row]
         if is_rational(self.rows):
-            return self._inverse_rational()
-        d = self.det()
-        if not d:
-            raise ValueError("singular matrix")
-        cols = [
-            solve_square(
-                list(zip(*self.rows)), [1 if i == j else 0 for i in range(n)]
-            )
-            for j in range(n)
-        ]
-        return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
-
-    def _inverse_rational(self) -> "Matrix":
-        # self = a / denom with a integral, so self^-1 = denom * adj(a) / det(a)
-        n = self.nrows
-        flat, denom = clear_denominators([x for row in self.rows for x in row])
+            flat, denom = clear_denominators(flat)
+            det = det_int
+        else:
+            denom, det = 1, determinant
         a = [flat[i * n : (i + 1) * n] for i in range(n)]
-        d = det_int(a)
+        d = det(a)
         if not d:
             raise ValueError("singular matrix")
+        scale = exact_div(denom, d)
         inv = []
         for i in range(n):
             # adj(a)[i][j] = (-1)^(i+j) * det(a without row j and column i)
             without_col = [r[:i] + r[i + 1 :] for r in a]
             inv.append(
                 [
-                    Fraction(
-                        (-1) ** (i + j)
-                        * denom
-                        * det_int(without_col[:j] + without_col[j + 1 :]),
-                        d,
-                    )
+                    scale
+                    * ((-1) ** (i + j) * det(without_col[:j] + without_col[j + 1 :]))
                     for j in range(n)
                 ]
             )

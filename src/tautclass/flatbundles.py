@@ -26,8 +26,8 @@ from .exactmath import (
     QQ,
     QuadraticField,
     Scalar,
+    is_linearly_generic,
     nullspace,
-    rank,
     sign,
     unique_relation,
     vec_add,
@@ -317,20 +317,11 @@ def is_generic_section(
     sum (so that scalar subset sums are well-defined).
     """
     n = bundle.n
-    for d, sids in _simplices_to_check(bundle, mode, support).items():
-        for sid in sids:
-            values = bundle.corner_values(s, d, sid)
-            if d < n:
-                if rank(values, n) != d + 1:
-                    return False
-                continue
-            try:
-                _, zero_sum = unique_relation(values)
-            except ValueError:
-                return False
-            if mode == "strong" and zero_sum:
-                return False
-    return True
+    return all(
+        _corners_generic(bundle.corner_values(s, d, sid), n, mode)
+        for d, sids in _simplices_to_check(bundle, mode, support).items()
+        for sid in sids
+    )
 
 
 def _random_vector(field: Field, rng: random.Random, n: int, bound: int):
@@ -419,19 +410,23 @@ def _check_simplex_partial(
         tup.append(tuple(val))
     if not tup:
         return True
-    if d < n or len(tup) <= n:
-        from .exactmath import is_linearly_generic
+    return _corners_generic(tup, n, mode)
 
+
+def _corners_generic(tup: Sequence[tuple], n: int, mode: str) -> bool:
+    """Genericity of the (possibly partial) corner tuple of one simplex.
+
+    Up to n corners must be linearly independent; n+1 corners must have
+    a unique relation with all coefficients nonzero, and in mode
+    "strong" a nonzero coefficient sum.
+    """
+    if len(tup) <= n:
         return is_linearly_generic(tup, n)
     try:
         _, zero_sum = unique_relation(tup)
     except ValueError:
         return False
     return not (mode == "strong" and zero_sum)
-
-
-def _check_simplex_generic(bundle, s: Section, d, sid, n, mode) -> bool:
-    return _check_simplex_partial(bundle, s.values, d, sid, n, mode)
 
 
 def scalar_set(
@@ -560,14 +555,10 @@ def make_positive_generic(
             candidate = vec_add(base_val, vec_scale(alpha, w))
             trial = dict(new_values)
             trial[v] = candidate
-            ok = True
-            for d, sid, _ in simplices:
-                if not _check_simplex_generic(
-                    bundle, Section(trial), d, sid, n, "basic"
-                ):
-                    ok = False
-                    break
-            if ok and not vec_is_zero(candidate):
+            if not vec_is_zero(candidate) and all(
+                _check_simplex_partial(bundle, trial, d, sid, n, "basic")
+                for d, sid, _ in simplices
+            ):
                 new_values[v] = candidate
                 break
         else:
@@ -606,7 +597,7 @@ def _perturbation_step(
             trial = dict(values)
             trial[v] = vec_add(base_val, vec_scale(alpha, w))
             if not vec_is_zero(trial[v]) and all(
-                _check_simplex_generic(bundle, Section(trial), d, sid, n, "basic")
+                _check_simplex_partial(bundle, trial, d, sid, n, "basic")
                 for d, sid, _ in simplices
             ):
                 return alpha

@@ -69,7 +69,6 @@ def _factorize(n: int, bound: int) -> dict[int, int]:
 
 def square_class(q: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> int:
     """The unique squarefree integer in q * (Q*)^2.  Errors on q = 0."""
-    q = Fraction(q)
     if q == 0:
         raise SenselessSymbolError("the symbol <0> is senseless")
     n = abs(q.numerator * q.denominator)
@@ -304,22 +303,6 @@ class WittElement:
 
     def __repr__(self):
         return f"WittElement({self.to_text()})"
-
-
-def witt_add(w1: WittElement, w2: WittElement) -> WittElement:
-    return w1 + w2
-
-
-def witt_negate(w: WittElement) -> WittElement:
-    return -w
-
-
-def witt_scale(w: WittElement, m: int) -> WittElement:
-    return w.scale(m)
-
-
-def witt_is_zero(w: WittElement) -> bool:
-    return w.is_zero()
 
 
 def signature(w: WittElement) -> int:

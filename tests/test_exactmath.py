@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -163,8 +164,6 @@ def test_is_linearly_generic():
     assert is_linearly_generic([(1, 0), (0, 1), (1, 1)], 2)
     assert not is_linearly_generic([(1, 0), (0, 1), (1, 0)], 2)
     rng = random.Random(3)
-    from itertools import combinations
-
     for _ in range(20):
         vecs = [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(6)]
         brute = all(
@@ -211,6 +210,39 @@ def test_rank_bounds(n):
     assert 0 <= rank(rows, n) <= n
 
 
+def _random_quad(rng):
+    """A small element of Q(sqrt(2)), now and then a plain int (mixed matrices)."""
+    if rng.random() < 0.2:
+        return rng.randint(-3, 3)
+    return QuadExt(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2), 2)
+
+
+def _minor_rank(rows, ncols):
+    """Size of the largest nonzero minor: the rank oracle."""
+    for k in range(min(len(rows), ncols), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(ncols), k):
+                if determinant([[rows[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def test_quad_rank_matches_minor_oracle():
+    rng = random.Random(13)
+    for _ in range(150):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[_random_quad(rng) for _ in range(nc)] for _ in range(nr)]
+        if nr >= 2:
+            # a combination of two rows makes the matrix rank-deficient
+            a, b = _random_quad(rng), _random_quad(rng)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        assert rank(rows, nc) == _minor_rank(rows, nc)
+    r2 = QuadraticField(2).sqrt_gen()
+    assert rank([[r2, 1], [2, r2]], 2) == 1
+    assert rank([[r2, 1], [1, r2]], 2) == 2
+    assert rank([[r2 * 0, 0]], 2) == 0
+
+
 def _cramer_inverse(m):
     """Column j of m^-1 solves m x = e_j (Cramer over the field)."""
     n = m.nrows
@@ -242,6 +274,17 @@ def test_rational_inverse_matches_cramer():
     inv = Matrix([[2, 1], [1, 1]]).inverse()
     assert inv.rows == ((1, -1), (-1, 2))
     assert all(type(x) is Fraction for row in inv.rows for x in row)
+    # over Q(sqrt(2)) the same adjugate path takes its minors in the field
+    for n in range(1, 5):
+        done = 0
+        while done < 8:
+            m = Matrix([[_random_quad(rng) for _ in range(n)] for _ in range(n)])
+            if not m.det():
+                continue
+            inv = m.inverse()
+            assert [list(r) for r in inv.rows] == _cramer_inverse(m)
+            assert (m @ inv).is_identity()
+            done += 1
 
 
 def test_singular_inverse_raises():

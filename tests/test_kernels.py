@@ -1,12 +1,11 @@
-"""The compiled kernel and the pure fallback must agree exactly."""
+"""The integer kernels against a plain Fraction Gaussian-elimination oracle."""
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from tautclass._kernels import BACKEND, pure
+from tautclass._kernels import det_int, rank_int
 
 
 def _gauss_det(rows):
@@ -50,7 +49,7 @@ def test_det_against_gauss_oracle(n):
     rng = random.Random(n)
     for _ in range(40):
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert pure.det_int(m) == _gauss_det(m)
+        assert det_int(m) == _gauss_det(m)
 
 
 def test_rank_against_gauss_oracle():
@@ -58,67 +57,13 @@ def test_rank_against_gauss_oracle():
     for _ in range(200):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        assert pure.rank_int(m, nc) == _gauss_rank(m, nc)
+        assert rank_int(m, nc) == _gauss_rank(m, nc)
 
 
 def test_singular_and_degenerate_ranks():
     m = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
-    assert pure.det_int(m) == 0
-    assert pure.rank_int(m, 3) == 2
-    assert pure.det_int([]) == 1
-    assert pure.rank_int([], 0) == 0
+    assert det_int(m) == 0
+    assert rank_int(m, 3) == 2
+    assert det_int([]) == 1
+    assert rank_int([], 0) == 0
 
-
-# Stands in for the compiled kernel, so that the child can tell the switch
-# apart from a missing extension.
-_FAST_STUB = (
-    "import sys, types\n"
-    "fast = types.ModuleType('tautclass._kernels._fast')\n"
-    "fast.BACKEND = 'fast'\n"
-    "fast.det_int = fast.rank_int = None\n"
-    "sys.modules[fast.__name__] = fast\n"
-)
-
-
-def _run_child(code, **env):
-    """Run ``code`` in a fresh interpreter that sees only ``env`` and the package."""
-    import subprocess
-    import sys
-
-    import tautclass
-
-    package_root = Path(tautclass.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(package_root), "PATH": "/usr/bin:/bin", **env},
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    return out
-
-
-def test_pure_env_forces_fallback():
-    code = "from tautclass._kernels import BACKEND; print(BACKEND)"
-    out = _run_child(code, TAUTCLASS_PURE="1")
-    assert out.stdout.strip() == "pure"
-    # With a compiled kernel importable, only the variable selects pure.
-    forced = _run_child(_FAST_STUB + code, TAUTCLASS_PURE="1")
-    assert forced.stdout.strip() == "pure"
-    control = _run_child(_FAST_STUB + code)
-    assert control.stdout.strip() == "fast"
-
-
-def test_backends_agree():
-    try:
-        from tautclass._kernels import _fast
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = random.Random(7)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-        assert _fast.det_int(m) == pure.det_int(m)
-        wide = [[rng.randint(-5, 5) for _ in range(n + 1)] for _ in range(n)]
-        assert _fast.rank_int(wide, n + 1) == pure.rank_int(wide, n + 1)
-    assert BACKEND in ("pure", "fast")
