@@ -73,8 +73,6 @@ from .oracle import OracleError, rotation_euler
 from .witt import (
     WittElement,
     hilbert_symbol,
-    quad_signatures,
-    quad_witt_is_zero,
     signature,
     square_class,
 )

@@ -6,13 +6,15 @@ reports) and use a single seeded generator.  Exit codes: 0 pass,
 1 property failure, 2 usage, 3 invalid representation, 4 resampling
 exhaustion, 5 factorization bound exceeded (a square class whose
 cofactor trial division cannot certify), 6 internal error (any other
-uncaught exception; its traceback goes to stderr).
+uncaught exception, a ValueError included; its traceback goes to
+stderr), 141 stdout closed early by its reader (silent, as after SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -35,6 +37,7 @@ from .flatbundles import (
     Section,
     Selector,
     TagError,
+    UsageError,
     bundle_from_surface_rep,
     evaluate_class,
     joint_scalar_sets,
@@ -58,6 +61,7 @@ EXIT_BAD_REP = 3
 EXIT_RESAMPLING = 4
 EXIT_FACTOR_BOUND = 5
 EXIT_INTERNAL = 6
+EXIT_CLOSED_STDOUT = 141
 
 
 def _parse_field(text: str):
@@ -75,6 +79,7 @@ def _emit(report: dict, csv: bool, t0: float) -> None:
     else:
         json.dump(report, sys.stdout, indent=1, default=str)
         sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
     sys.stderr.write(f"elapsed: {time.time() - t0:.3f}s\n")
 
 
@@ -291,10 +296,6 @@ def _suite_comparison(args, rng):
     return failures, info
 
 
-class UsageError(Exception):
-    pass
-
-
 SUITES = {
     "witt-relations": _suite_witt_relations,
     "witt-cocycle": _suite_witt_cocycle,
@@ -416,13 +417,13 @@ def _cup_product_check(px, bundleA, sA, bundleB, sB, zz) -> int:
     def alpha(pid):
         p, sid, q, sid2, _ = px.cell_info(nA, pid)
         if p == nA and q == 0:
-            return uplus_symbol(bundleA.corner_values(sA, nA, sid)).coefficients[0]
+            return uplus_symbol(bundleA.corner_lifts(sA, nA, sid)).coefficients[0]
         return 0
 
     def beta(pid):
         p, sid, q, sid2, _ = px.cell_info(nB, pid)
         if p == 0 and q == nB:
-            return uplus_symbol(bundleB.corner_values(sB, nB, sid2)).coefficients[0]
+            return uplus_symbol(bundleB.corner_lifts(sB, nB, sid2)).coefficients[0]
         return 0
 
     return cup_evaluate(px, nA, alpha, nB, beta, zz)
@@ -482,9 +483,16 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc}\n")
         return EXIT_USAGE
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # not a fault of the program; devnull keeps the flush at exit quiet
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stdout without a file descriptor
+        return EXIT_CLOSED_STDOUT
     except FactorizationError as exc:
         sys.stderr.write(f"factorization bound exceeded: {exc}\n")
         return EXIT_FACTOR_BOUND

@@ -161,9 +161,6 @@ class Chain(Value):
     def support_size(self) -> int:
         return len(self.coeffs)
 
-    def norm1(self) -> int:
-        return sum(abs(c) for c in self.coeffs.values())
-
     def to_json(self) -> dict:
         return {"dim": self.dim, "entries": sorted(self.coeffs.items())}
 
@@ -265,10 +262,6 @@ class SurfaceComplex(DeltaComplex):
         self.side_forward = [forward(k) for k in range(n_sides)]
         self.fundamental = Chain(2, coeffs)
         super().__init__([vertices, edges, triangles])
-
-    def generator_edges(self) -> list[int]:
-        """Edge ids carrying the generators, in order a1, b1, ..., ag, bg."""
-        return list(range(2 * self.genus))
 
     def boundary_word(self) -> list[tuple[int, int]]:
         """The polygon edge word as (edge id, +-1 exponent) letters."""
@@ -400,11 +393,6 @@ class ProductComplex(DeltaComplex):
     def cell_info(self, dim: int, sid: int) -> ProductKey:
         """(p, sid, q, sid2, chain) of a product simplex."""
         return self._keys_by_dim[dim][sid]
-
-    def factor_projection(self, dim: int, sid: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """((p, left id), (q, right id)) of the cell under a simplex."""
-        p, s, q, s2, _ = self.cell_info(dim, sid)
-        return (p, s), (q, s2)
 
 
 def product_complex(left: DeltaComplex, right: DeltaComplex) -> ProductComplex:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ._kernels import det_int, rank_int
@@ -170,7 +170,7 @@ def abs_scalar(x: Scalar) -> Scalar:
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
     """a / b staying in Q or Q(sqrt(d)); int/int promotes to Fraction."""
     if isinstance(a, int):
-        a = Fraction(a)
+        return Fraction(a, b) if isinstance(b, int) else Fraction(a) / b
     return a / b
 
 
@@ -179,26 +179,12 @@ class RationalField:
 
     name = "Q"
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def coerce(self, x) -> Fraction:
         if isinstance(x, QuadExt):
             if x.b != 0:
                 raise ValueError(f"{x} is not rational")
             return x.a
         return Fraction(x)
-
-    def from_pair(self, a: Rational, b: Rational) -> Fraction:
-        if b != 0:
-            raise ValueError("rational field has no sqrt generator")
-        return Fraction(a)
-
-    def parse(self, s: str) -> Fraction:
-        return parse_scalar(s, self)
 
     def to_json(self):
         return "Q"
@@ -222,12 +208,6 @@ class QuadraticField:
         self.d = d
         self.name = f"Q(sqrt({d}))"
 
-    def zero(self) -> QuadExt:
-        return QuadExt(0, 0, self.d)
-
-    def one(self) -> QuadExt:
-        return QuadExt(1, 0, self.d)
-
     def sqrt_gen(self) -> QuadExt:
         return QuadExt(0, 1, self.d)
 
@@ -240,9 +220,6 @@ class QuadraticField:
 
     def from_pair(self, a: Rational, b: Rational) -> QuadExt:
         return QuadExt(a, b, self.d)
-
-    def parse(self, s: str) -> QuadExt:
-        return self.coerce(parse_scalar(s, self))
 
     def to_json(self):
         return {"quad": self.d}
@@ -494,10 +471,11 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def block_diag(cls, a: "Matrix", b: "Matrix") -> "Matrix":
-        n, k = a.nrows, b.nrows
-        rows = [list(a.rows[i]) + [0] * k for i in range(n)]
-        rows += [[0] * n + list(b.rows[i]) for i in range(k)]
+    def block_diag(cls, *blocks: "Matrix") -> "Matrix":
+        n, rows = sum(b.nrows for b in blocks), []
+        for b in blocks:
+            at = len(rows)
+            rows += [[0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows]
         return cls(rows)
 
     def det(self) -> Scalar:
@@ -508,47 +486,64 @@ class Matrix:
             raise ValueError("shape mismatch")
         ot = list(zip(*other.rows))
         return Matrix(
-            [[_dot(row, col) for col in ot] for row in self.rows]
+            [[dot(row, col) for col in ot] for row in self.rows]
         )
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
-        return tuple(_dot(row, vec) for row in self.rows)
+        return tuple(dot(row, vec) for row in self.rows)
 
-    def inverse(self) -> "Matrix":
-        # self = a / denom, so self^-1 = denom * adj(a) / det(a).  Over Q
-        # one denominator is cleared for the whole matrix and the minors
-        # go through the integer kernel; over Q(sqrt(d)), a = self.
+    def cleared(self) -> tuple["Matrix", int]:
+        """(m * self, m) for the least positive integer m making every entry integral.
+
+        Integral means an int over Q and a QuadExt with integer parts over
+        Q(sqrt(d)).
+        """
+        m = lcm(*(p.denominator for row in self.rows for x in row for p in _parts(x)))
+        return Matrix([[_rescale(x, m) for x in row] for row in self.rows]), m
+
+    def scaled_inverse(self) -> tuple["Matrix", int]:
+        """(M, lam): M = lam * self^-1 integral, lam a positive integer.
+
+        With self = a / m and a integral, self^-1 = m c adj(a) / N, where
+        det(a) c = N is a rational integer (c = 1 over Q, the conjugate of
+        det(a) over Q(sqrt(d))); lam = |N| less the factor M shares with it.
+        """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        flat = [x for row in self.rows for x in row]
-        if is_rational(self.rows):
-            flat, denom = clear_denominators(flat)
-            det = det_int
-        else:
-            denom, det = 1, determinant
-        a = [flat[i * n : (i + 1) * n] for i in range(n)]
+        a, m = self.cleared()
+        a = [list(r) for r in a.rows]
+        det = det_int if is_rational(a) else determinant
         d = det(a)
         if not d:
             raise ValueError("singular matrix")
-        scale = exact_div(denom, d)
-        inv = []
+        c, norm = 1, d
+        if isinstance(d, QuadExt):
+            c, norm = d.conjugate(), d.a**2 - d.b**2 * d.d
+        f = m * c * sign(norm)
+        adj = []
         for i in range(n):
             # adj(a)[i][j] = (-1)^(i+j) * det(a without row j and column i)
             without_col = [r[:i] + r[i + 1 :] for r in a]
-            inv.append(
+            adj.append(
                 [
-                    scale
+                    f
                     * ((-1) ** (i + j) * det(without_col[:j] + without_col[j + 1 :]))
                     for j in range(n)
                 ]
             )
-        return Matrix(inv)
+        lam = abs(norm).numerator
+        g = gcd(lam, *(p.numerator for row in adj for x in row for p in _parts(x)))
+        return Matrix([[_rescale(x, 1, g) for x in row] for row in adj]), lam // g
 
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows))
+    def inverse(self) -> "Matrix":
+        m, lam = self.scaled_inverse()
+        return m.scaled(Fraction(1, lam))
+
+    def scaled(self, c: Scalar) -> "Matrix":
+        return Matrix([[c * x for x in row] for row in self.rows])
 
     def __neg__(self) -> "Matrix":
         return Matrix([[-x for x in row] for row in self.rows])
@@ -564,34 +559,25 @@ class Matrix:
 
     def scalar_multiple_of_identity(self) -> Scalar | None:
         """The scalar c with self == c*I, or None."""
-        n = self.nrows
-        if n != self.ncols or n == 0:
-            return None
-        c = self.rows[0][0]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    if not _eq_scalar(self.rows[i][j], c):
-                        return None
-                elif self.rows[i][j]:
-                    return None
-        return c
+        r = self.ratio_to(Matrix.identity(self.nrows))
+        return None if r is None else r[0]
 
-    def scalar_multiple_of(self, other: "Matrix") -> Scalar | None:
-        """The scalar c with self == c*other, or None.
+    def ratio_to(self, other: "Matrix") -> tuple[Scalar, Scalar] | None:
+        """(x, y) with y * self == x * other, or None.
 
-        c is read off the first nonzero entry of other (for an invertible
-        other it lies in row 0); None also when other is zero.
+        x and y are the entries at the first nonzero entry y of other (for
+        an invertible other it lies in row 0).  Nothing is divided, so
+        integral input gives an integral pair.
         """
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return None
         pairs = [
             (x, y) for r1, r2 in zip(self.rows, other.rows) for x, y in zip(r1, r2)
         ]
-        c = next((exact_div(x, y) for x, y in pairs if y), None)
-        if c is None or any(not _eq_scalar(x, c * y) for x, y in pairs):
+        x0, y0 = next(((x, y) for x, y in pairs if y), (None, None))
+        if y0 is None or any(not _eq_scalar(x * y0, x0 * y) for x, y in pairs):
             return None
-        return c
+        return x0, y0
 
     def __repr__(self):
         body = "; ".join(
@@ -607,11 +593,22 @@ class Matrix:
         return cls([[parse_scalar(s, field) for s in row] for row in rows])
 
 
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     acc = u[0] * v[0]
     for a, b in zip(u[1:], v[1:]):
         acc = acc + a * b
     return acc
+
+
+def _parts(x: Scalar) -> tuple[Rational, ...]:
+    return (x.a, x.b) if isinstance(x, QuadExt) else (x,)
+
+
+def _rescale(x: Scalar, num: int, den: int = 1) -> Scalar:
+    """x * num / den for a result with integral parts; an int for rational x."""
+    if isinstance(x, QuadExt):
+        return QuadExt(x.a * num / den, x.b * num / den, x.d)
+    return x.numerator * num // (x.denominator * den)
 
 
 def _eq_scalar(x: Scalar, y: Scalar) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
@@ -26,6 +27,7 @@ from .exactmath import (
     QQ,
     QuadraticField,
     Scalar,
+    dot,
     is_linearly_generic,
     nullspace,
     sign,
@@ -52,22 +54,20 @@ class TagError(ValueError):
     """A holonomy matrix violates the structure tag."""
 
 
-def _tag_scalar_ok(residual: Matrix, tag: str) -> bool:
-    c = residual.scalar_multiple_of_identity()
-    return c is not None and _tag_allows(c, tag)
+class UsageError(ValueError):
+    """The caller's input is at fault: a selector, cycle or bundle that doesn't fit."""
 
 
-def _tag_allows(c: Scalar, tag: str) -> bool:
-    """Whether the scalar matrix c*I lies in the tag's scalar subgroup."""
+def _tag_allows(x: Scalar, y: Scalar, tag: str) -> bool:
+    """Whether the scalar matrix (x/y)*I, y != 0, lies in the tag's scalar subgroup."""
     if tag in LINEAR_TAGS:
-        return not (c - 1)
+        return not (x - y)
     if tag == "PGL+":
-        return bool(c)
-    return sign(c) > 0  # P+GL+
+        return bool(x)
+    return sign(x) * sign(y) > 0  # P+GL+
 
 
-def _check_tag_matrix(m: Matrix, tag: str) -> None:
-    d = m.det()
+def _check_tag_det(d: Scalar, tag: str) -> None:
     if not d:
         raise TagError("holonomy matrix is singular")
     if tag == "SL":
@@ -77,15 +77,38 @@ def _check_tag_matrix(m: Matrix, tag: str) -> None:
         raise TagError(f"tag {tag} needs a positive-determinant representative")
 
 
+def _path_ratio(h12, h01, h02) -> tuple[Scalar, Scalar] | None:
+    """(x, y) with h12 h01 == (x/y) h02, checked block by block, or None.
+
+    Each argument lists the integer-cleared blocks (a, m) of one edge,
+    each standing for a/m; every block must give the same ratio.
+    """
+    out = None
+    for (a, ma), (b, mb), (c, mc) in zip(h12, h01, h02):
+        r = (a @ b).ratio_to(c)
+        if r is None:
+            return None
+        # (a b) / (ma mb) == (x0/y0) c / (ma mb) == (x0 mc / (y0 ma mb)) (c / mc)
+        x, y = r[0] * mc, r[1] * ma * mb
+        if out is not None and x * out[1] != out[0] * y:
+            return None
+        out = (x, y)
+    return out
+
+
 class FlatBundle:
-    """Edge-holonomy presentation of a flat bundle over a Delta-complex."""
+    """Edge-holonomy presentation of a flat bundle over a Delta-complex.
+
+    A holonomy given as a tuple of square blocks is their block sum, and
+    is validated and inverted block by block.
+    """
 
     def __init__(
         self,
         base: DeltaComplex,
         n: int,
         tag: str,
-        holonomy: Mapping[int, Matrix],
+        holonomy: Mapping[int, Matrix | tuple[Matrix, ...]],
         field: Field = QQ,
         validate: bool = True,
     ):
@@ -95,61 +118,82 @@ class FlatBundle:
         self.n = n
         self.tag = tag
         self.field = field
-        self.holonomy = dict(holonomy)
-        self._inverses: dict[int, Matrix] = {}
+        self.blocks, self.holonomy = {}, {}
+        for e, h in holonomy.items():
+            self.blocks[e] = h if isinstance(h, tuple) else (h,)
+            self.holonomy[e] = Matrix.block_diag(*h) if isinstance(h, tuple) else h
+        self._transports: dict[int, tuple[Matrix, int]] = {}
         if validate:
             self.validate()
 
     def validate(self) -> None:
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
+        cleared = {}
+        sizes = [b.nrows for b in self.blocks.get(0, ())]
         for eid in range(n_edges):
             if eid not in self.holonomy:
                 raise ValueError(f"edge {eid} has no holonomy")
             m = self.holonomy[eid]
-            if m.nrows != self.n or m.ncols != self.n:
+            shape = [b.nrows for b in self.blocks[eid]]
+            if m.nrows != self.n or m.ncols != self.n or shape != sizes:
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            _check_tag_matrix(m, self.tag)
+            _check_tag_det(prod(b.det() for b in self.blocks[eid]), self.tag)
+            cleared[eid] = [b.cleared() for b in self.blocks[eid]]
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
-                h01 = self.holonomy[s.faces[2]]
-                h12 = self.holonomy[s.faces[0]]
-                h02 = self.holonomy[s.faces[1]]
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
-                path = h12 @ h01
-                c = path.scalar_multiple_of(h02)
-                if c is None or not _tag_allows(c, self.tag):
-                    residual = h02.inverse() @ path
+                faces = [cleared[f] for f in s.faces]
+                ratio = _path_ratio(faces[0], faces[2], faces[1])
+                if ratio is None or not _tag_allows(*ratio, self.tag):
+                    h01, h12, h02 = (self.holonomy[s.faces[i]] for i in (2, 0, 1))
+                    residual = h02.inverse() @ (h12 @ h01)
                     raise ValueError(
                         f"triangle condition fails on 2-simplex {sid} "
                         f"(residual {residual!r})"
                     )
 
-    def _inverse(self, eid: int) -> Matrix:
-        inv = self._inverses.get(eid)
-        if inv is None:
-            inv = self.holonomy[eid].inverse()
-            self._inverses[eid] = inv
-        return inv
+    def transport(self, eid: int) -> tuple[Matrix, int]:
+        """(M, lam) with M = lam * h^-1 integral and lam > 0, for edge eid."""
+        t = self._transports.get(eid)
+        if t is None:
+            parts = [b.scaled_inverse() for b in self.blocks[eid]]
+            lam = lcm(*(p[1] for p in parts))
+            t = Matrix.block_diag(*(m.scaled(lam // k) for m, k in parts)), lam
+            self._transports[eid] = t
+        return t
 
     def transport_to_base(self, dim: int, sid: int, corner: int) -> Matrix:
         """Parallel transport from a corner to corner 0 along the edge (0, corner)."""
         if corner == 0:
             return Matrix.identity(self.n)
-        eid = self.base.edge_between_corners(dim, sid, 0, corner)
-        return self._inverse(eid)
+        m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
+        return m.scaled(Fraction(1, lam))
+
+    def _to_base(self, value, dim: int, sid: int, corner: int, exact: bool) -> tuple:
+        """A corner's value in the corner-0 frame: M v, or the true M v / lam if exact."""
+        if not corner:
+            return tuple(value)
+        m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
+        value = m.apply(value)
+        if exact and lam != 1:
+            return tuple(exact_div(x, lam) for x in value)
+        return value
 
     def corner_values(
         self, s: "Section", dim: int, sid: int
     ) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
-        simplex = self.base.simplex(dim, sid)
-        out = []
-        for corner, v in enumerate(simplex.vertices):
-            value = s.values[v]
-            if corner:
-                value = self.transport_to_base(dim, sid, corner).apply(value)
-            out.append(tuple(value))
-        return out
+        vertices = self.base.simplex(dim, sid).vertices
+        return [self._to_base(s.values[v], dim, sid, c, True) for c, v in enumerate(vertices)]
+
+    def corner_lifts(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
+        """M v at every corner: positive multiples of ``corner_values``.
+
+        They have the same minor signs and ranks, and are integral for an
+        integral section over Q.
+        """
+        vertices = self.base.simplex(dim, sid).vertices
+        return [self._to_base(s.values[v], dim, sid, c, False) for c, v in enumerate(vertices)]
 
 
 class Section(Value):
@@ -177,20 +221,20 @@ class Selector(Value):
     def __init__(self, kind: str, k: int | None = None):
         # kind is "eu" | "euk" | "euplus" | "witt"
         if kind not in ("eu", "euk", "euplus", "witt"):
-            raise ValueError(f"unknown selector kind {kind!r}")
+            raise UsageError(f"unknown selector kind {kind!r}")
         if (kind == "euk") != (k is not None):
-            raise ValueError("selector euk needs k, others must not have it")
+            raise UsageError("selector euk needs k, others must not have it")
         self._set(kind=kind, k=k)
 
     @classmethod
     def parse(cls, text: str) -> "Selector":
         if text == "eu0":
             return cls("euk", 0)
-        if text.startswith("euk:"):
-            return cls("euk", int(text.split(":", 1)[1]))
+        if text.startswith("euk:") and text[4:].isdecimal():
+            return cls("euk", int(text[4:]))
         if text in ("eu", "euplus", "witt"):
             return cls(text)
-        raise ValueError(f"unknown selector {text!r}")
+        raise UsageError(f"unknown selector {text!r}")
 
     def __str__(self):
         if self.kind == "euk":
@@ -231,9 +275,10 @@ def bundle_from_surface_rep(
     for m in matrices:
         if m.nrows != n or m.ncols != n:
             raise ValueError("matrices must be square of equal size")
-        _check_tag_matrix(m, tag)
+        _check_tag_det(m.det(), tag)
     residual = relator_product(matrices)
-    if not _tag_scalar_ok(residual, tag):
+    ratio = residual.ratio_to(Matrix.identity(n))
+    if ratio is None or not _tag_allows(*ratio, tag):
         raise RelatorError(residual)
     inv = [m.inverse() for m in matrices]
     # traversal holonomy of side k in polygon direction
@@ -254,9 +299,9 @@ def bundle_from_surface_rep(
 def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBundle:
     """Block-diagonal bundle over a product complex."""
     if e1.field != e2.field:
-        raise ValueError("product of bundles over different fields")
+        raise UsageError("product of bundles over different fields")
     if e1.tag not in LINEAR_TAGS or e2.tag not in LINEAR_TAGS:
-        raise ValueError("product bundles need linear tags (GL+ or SL)")
+        raise UsageError("product bundles need linear tags (GL+ or SL)")
     if px.left is not e1.base or px.right is not e2.base:
         raise ValueError("product complex does not match the bundle bases")
     tag = "SL" if (e1.tag, e2.tag) == ("SL", "SL") else "GL+"
@@ -267,7 +312,7 @@ def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBu
         p, sid, q, sid2, _ = px.cell_info(1, eid)
         left = e1.holonomy[sid] if p == 1 else i1
         right = e2.holonomy[sid2] if q == 1 else i2
-        holonomy[eid] = Matrix.block_diag(left, right)
+        holonomy[eid] = (left, right)
     return FlatBundle(px, e1.n + e2.n, tag, holonomy, field=e1.field)
 
 
@@ -316,9 +361,8 @@ def is_generic_section(
     linearly independent and every relation to have nonzero coefficient
     sum (so that scalar subset sums are well-defined).
     """
-    n = bundle.n
     return all(
-        _corners_generic(bundle.corner_values(s, d, sid), n, mode)
+        _check_simplex_partial(bundle, s.values, d, sid, bundle.n, mode)
         for d, sids in _simplices_to_check(bundle, mode, support).items()
         for sid in sids
     )
@@ -375,15 +419,11 @@ def random_generic_section(
                     "the bundle admits no generic section on this support"
                 )
             values[v] = _random_vector(bundle.field, rng, n, m)
-            ok = True
-            for d, sids in scope.items():
-                for sid in sids:
-                    if not _check_simplex_partial(bundle, values, d, sid, n, mode):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(
+                _check_simplex_partial(bundle, values, d, sid, n, mode)
+                for d, sids in scope.items()
+                for sid in sids
+            ):
                 break
             rejections += 1
             if rejections % escalate_after == 0 and m < bound << 12:
@@ -397,17 +437,14 @@ def _check_simplex_partial(
     """Genericity of the already-assigned corners of one simplex.
 
     Partially assigned tuples must stay extendable, so every assigned
-    sub-tuple of length <= n has to be linearly independent.
+    sub-tuple of length <= n has to be linearly independent.  Only the
+    strong mode's coefficient sum needs true values, not lifts.
     """
-    simplex = bundle.base.simplices[d][sid]
-    tup = []
-    for corner, v in enumerate(simplex.vertices):
-        if v not in values:
-            continue
-        val = values[v]
-        if corner:
-            val = bundle.transport_to_base(d, sid, corner).apply(val)
-        tup.append(tuple(val))
+    tup = [
+        bundle._to_base(values[v], d, sid, corner, mode == "strong")
+        for corner, v in enumerate(bundle.base.simplices[d][sid].vertices)
+        if v in values
+    ]
     if not tup:
         return True
     return _corners_generic(tup, n, mode)
@@ -478,13 +515,6 @@ class WitnessError(ValueError):
     """A positivity witness fails on the given section."""
 
 
-def _dot(f, v):
-    acc = f[0] * v[0]
-    for a, b in zip(f[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
 def is_positive_section(
     bundle: FlatBundle,
     s: Section,
@@ -493,7 +523,7 @@ def is_positive_section(
     """phi_sigma positive on all transported corner values, per witness."""
     for (d, sid), phi in witnesses.items():
         for value in bundle.corner_values(s, d, sid):
-            if sign(_dot(phi, value)) <= 0:
+            if sign(dot(phi, value)) <= 0:
                 return False
     return True
 
@@ -582,8 +612,8 @@ def _perturbation_step(
             if u != v:
                 continue
             t = bundle.transport_to_base(d, sid, corner)
-            a = _dot(phi, t.apply(base_val))
-            b = _dot(phi, t.apply(w))
+            a = dot(phi, t.apply(base_val))
+            b = dot(phi, t.apply(w))
             if sign(b) < 0:
                 pos_bounds.append(exact_div(a, -b))
     m_bound = None
@@ -645,8 +675,8 @@ def _step_into_span(span, base_val, w, n):
     functionals = nullspace(list(span), n)
     candidate = None
     for f in functionals:
-        a = _dot(f, base_val)
-        b = _dot(f, w)
+        a = dot(f, base_val)
+        b = dot(f, w)
         if not b:
             if a:
                 return None
@@ -680,23 +710,23 @@ def evaluate_class(
     """
     n = bundle.n
     if z.dim != n:
-        raise ValueError(f"cycle dimension {z.dim} != fiber dimension {n}")
+        raise UsageError(f"cycle dimension {z.dim} != fiber dimension {n}")
     if not boundary(bundle.base, z).is_zero():
-        raise ValueError("z is not a cycle")
+        raise UsageError("z is not a cycle")
     if selector.kind == "eu" and n % 2:
-        raise ValueError("the eu class vanishes identically for odd n")
+        raise UsageError("the eu class vanishes identically for odd n")
     if selector.kind == "euk" and not 0 <= selector.k <= n // 2:
-        raise ValueError(f"euk index must lie in 0..{n // 2}")
+        raise UsageError(f"euk index must lie in 0..{n // 2}")
     if selector.kind in ("euk", "euplus") and bundle.tag == "PGL+":
-        raise ValueError("positive-space classes need a positive-scalar tag")
+        raise UsageError("positive-space classes need a positive-scalar tag")
     if selector.kind == "witt":
         if n != 2 or bundle.field != QQ or bundle.tag != "SL":
-            raise ValueError("the witt selector needs an SL(2, Q) bundle")
-    # one pass per top simplex: its maximal minors decide genericity and
-    # give the symbol (they are positive multiples of the true minors)
+            raise UsageError("the witt selector needs an SL(2, Q) bundle")
+    # one pass per top simplex: the maximal minors of the lifts decide
+    # genericity and give the symbol (see ``configs.subset_minors``)
     minors = {}
     for sid in z.coeffs:
-        minors[sid] = configs.maximal_minors(bundle.corner_values(s, n, sid))
+        minors[sid] = configs.maximal_minors(bundle.corner_lifts(s, n, sid))
         if not all(minors[sid]):
             raise GenericityError("section is not generic on the support of z")
     per_simplex = {}

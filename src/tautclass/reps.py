@@ -20,6 +20,7 @@ from pathlib import Path
 
 from ._value import Value
 from .exactmath import Field, Matrix, QQ, field_from_json, parse_scalar
+from .flatbundles import TAGS
 
 FIXTURES_ENV = "TAUTCLASS_FIXTURES"
 
@@ -101,13 +102,17 @@ def rep_from_dict(data: dict) -> SurfaceRep:
         raise RepFormatError(
             f"key 'genus' must be a positive integer, got {genus!r:.80}"
         )
-    if not isinstance(tag, str):
-        raise RepFormatError(f"key 'tag' must be a string, got {tag!r:.80}")
+    if tag not in TAGS:
+        raise RepFormatError(f"key 'tag' must be one of {', '.join(TAGS)}, got {tag!r:.80}")
     if not _is_matrix_list(matrices):
         raise RepFormatError(
             f"key 'matrices' must be a list of matrices given as lists of rows, "
             f"got {matrices!r:.80}"
         )
+    sizes = {len(m) for m in matrices} | {len(row) for m in matrices for row in m}
+    if len(matrices) != 2 * genus or len(sizes) != 1 or 0 in sizes:
+        raise RepFormatError(f"key 'matrices' must hold 2*genus = {2 * genus} "
+                             "nonempty square matrices of one size")
     parsed = [
         [[_parse_entry(str(x), field) for x in row] for row in rows]
         for rows in matrices

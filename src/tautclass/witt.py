@@ -16,9 +16,6 @@ The classical invariants of the associated diagonal form (dimension,
 signature, discriminant, Hasse invariants at the relevant places with the
 convention eps(q) = prod_{i<j} (a_i, a_j)_p) are still reported, computed
 from the terms.
-
-Over a real quadratic field only the two real signatures are exposed;
-anything they cannot decide is reported as undecided.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Union
 
-from .exactmath import QuadExt, sign
+from .exactmath import sign
 
 Rational = Union[int, Fraction]
 
@@ -307,27 +304,3 @@ class WittElement:
 
 def signature(w: WittElement) -> int:
     return w.signature()
-
-
-# ---------------------------------------------------------------------------
-# real quadratic fields: only the two real signatures are decidable here
-# ---------------------------------------------------------------------------
-
-
-def quad_signatures(symbols: Iterable[tuple[QuadExt, int]]) -> tuple[int, int]:
-    """Signatures of a combination of symbols <x> under both embeddings."""
-    s1 = s2 = 0
-    for x, mult in symbols:
-        if not x:
-            raise SenselessSymbolError("the symbol <0> is senseless")
-        s1 += mult * sign(x)
-        s2 += mult * sign(x.conjugate())
-    return s1, s2
-
-
-def quad_witt_is_zero(symbols: Iterable[tuple[QuadExt, int]]) -> bool | None:
-    """False when a real signature obstructs vanishing, else None (undecided)."""
-    s1, s2 = quad_signatures(symbols)
-    if s1 != 0 or s2 != 0:
-        return False
-    return None

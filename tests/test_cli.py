@@ -262,3 +262,55 @@ def test_uncaught_exception_is_an_internal_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert err.endswith("internal error: KeyError('lost')\n")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as behind ``| head -c 100``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main(["eval", "--rep", rep_path("g2_fuchs.json"), "--selector", "witt"])
+    assert code == cli.EXIT_CLOSED_STDOUT == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(args, rng):
+        raise ValueError("need n+1 vectors in K^n")
+
+    monkeypatch.setitem(cli.SUITES, "witt-relations", broken)
+    assert main(["verify", "witt-relations"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.endswith(
+        "internal error: ValueError('need n+1 vectors in K^n')\n"
+    )
+
+
+@pytest.mark.parametrize("selector", ["euk:x", "eu1", "euk:5"])
+def test_bad_selector_is_a_usage_error(capsys, selector):
+    argv = ["eval", "--rep", rep_path("g2_fuchs.json"), "--selector", selector]
+    assert main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tag", "SO"),
+        ("matrices", [[["2", "0"], ["0", "1/2"]]]),
+        ("matrices", [[["1", "0"], ["0", "1"]]] * 3 + [[["1", "0", "0"]]]),
+    ],
+)
+def test_malformed_rep_is_an_invalid_representation(capsys, tmp_path, key, value):
+    data = json.loads(Path(rep_path("g2_fuchs.json")).read_text())
+    data[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == cli.EXIT_BAD_REP
+    assert capsys.readouterr().err.startswith(f"invalid representation: key '{key}'")

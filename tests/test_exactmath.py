@@ -297,11 +297,15 @@ def test_singular_inverse_raises():
             m.inverse()
 
 
-def test_scalar_multiple_of():
+def test_ratio_to():
     h = Matrix([[0, 2], [Fraction(1, 3), 1]])
-    assert Matrix([[0, -4], [Fraction(-2, 3), -2]]).scalar_multiple_of(h) == -2
-    assert Matrix([[0, -4], [Fraction(-2, 3), 2]]).scalar_multiple_of(h) is None
-    assert Matrix([[1, 0], [0, 1]]).scalar_multiple_of(Matrix([[0, 0], [0, 0]])) is None
+    assert Matrix([[0, -4], [Fraction(-2, 3), -2]]).ratio_to(h) == (-4, 2)
+    assert Matrix([[0, -4], [Fraction(-2, 3), 2]]).ratio_to(h) is None
+    assert Matrix([[1, 0], [0, 1]]).ratio_to(Matrix([[0, 0], [0, 0]])) is None
+    assert Matrix([[1, 0]]).ratio_to(Matrix([[1], [0]])) is None
     q = QuadraticField(2)
     r2 = q.sqrt_gen()
-    assert Matrix([[r2, 0], [0, r2]]).scalar_multiple_of(Matrix.identity(2)) == r2
+    assert Matrix([[r2, 0], [0, r2]]).ratio_to(Matrix.identity(2)) == (r2, 1)
+    # integral input: nothing is divided, so no Fraction appears
+    x, y = Matrix([[6, 9], [3, 12]]).ratio_to(Matrix([[4, 6], [2, 8]]))
+    assert (type(x), type(y), Fraction(x, y)) == (int, int, Fraction(3, 2))

@@ -12,8 +12,16 @@ from tautclass.complexes import (
     standard_simplex_complex,
     surface_complex,
 )
-from tautclass.configs import GenericityError
-from tautclass.exactmath import Matrix, QuadraticField, rank, solve_square
+from tautclass.configs import GenericityError, maximal_minors
+from tautclass.exactmath import (
+    QQ,
+    Matrix,
+    QuadExt,
+    QuadraticField,
+    rank,
+    sign,
+    solve_square,
+)
 from tautclass.flatbundles import (
     FlatBundle,
     RelatorError,
@@ -394,6 +402,120 @@ def test_product_bundle_and_cross_product():
     assert lhs == evaluate_class(
         EA, sA, Selector.parse("eu0"), zA
     ) * evaluate_class(EB, sB, Selector.parse("eu0"), zB)
+
+
+def test_product_lifts_are_integral_with_the_true_minor_signs():
+    scA, zA = surface_complex(2)
+    scB, zB = surface_complex(2)
+    EA = bundle_from_surface_rep(scA, genus2_fuchsian().matrices, "SL")
+    EB = bundle_from_surface_rep(scB, genus2_swap().matrices, "SL")
+    px = product_complex(scA, scB)
+    EP = product_bundle(px, EA, EB)
+    assert all(len(b) == 2 for b in EP.blocks.values())
+    S = Section({0: (3, -1, 2, 5)})
+    for sid in product_chain(px, zA, zB).coeffs:
+        lifts = EP.corner_lifts(S, 4, sid)
+        assert all(type(x) is int for v in lifts for x in v)
+        true_minors = maximal_minors(EP.corner_values(S, 4, sid))
+        assert [sign(d) for d in maximal_minors(lifts)] == [sign(d) for d in true_minors]
+
+
+def _product_blocks():
+    """Factor blocks (L, R) per edge of a genus-1 x genus-1 product bundle."""
+    scA, _ = surface_complex(1)
+    scB, _ = surface_complex(1)
+    EA = bundle_from_surface_rep(scA, genus1_diagonal().matrices, "SL")
+    upper = [Matrix([[1, 1], [0, 1]]), Matrix([[1, 3], [0, 1]])]
+    EB = bundle_from_surface_rep(scB, upper, "SL")
+    px = product_complex(scA, scB)
+    return px, {e: list(b) for e, b in product_bundle(px, EA, EB).blocks.items()}
+
+
+# error texts recorded from the full 4x4 holonomy check, before products
+# were validated block by block
+CORRUPTED_BLOCK_ERRORS = {
+    0: "triangle condition fails on 2-simplex 2 "
+    "(residual Matrix[1 2 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1])",
+    1: "triangle condition fails on 2-simplex 0 "
+    "(residual Matrix[1 0 0 0; 0 1 0 0; 0 0 1 1; 0 0 0 1])",
+}
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["L", "R"])
+def test_corrupted_product_block_is_rejected(side):
+    px, blocks = _product_blocks()
+    # the first edge whose block on this side is a factor holonomy
+    eid = next(e for e in sorted(blocks) if px.cell_info(1, e)[2 * side] == 1)
+    rows = [list(r) for r in blocks[eid][side].rows]
+    rows[0][1] += 1  # one entry off; the determinant stays 1
+    blocks[eid][side] = Matrix(rows)
+    expected = CORRUPTED_BLOCK_ERRORS[side]
+    with pytest.raises(ValueError) as err:
+        FlatBundle(px, 4, "SL", {e: tuple(b) for e, b in blocks.items()})
+    assert str(err.value) == expected
+    # the same bundle given by full block-diagonal holonomies
+    with pytest.raises(ValueError) as err:
+        FlatBundle(px, 4, "SL", {e: Matrix.block_diag(*b) for e, b in blocks.items()})
+    assert str(err.value) == expected
+
+
+def test_product_blocks_must_share_one_scalar():
+    px, blocks = _product_blocks()
+    FlatBundle(px, 4, "P+GL+", {e: tuple(b) for e, b in blocks.items()})
+    # scaling a whole holonomy by 2 is allowed up to positive scalars
+    both = dict(blocks)
+    both[0] = [blocks[0][0].scaled(2), blocks[0][1].scaled(2)]
+    FlatBundle(px, 4, "P+GL+", {e: tuple(b) for e, b in both.items()})
+    with pytest.raises(ValueError, match="triangle condition fails"):
+        FlatBundle(px, 4, "GL+", {e: tuple(b) for e, b in both.items()})
+    # L passes with c = 2, R with c = 1: no single scalar
+    split = dict(blocks)
+    split[0] = [blocks[0][0].scaled(2), blocks[0][1]]
+    for hol in (
+        {e: tuple(b) for e, b in split.items()},
+        {e: Matrix.block_diag(*b) for e, b in split.items()},
+    ):
+        with pytest.raises(ValueError, match="triangle condition fails on 2-simplex"):
+            FlatBundle(px, 4, "P+GL+", hol)
+
+
+def _integral(x) -> bool:
+    if isinstance(x, QuadExt):
+        return x.a.denominator == x.b.denominator == 1
+    return type(x) is int
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("field", [QQ, QuadraticField(2)], ids=["Q", "Q(sqrt2)"])
+def test_integer_transports_keep_the_maximal_minor_signs(field, n):
+    rng = random.Random(n)
+
+    def scalar():
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if field == QQ:
+            return a
+        return field.from_pair(a, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    rounds = 0
+    while rounds < 6:
+        hs = [Matrix([[scalar() for _ in range(n)] for _ in range(n)]) for _ in range(n)]
+        vecs = [tuple(scalar() for _ in range(n)) for _ in range(n + 1)]
+        if not all(h.det() for h in hs):
+            continue
+        true, lifts = [vecs[0]], [vecs[0]]
+        for h, v in zip(hs, vecs[1:]):
+            inv = h.inverse()
+            m, lam = h.scaled_inverse()
+            assert type(lam) is int and lam > 0
+            assert all(_integral(x) for row in m.rows for x in row)
+            assert m == inv.scaled(lam)
+            true.append(inv.apply(v))
+            lifts.append(m.apply(v))
+        signs = [sign(d) for d in maximal_minors(true)]
+        if 0 in signs:
+            continue
+        assert [sign(d) for d in maximal_minors(lifts)] == signs
+        rounds += 1
 
 
 def test_trivial_product_bundle_and_tags():

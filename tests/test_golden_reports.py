@@ -4,7 +4,8 @@ Each case runs ``cli.main`` in-process from the repository root with
 relative fixture paths and compares the exit code and the exact stdout
 with ``golden/reports.json``.  Every ``eval`` selector is recorded on
 every fixture, including the combinations that exit non-zero, plus one
-genus-2 ``product``.
+genus-2 ``product``.  ``golden/products.json`` adds ``product`` reports
+of g2_fuchs with three genus-2 fixtures at two seeds each.
 
 Regenerate the goldens (only when a report is meant to change) with
 
@@ -18,6 +19,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
+PRODUCTS = GOLDEN.with_name("products.json")
 SELECTORS = ["eu0", "eu", "euk:1", "euplus", "witt"]
 
 
@@ -34,19 +36,37 @@ def _commands() -> list[list[str]]:
     return cmds
 
 
-def _golden() -> dict[str, dict]:
-    return {" ".join(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+def _product_commands() -> list[list[str]]:
+    return [
+        ["product", "--repA", "fixtures/g2_fuchs.json", "--repB", f"fixtures/{b}.json"]
+        + ["--seed", str(seed)]
+        for b in ("g2_fuchs", "g2_solved_3", "g2_swap2")
+        for seed in (0, 7)
+    ]
+
+
+def _golden(path: Path) -> dict[str, dict]:
+    return {" ".join(case["argv"]): case for case in json.loads(path.read_text())}
+
+
+def _check(path: Path, argv: list[str], capsys, monkeypatch) -> None:
+    from tautclass.cli import main
+
+    monkeypatch.chdir(REPO)
+    expected = _golden(path)[" ".join(argv)]
+    code = main(list(argv))
+    assert code == expected["exit"]
+    assert capsys.readouterr().out == expected["stdout"]
 
 
 @pytest.mark.parametrize("argv", _commands(), ids=" ".join)
 def test_report_matches_golden(argv, capsys, monkeypatch):
-    from tautclass.cli import main
+    _check(GOLDEN, argv, capsys, monkeypatch)
 
-    monkeypatch.chdir(REPO)
-    expected = _golden()[" ".join(argv)]
-    code = main(list(argv))
-    assert code == expected["exit"]
-    assert capsys.readouterr().out == expected["stdout"]
+
+@pytest.mark.parametrize("argv", _product_commands(), ids=" ".join)
+def test_product_report_matches_golden(argv, capsys, monkeypatch):
+    _check(PRODUCTS, argv, capsys, monkeypatch)
 
 
 if __name__ == "__main__":
@@ -57,11 +77,12 @@ if __name__ == "__main__":
     from tautclass.cli import main
 
     os.chdir(REPO)
-    cases = []
-    for argv in _commands():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = main(list(argv))
-        cases.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
-    print(f"wrote {len(cases)} cases to {GOLDEN}")
+    for path, commands in ((GOLDEN, _commands()), (PRODUCTS, _product_commands())):
+        cases = []
+        for argv in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(list(argv))
+            cases.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+        path.write_text(json.dumps(cases, indent=1) + "\n")
+        print(f"wrote {len(cases)} cases to {path}")

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tautclass.exactmath import QuadExt, sign
+from tautclass.exactmath import sign
 from tautclass.witt import (
     FactorizationError,
     SenselessSymbolError,
     WittElement,
     hilbert_symbol,
-    quad_signatures,
-    quad_witt_is_zero,
     square_class,
 )
 
@@ -277,16 +275,6 @@ def test_renderings():
     assert w.to_json() == [[-2, -1], [3, 2]]
     assert WittElement.from_json(w.to_json()) == w
     assert WittElement.zero().to_text() == "0"
-
-
-def test_quadratic_field_signatures():
-    r2 = QuadExt(0, 1, 2)
-    one_plus = QuadExt(1, 1, 2)
-    # <1 + sqrt2>: positive in both embeddings? 1 - sqrt2 < 0: signatures (1, -1)
-    assert quad_signatures([(one_plus, 1)]) == (1, -1)
-    assert quad_witt_is_zero([(one_plus, 1)]) is False
-    # <r2> + <-r2> kills both signatures: undecided
-    assert quad_witt_is_zero([(r2, 1), (-r2, 1)]) is None
 
 
 def test_residue_decision_agrees_with_hasse_oracle():
