@@ -72,6 +72,16 @@ def _parse_field(text: str):
     raise argparse.ArgumentTypeError(f"field must be Q or quad:D, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _emit(report: dict, csv: bool, t0: float) -> None:
     if csv:
         for key, value in _flatten(report):
@@ -365,10 +375,13 @@ def cmd_product(args) -> int:
     repB, scB, zB, bundleB = _load_bundle(args.repB)
     if repA.field != repB.field:
         raise UsageError("product needs representations over the same field")
-    sA = random_generic_section(bundleA, seed=rng.randint(0, 10**6), mode="strong")
     attempts = 0
     disjoint = False
-    while attempts < 10 and not disjoint:
+    while attempts < 30 and not disjoint:
+        if attempts % 10 == 0:  # a fresh A after every 10 colliding B draws
+            sA = random_generic_section(
+                bundleA, seed=rng.randint(0, 10**6), mode="strong"
+            )
         attempts += 1
         sB = random_generic_section(
             bundleB, seed=rng.randint(0, 10**6), mode="strong"
@@ -438,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--n", type=int, default=2)
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--n", type=_positive_int, default=2)
+    p_verify.add_argument("--samples", type=_positive_int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--field", type=_parse_field, default=QQ)
     p_verify.add_argument("--rep", help="representation file (smillie, comparison)")

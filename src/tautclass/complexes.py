@@ -36,12 +36,11 @@ class Simplex(Value):
 class DeltaComplex:
     """A finite Delta-complex: per-dimension simplex lists with face ids."""
 
-    def __init__(self, simplices: Sequence[Sequence[Simplex]], validate: bool = True):
+    def __init__(self, simplices: Sequence[Sequence[Simplex]]):
         self.simplices: list[list[Simplex]] = [list(level) for level in simplices]
         while self.simplices and not self.simplices[-1]:
             self.simplices.pop()
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def num_vertices(self) -> int:
@@ -223,11 +222,10 @@ def sphere_complex() -> tuple[DeltaComplex, Chain]:
 class SurfaceComplex(DeltaComplex):
     """One-vertex Delta-complex model of the closed genus-g surface."""
 
-    def __init__(self, genus: int, orientation: int = 1):
+    def __init__(self, genus: int):
         if genus < 1:
             raise ValueError("genus must be >= 1")
         g = self.genus = genus
-        self.orientation = orientation
         n_sides = 4 * g
 
         def side_edge(k: int) -> int:
@@ -253,10 +251,10 @@ class SurfaceComplex(DeltaComplex):
         for i in range(1, n_sides - 1):
             if forward(i):
                 faces = (side_edge(i), dd(i + 1), dd(i))
-                coeffs[len(triangles)] = orientation
+                coeffs[len(triangles)] = 1
             else:
                 faces = (side_edge(i), dd(i), dd(i + 1))
-                coeffs[len(triangles)] = -orientation
+                coeffs[len(triangles)] = -1
             triangles.append(Simplex((0, 0, 0), faces))
         self.side_edge = [side_edge(k) for k in range(n_sides)]
         self.side_forward = [forward(k) for k in range(n_sides)]
@@ -271,9 +269,13 @@ class SurfaceComplex(DeltaComplex):
         ]
 
 
-def surface_complex(genus: int, orientation: int = 1) -> tuple[SurfaceComplex, Chain]:
-    """The genus-g surface model and its fundamental cycle."""
-    sc = SurfaceComplex(genus, orientation)
+def surface_complex(genus: int) -> tuple[SurfaceComplex, Chain]:
+    """The genus-g surface model and its fundamental cycle.
+
+    The cycle carries the orientation of the polygon's edge word: +1 on
+    triangles at a forward side, -1 at a backward one.
+    """
+    sc = SurfaceComplex(genus)
     return sc, sc.fundamental
 
 

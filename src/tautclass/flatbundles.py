@@ -110,7 +110,6 @@ class FlatBundle:
         tag: str,
         holonomy: Mapping[int, Matrix | tuple[Matrix, ...]],
         field: Field = QQ,
-        validate: bool = True,
     ):
         if tag not in TAGS:
             raise ValueError(f"unknown structure tag {tag!r}")
@@ -123,8 +122,7 @@ class FlatBundle:
             self.blocks[e] = h if isinstance(h, tuple) else (h,)
             self.holonomy[e] = Matrix.block_diag(*h) if isinstance(h, tuple) else h
         self._transports: dict[int, tuple[Matrix, int]] = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
@@ -321,31 +319,29 @@ def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBu
 # ---------------------------------------------------------------------------
 
 
-def _support_closure(
-    cx: DeltaComplex, dim: int, ids: Iterable[int]
-) -> dict[int, set[int]]:
-    """All iterated faces of the given simplices, per dimension."""
-    out: dict[int, set[int]] = {d: set() for d in range(dim + 1)}
-    out[dim] = set(ids)
-    for d in range(dim, 0, -1):
-        for sid in out[d]:
-            out[d - 1].update(cx.simplices[d][sid].faces)
-    return out
-
-
-def _simplices_to_check(
+def _scope(
     bundle: FlatBundle, mode: str, support: Iterable[int] | None
-) -> dict[int, set[int]]:
+) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
+    """The vertices in scope, sorted, and per vertex the (dim, id) of its simplices.
+
+    The scope is the n-simplices of the support (all of them if None);
+    mode "strong" adds every face of dimension >= 1.
+    """
     n = bundle.n
     cx = bundle.base
     if support is None:
-        top = set(range(len(cx.simplices[n]))) if cx.dimension >= n else set()
-        scope = _support_closure(cx, n, top) if top else {n: set()}
-    else:
-        scope = _support_closure(cx, n, support)
-    if mode == "basic":
-        return {n: scope.get(n, set())}
-    return {d: s for d, s in scope.items() if 1 <= d <= n}
+        support = range(len(cx.simplices[n])) if cx.dimension >= n else ()
+    level = set(support)
+    simplices = [(n, sid) for sid in level]
+    if mode == "strong":
+        for d in range(n, 1, -1):
+            level = {f for sid in level for f in cx.simplices[d][sid].faces}
+            simplices += [(d - 1, sid) for sid in level]
+    star: dict[int, list[tuple[int, int]]] = {}
+    for d, sid in simplices:
+        for v in set(cx.simplices[d][sid].vertices):
+            star.setdefault(v, []).append((d, sid))
+    return sorted(star), star
 
 
 def is_generic_section(
@@ -361,10 +357,10 @@ def is_generic_section(
     linearly independent and every relation to have nonzero coefficient
     sum (so that scalar subset sums are well-defined).
     """
+    _, star = _scope(bundle, mode, support)
     return all(
-        _check_simplex_partial(bundle, s.values, d, sid, bundle.n, mode)
-        for d, sids in _simplices_to_check(bundle, mode, support).items()
-        for sid in sids
+        _check_simplex_partial(bundle, s.values, d, sid, mode)
+        for d, sid in {x for simplices in star.values() for x in simplices}
     )
 
 
@@ -387,28 +383,23 @@ def random_generic_section(
     mode: str = "basic",
     bound: int = 9,
     support: Iterable[int] | None = None,
-    escalate_after: int | None = None,
 ) -> Section:
     """Seeded vertex-by-vertex rejection sampling of a generic section.
 
     Entries are integers in [-bound, bound] (pairs of integers over a
-    quadratic field); the bound doubles after 50n rejections at a
-    vertex, so termination has probability 1.
+    quadratic field).  The bound doubles after every 50n rejections at a
+    vertex, a constant, up to 2^12 times; after 1000n rejections the
+    vertex raises GenericityError.  A candidate is checked only on the
+    in-scope simplices at its vertex: the others keep the corners they
+    already passed with, so the checks of the whole scope would decide
+    the same.
     """
     n = bundle.n
     rng = random.Random(seed)
-    scope = _simplices_to_check(bundle, mode, support)
-    vertex_order = sorted(
-        {
-            v
-            for d, sids in scope.items()
-            for sid in sids
-            for v in bundle.base.simplices[d][sid].vertices
-        }
-    ) or list(range(bundle.base.num_vertices))
-    escalate_after = 50 * n if escalate_after is None else escalate_after
+    order, star = _scope(bundle, mode, support)
+    escalate_after = 50 * n
     values: dict[int, tuple] = {}
-    for v in vertex_order:
+    for v in order or range(bundle.base.num_vertices):
         m = bound
         rejections = 0
         while True:
@@ -420,9 +411,8 @@ def random_generic_section(
                 )
             values[v] = _random_vector(bundle.field, rng, n, m)
             if all(
-                _check_simplex_partial(bundle, values, d, sid, n, mode)
-                for d, sids in scope.items()
-                for sid in sids
+                _check_simplex_partial(bundle, values, d, sid, mode)
+                for d, sid in star.get(v, ())
             ):
                 break
             rejections += 1
@@ -431,34 +421,22 @@ def random_generic_section(
     return Section(values)
 
 
-def _check_simplex_partial(
-    bundle, values: Mapping[int, tuple], d, sid, n, mode
-) -> bool:
+def _check_simplex_partial(bundle, values: Mapping[int, tuple], d, sid, mode) -> bool:
     """Genericity of the already-assigned corners of one simplex.
 
-    Partially assigned tuples must stay extendable, so every assigned
-    sub-tuple of length <= n has to be linearly independent.  Only the
-    strong mode's coefficient sum needs true values, not lifts.
+    Partially assigned tuples must stay extendable: up to n corners must
+    be linearly independent, and n+1 corners must have a unique relation
+    with all coefficients nonzero and, in mode "strong", a nonzero
+    coefficient sum.  Only that sum needs true values, not lifts.
     """
+    n = bundle.n
     tup = [
         bundle._to_base(values[v], d, sid, corner, mode == "strong")
         for corner, v in enumerate(bundle.base.simplices[d][sid].vertices)
         if v in values
     ]
-    if not tup:
-        return True
-    return _corners_generic(tup, n, mode)
-
-
-def _corners_generic(tup: Sequence[tuple], n: int, mode: str) -> bool:
-    """Genericity of the (possibly partial) corner tuple of one simplex.
-
-    Up to n corners must be linearly independent; n+1 corners must have
-    a unique relation with all coefficients nonzero, and in mode
-    "strong" a nonzero coefficient sum.
-    """
     if len(tup) <= n:
-        return is_linearly_generic(tup, n)
+        return not tup or is_linearly_generic(tup, n)
     try:
         _, zero_sum = unique_relation(tup)
     except ValueError:
@@ -548,37 +526,25 @@ def make_positive_generic(
         raise WitnessError("input section is not positive for the witnesses")
     n = bundle.n
     rng = random.Random(seed)
-    scope = _simplices_to_check(bundle, "basic", support)
-    closure = (
-        _support_closure(bundle.base, n, scope[n]) if scope.get(n) else {0: set()}
-    )
-    vertex_order = sorted(
-        {
-            v
-            for d, sids in closure.items()
-            for sid in sids
-            for v in bundle.base.simplices[d][sid].vertices
-        }
-    ) or sorted(s.values)
+    order, star = _scope(bundle, "strong", support)
+    constraints: dict[int, list] = {}  # per vertex: its witnessed corners
+    for (d, sid), phi in witnesses.items():
+        for corner, u in enumerate(bundle.base.simplices[d][sid].vertices):
+            constraints.setdefault(u, []).append((d, sid, corner, phi))
     new_values = dict(s.values)
-
-    def touching(v, assigned):
-        """Simplices of the closure all of whose vertices are decided."""
-        for d in range(1, n + 1):
-            for sid in closure.get(d, ()):
-                verts = bundle.base.simplices[d][sid].vertices
-                if v in verts and all(u == v or u in assigned for u in verts):
-                    yield d, sid, verts
-
     processed: set[int] = set()
-    for v in vertex_order:
-        simplices = list(touching(v, processed))
+    for v in order or sorted(s.values):
+        simplices = []  # those at v whose other vertices are already decided
+        for d, sid in star.get(v, ()):
+            verts = bundle.base.simplices[d][sid].vertices
+            if all(u == v or u in processed for u in verts):
+                simplices.append((d, sid, verts))
         repeated = any(verts.count(v) > 1 for _, _, verts in simplices)
         base_val = new_values[v]
         for _ in range(32):
             w = _random_vector(bundle.field, rng, n, 9)
             alpha = _perturbation_step(
-                bundle, new_values, witnesses, v, base_val, w, simplices, repeated
+                bundle, new_values, constraints, v, base_val, w, simplices, repeated
             )
             if alpha is None:
                 continue
@@ -586,7 +552,7 @@ def make_positive_generic(
             trial = dict(new_values)
             trial[v] = candidate
             if not vec_is_zero(candidate) and all(
-                _check_simplex_partial(bundle, trial, d, sid, n, "basic")
+                _check_simplex_partial(bundle, trial, d, sid, "basic")
                 for d, sid, _ in simplices
             ):
                 new_values[v] = candidate
@@ -601,21 +567,21 @@ def make_positive_generic(
 
 
 def _perturbation_step(
-    bundle, values, witnesses, v, base_val, w, simplices, repeated
+    bundle, values, constraints, v, base_val, w, simplices, repeated
 ):
-    """The step size alpha, or None if this direction w is unusable."""
+    """The step size alpha, or None if this direction w is unusable.
+
+    Corner values are read as lifts M v (positive multiples of the true
+    transports): the step ratios and spans below do not change under
+    positive scaling.
+    """
     n = bundle.n
     pos_bounds = []
-    for (d, sid), phi in witnesses.items():
-        verts = bundle.base.simplices[d][sid].vertices
-        for corner, u in enumerate(verts):
-            if u != v:
-                continue
-            t = bundle.transport_to_base(d, sid, corner)
-            a = dot(phi, t.apply(base_val))
-            b = dot(phi, t.apply(w))
-            if sign(b) < 0:
-                pos_bounds.append(exact_div(a, -b))
+    for d, sid, corner, phi in constraints.get(v, ()):
+        a = dot(phi, bundle._to_base(base_val, d, sid, corner, False))
+        b = dot(phi, bundle._to_base(w, d, sid, corner, False))
+        if sign(b) < 0:
+            pos_bounds.append(exact_div(a, -b))
     m_bound = None
     for x in pos_bounds:
         if m_bound is None or sign(x - m_bound) < 0:
@@ -627,7 +593,7 @@ def _perturbation_step(
             trial = dict(values)
             trial[v] = vec_add(base_val, vec_scale(alpha, w))
             if not vec_is_zero(trial[v]) and all(
-                _check_simplex_partial(bundle, trial, d, sid, n, "basic")
+                _check_simplex_partial(bundle, trial, d, sid, "basic")
                 for d, sid, _ in simplices
             ):
                 return alpha
@@ -636,13 +602,16 @@ def _perturbation_step(
     bad_steps = []
     for d, sid, verts in simplices:
         corner = verts.index(v)
-        t_inv = bundle.transport_to_base(d, sid, corner).inverse()
-        others = []
-        for c2, u in enumerate(verts):
-            if c2 == corner:
-                continue
-            val = bundle.corner_values(Section(values), d, sid)[c2]
-            others.append(tuple(t_inv.apply(val)))
+        # the other corners' lifts, mapped from the corner-0 frame into v's
+        # frame by the holonomy h of the edge (0, corner): transport is h^-1
+        others = [
+            bundle._to_base(values[u], d, sid, c2, False)
+            for c2, u in enumerate(verts)
+            if c2 != corner
+        ]
+        if corner:
+            h = bundle.holonomy[bundle.base.edge_between_corners(d, sid, 0, corner)]
+            others = [h.apply(o) for o in others]
         spans = []
         if d < n:
             spans.append(others)

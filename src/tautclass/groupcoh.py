@@ -16,16 +16,13 @@ from typing import Callable, Sequence
 
 from ._value import Value
 from .complexes import surface_complex
-from .exactmath import Matrix, Scalar, determinant, sign, vec_is_zero
+from .configs import GenericityError, witt_triple_symbol
+from .exactmath import Matrix, Scalar, sign, vec_is_zero
 from .flatbundles import bundle_from_surface_rep
 from .witt import WittElement
 
 Vector = Sequence[Scalar]
 Cocycle = Callable[[Matrix, Matrix, Matrix, Vector], WittElement]
-
-
-def _proportional(u: Vector, v: Vector) -> bool:
-    return not determinant([tuple(u), tuple(v)])
 
 
 def witt_cocycle(g0: Matrix, g1: Matrix, g2: Matrix, u: Vector) -> WittElement:
@@ -37,19 +34,14 @@ def witt_cocycle(g0: Matrix, g1: Matrix, g2: Matrix, u: Vector) -> WittElement:
     if vec_is_zero(u):
         raise ValueError("basepoint vector must be nonzero")
     pts = [g.apply(tuple(u)) for g in (g0, g1, g2)]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if _proportional(pts[i], pts[j]):
-                return WittElement.zero()
-    from .configs import witt_triple_symbol
-
-    return witt_triple_symbol(*pts)
+    try:
+        return witt_triple_symbol(*pts)
+    except GenericityError:  # a pair of the (nonzero) points is proportional
+        return WittElement.zero()
 
 
-def cocycle_identity_residual(
-    gs: Sequence[Matrix], u: Vector, cocycle: Cocycle = witt_cocycle
-) -> WittElement:
-    """Alternating sum of the cocycle over the faces of a 4-tuple.
+def cocycle_identity_residual(gs: Sequence[Matrix], u: Vector) -> WittElement:
+    """Alternating sum of ``witt_cocycle`` over the faces of a 4-tuple.
 
     Always Witt-zero; computing it lets tests assert exactly that, in
     particular through configurations with one coincident point pair.
@@ -59,7 +51,7 @@ def cocycle_identity_residual(
     acc = WittElement.zero()
     for i in range(4):
         face = [g for j, g in enumerate(gs) if j != i]
-        term = cocycle(*face, u)
+        term = witt_cocycle(*face, u)
         acc = acc + (term if i % 2 == 0 else -term)
     return acc
 

@@ -335,6 +335,13 @@ def test_criterion_09_cross_and_cup_products():
     assert is_positive_section(EP2, S0, witnesses)
     SP = make_positive_generic(EP2, S0, witnesses, support=list(zz2.coeffs))
     assert is_positive_section(EP2, SP, witnesses)
+    # pinned: indexing or rescaling inside the perturbation must not move it
+    assert SP.to_json() == {
+        "0": ["6", "8", "-8"],
+        "1": ["2", "11", "6"],
+        "2": ["6", "4", "6"],
+        "3": ["5", "13", "-3"],
+    }
     mixed = evaluate_class(EP2, SP, Selector.parse("eu0"), zz2)
     assert mixed == 0
     elapsed = time.perf_counter() - t0

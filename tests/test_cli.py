@@ -314,3 +314,81 @@ def test_malformed_rep_is_an_invalid_representation(capsys, tmp_path, key, value
     bad.write_text(json.dumps(data))
     assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == cli.EXIT_BAD_REP
     assert capsys.readouterr().err.startswith(f"invalid representation: key '{key}'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["alternation", "--n", "0"],
+        ["euler-boundary", "--n", "-2"],
+        ["euler-boundary", "--n", "0"],
+        ["euler-boundary", "--samples", "-3"],
+        ["witt-relations", "--samples", "0"],
+        ["alternation", "--samples", "x"],
+    ],
+)
+def test_verify_rejects_out_of_range_sizes(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer >= 1" in captured.err
+
+
+def _colliding_joint_scalar_sets(monkeypatch, collide):
+    """Wrap joint_scalar_sets; ``collide(k)`` forces a collision on the k-th A seen."""
+    seen = []
+    real = cli.joint_scalar_sets
+
+    def fake(e1, s1, e2, s2):
+        if not any(s1 is s for s in seen):
+            seen.append(s1)
+        a1, a2, disjoint = real(e1, s1, e2, s2)
+        return a1, a2, disjoint and not collide(len(seen) - 1)
+
+    monkeypatch.setattr(cli, "joint_scalar_sets", fake)
+    return seen
+
+
+PRODUCT_ARGV = [
+    "product",
+    "--repA",
+    rep_path("g1_diag.json"),
+    "--repB",
+    rep_path("g1_diag2.json"),
+    "--seed",
+    "1",
+]
+
+
+def test_product_draws_a_fresh_a_after_ten_collisions(capsys, monkeypatch):
+    seen = _colliding_joint_scalar_sets(monkeypatch, lambda k: k == 0)
+    code, out = _run(capsys, *PRODUCT_ARGV)
+    assert code == 0
+    report = json.loads(out)
+    assert len(seen) == 2
+    assert seen[0].values != seen[1].values
+    assert 10 < report["resample_attempts"] <= 20
+    assert report["scalars_disjoint"]
+    assert report["cross_product_check"] and report["cup_check"]
+
+
+def test_product_exits_4_when_every_a_collides(capsys, monkeypatch):
+    seen = _colliding_joint_scalar_sets(monkeypatch, lambda k: True)
+    assert main(PRODUCT_ARGV) == cli.EXIT_RESAMPLING
+    assert len(seen) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "could not reach disjoint scalar sets\n"
+
+
+def test_product_recovers_from_an_unlucky_a(capsys):
+    # all of the first 10 B draws collide with this seed's first section A
+    g2 = rep_path("g2_fuchs.json")
+    code, out = _run(capsys, "product", "--repA", g2, "--repB", g2, "--seed", "30843")
+    assert code == 0
+    report = json.loads(out)
+    assert report["resample_attempts"] == 11
+    assert report["euler_product"] == 1
+    assert report["cross_product_check"] and report["cup_check"]

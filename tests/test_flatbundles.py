@@ -296,6 +296,7 @@ def test_make_positive_generic_on_simplex():
     out = make_positive_generic(bundle, s, witnesses)
     assert is_generic_section(bundle, out)
     assert is_positive_section(bundle, out, witnesses)
+    assert out.to_json() == {"0": ["4", "4"], "1": ["3/4", "-1/32"], "2": ["8", "6"]}
 
 
 def test_make_positive_generic_keeps_generic_input():
@@ -306,6 +307,7 @@ def test_make_positive_generic_keeps_generic_input():
     out = make_positive_generic(bundle, s, witnesses)
     assert is_generic_section(bundle, out)
     assert is_positive_section(bundle, out, witnesses)
+    assert out.to_json() == {"0": ["4", "4"], "1": ["-2/9", "35/36"], "2": ["8", "7"]}
 
 
 def test_make_positive_generic_witness_failure():
@@ -546,6 +548,16 @@ def test_product_bundle_rejects_mismatches():
         product_bundle(px, EA, EB_quad)
 
 
+# make_positive_generic's output in the mixed-dimension construction;
+# indexing or rescaling inside the perturbation must not move it
+MIXED_POSITIVE_SECTION = {
+    "0": ["6", "8", "-8"],
+    "1": ["2", "11", "6"],
+    "2": ["6", "4", "6"],
+    "3": ["5", "13", "-3"],
+}
+
+
 def test_mixed_dimension_positive_vanishing():
     repA = genus2_fuchsian()
     scA, _ = surface_complex(2)
@@ -580,6 +592,7 @@ def test_mixed_dimension_positive_vanishing():
     SP = make_positive_generic(EP, S0, witnesses, support=list(zz.coeffs))
     assert is_generic_section(EP, SP, support=list(zz.coeffs))
     assert is_positive_section(EP, SP, witnesses)
+    assert SP.to_json() == MIXED_POSITIVE_SECTION
     value = evaluate_class(EP, SP, Selector.parse("eu0"), zz)
     assert value == 0
     # positivity forces the vanishing termwise, not by cancellation

@@ -1,0 +1,193 @@
+"""Sampling on complexes with many vertices.
+
+The surface models have one vertex, so there the star of vertex 0 is
+the whole scope.  A strip of triangles and the sphere have many
+vertices with small stars: a draw at a vertex must check only the
+simplices at that vertex and still produce exactly the section that
+re-checking the whole scope produces.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from tautclass import flatbundles
+from tautclass.complexes import DeltaComplex, Simplex, sphere_complex
+from tautclass.exactmath import Matrix, is_linearly_generic, unique_relation
+from tautclass.flatbundles import (
+    FlatBundle,
+    Section,
+    is_generic_section,
+    is_positive_section,
+    make_positive_generic,
+    random_generic_section,
+)
+
+
+def _sl2(rng):
+    """A random non-scalar element of SL(2, Q) with small entries."""
+    while True:
+        a = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        b, c = (Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2))
+        m = Matrix([[a, b], [c, (1 + b * c) / a]])
+        if b or c or a != 1:
+            return m
+
+
+def _upper(rng):
+    """An upper-triangular element of SL(2, Q) with positive diagonal."""
+    a = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return Matrix([[a, Fraction(rng.randint(-3, 3), rng.randint(1, 2))], [0, 1 / a]])
+
+
+def strip_bundle(triangles, gen, seed=0):
+    """Triangles (i, i+1, i+2), each glued to the next along (i+1, i+2)."""
+    rng = random.Random(seed)
+    t = triangles
+    vertices = [Simplex((i,), ()) for i in range(t + 2)]
+    # edge (i, i+1) has id i, edge (i, i+2) has id t+1+i
+    edges = [Simplex((i, i + 1), (i + 1, i)) for i in range(t + 1)]
+    edges += [Simplex((i, i + 2), (i + 2, i)) for i in range(t)]
+    tris = [Simplex((i, i + 1, i + 2), (i + 1, t + 1 + i, i)) for i in range(t)]
+    cx = DeltaComplex([vertices, edges, tris])
+    hol = {i: gen(rng) for i in range(t + 1)}
+    for i in range(t):
+        hol[t + 1 + i] = hol[i + 1] @ hol[i]  # h02 = h12 h01
+    return FlatBundle(cx, 2, "SL", hol)
+
+
+def sphere_bundle(seed=0):
+    """The sphere with holonomy g_b g_a^-1 on the edge (a, b), for random g_v."""
+    rng = random.Random(seed)
+    cx, _ = sphere_complex()
+    g = [_sl2(rng) for _ in range(cx.num_vertices)]
+    hol = {}
+    for e, s in enumerate(cx.simplices[1]):
+        a, b = s.vertices
+        hol[e] = g[b] @ g[a].inverse()
+    return FlatBundle(cx, 2, "SL", hol)
+
+
+BUNDLES = {
+    "strip": strip_bundle(30, _sl2),
+    "sphere": sphere_bundle(),
+}
+
+
+def _scope(bundle, mode):
+    """Every top simplex, and in mode "strong" every simplex of dimension >= 1."""
+    n, cx = bundle.n, bundle.base
+    dims = range(1, n + 1) if mode == "strong" else [n]
+    return [(d, sid) for d in dims for sid in range(len(cx.simplices[d]))]
+
+
+def _partial_generic(bundle, values, d, sid, mode, transports):
+    n = bundle.n
+    tup = [
+        transports[d, sid, c].apply(values[v])
+        for c, v in enumerate(bundle.base.simplices[d][sid].vertices)
+        if v in values
+    ]
+    if len(tup) <= n:
+        return not tup or is_linearly_generic(tup, n)
+    try:
+        _, zero_sum = unique_relation(tup)
+    except ValueError:
+        return False
+    return not (mode == "strong" and zero_sum)
+
+
+def _full_scope_oracle(bundle, seed, mode, bound=9):
+    """Rejection sampling that re-checks the whole scope after every draw."""
+    n = bundle.n
+    rng = random.Random(seed)
+    scope = _scope(bundle, mode)
+    transports = {
+        (d, sid, c): bundle.transport_to_base(d, sid, c)
+        for d, sid in scope
+        for c in range(d + 1)
+    }
+    values = {}
+    for v in range(bundle.base.num_vertices):
+        m, rejections = bound, 0
+        while True:
+            assert rejections <= 1000 * n
+            vec = (0,) * n
+            while not any(vec):
+                vec = tuple(rng.randint(-m, m) for _ in range(n))
+            values[v] = vec
+            if all(
+                _partial_generic(bundle, values, d, sid, mode, transports)
+                for d, sid in scope
+            ):
+                break
+            rejections += 1
+            if rejections % (50 * n) == 0 and m < bound << 12:
+                m *= 2
+    return Section(values)
+
+
+@pytest.mark.parametrize("mode", ["basic", "strong"])
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_star_sampling_matches_full_scope_oracle(name, mode):
+    bundle = BUNDLES[name]
+    for seed in range(20):
+        s = random_generic_section(bundle, seed, mode)
+        assert s == _full_scope_oracle(bundle, seed, mode), seed
+        assert is_generic_section(bundle, s, mode)
+
+
+@pytest.mark.parametrize("mode", ["basic", "strong"])
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_each_draw_checks_only_the_star_of_its_vertex(monkeypatch, name, mode):
+    bundle = BUNDLES[name]
+    real = flatbundles._check_simplex_partial
+    checked = {}
+
+    def spy(bundle, values, d, sid, *rest):
+        v = next(reversed(values))  # the vertex being drawn was assigned last
+        checked.setdefault(v, set()).add((d, sid))
+        return real(bundle, values, d, sid, *rest)
+
+    monkeypatch.setattr(flatbundles, "_check_simplex_partial", spy)
+    for seed in range(3):
+        random_generic_section(bundle, seed, mode)
+    cx = bundle.base
+    assert sorted(checked) == list(range(cx.num_vertices))
+    for v, simplices in checked.items():
+        star = {
+            (d, sid)
+            for d, sid in _scope(bundle, mode)
+            if v in cx.simplices[d][sid].vertices
+        }
+        assert simplices == star, v
+    assert max(len(s) for s in checked.values()) < len(_scope(bundle, mode))
+
+
+def test_make_positive_generic_on_a_strip_is_pinned():
+    # upper-triangular holonomies with positive diagonal keep the second
+    # coordinate positive, so (0, 1) is a degenerate positive section
+    bundle = strip_bundle(30, _upper, seed=1)
+    s = Section({v: (0, 1) for v in range(bundle.base.num_vertices)})
+    witnesses = {(2, sid): (0, 1) for sid in range(len(bundle.base.simplices[2]))}
+    assert is_positive_section(bundle, s, witnesses)
+    assert not is_generic_section(bundle, s)
+    out = make_positive_generic(bundle, s, witnesses, seed=3)
+    assert is_generic_section(bundle, out)
+    assert is_positive_section(bundle, out, witnesses)
+    # pinned: indexing or rescaling inside the perturbation must not move it
+    assert out.to_json() == {
+        "0": ["-2", "10"], "1": ["86/395", "273/316"], "2": ["2", "7"],
+        "3": ["72/791", "105/113"], "4": ["-471/1768", "1041/884"],
+        "5": ["-1", "9"], "6": ["-1/6", "3/4"], "7": ["6", "9"],
+        "8": ["13/285", "393/380"], "9": ["3/20", "3/4"], "10": ["-7/160", "57/64"],
+        "11": ["7", "4"], "12": ["-134847/835054", "730173/835054"],
+        "13": ["-4", "10"], "14": ["-26303/1460346", "1"],
+        "15": ["-819/29524", "29433/29524"], "16": ["6", "4"], "17": ["4", "4"],
+        "18": ["9", "6"], "19": ["-5", "3"], "20": ["-5/28", "16/21"],
+        "21": ["-5", "7"], "22": ["-3/4", "3/4"], "23": ["71/14", "1"],
+        "24": ["4", "8"], "25": ["3", "10"], "26": ["2", "9"], "27": ["9", "5"],
+        "28": ["153/271", "237/271"], "29": ["91/3396", "859/1132"],
+        "30": ["-1/16", "3/4"], "31": ["1", "9"],
+    }
