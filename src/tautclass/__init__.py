@@ -42,11 +42,9 @@ from .exactmath import (
     QuadExt,
     QuadraticField,
     determinant,
-    is_linearly_generic,
     parse_scalar,
     render_scalar,
     sign,
-    unique_relation,
 )
 from .flatbundles import (
     FlatBundle,

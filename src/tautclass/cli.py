@@ -28,6 +28,7 @@ from .configs import (
     boundary_symbol_sum,
     homological_core_check,
     is_generic_tuple,
+    subset_minors,
     u_symbol,
     uplus_symbol,
 )
@@ -170,16 +171,8 @@ def _engineered_coincidence_quadruple(rng, u):
         lam = Fraction(rng.randint(1, 5))
         stab = Matrix([[lam, rng.randint(-5, 5)], [0, 1 / lam]])
         quad = [g0, g0 @ stab, _random_sl2(rng), _random_sl2(rng)]
-        pts = [g.apply(u) for g in quad]
-        from .exactmath import determinant
-
-        coincident = [
-            (i, j)
-            for i in range(4)
-            for j in range(i + 1, 4)
-            if determinant([pts[i], pts[j]]) == 0
-        ]
-        if coincident == [(0, 1)]:
+        minors = subset_minors([g.apply(u) for g in quad], 2)
+        if [pair for pair, d in minors.items() if not d] == [(0, 1)]:
             return quad
 
 
@@ -262,7 +255,8 @@ def _suite_smillie(args, rng):
         factors[f"eu{k}"] = (-1) ** k * comb(n + 1, k)
         if values[k] != expected:
             failures.append({"k": k, "value": values[k], "expected": expected})
-    return failures, {"values": {f"eu{k}": v for k, v in values.items()}, "factors": factors}
+    values = {f"eu{k}": v for k, v in values.items()}
+    return failures, {"n": n, "field": bundle.field.name, "values": values, "factors": factors}
 
 
 def _suite_comparison(args, rng):
@@ -274,7 +268,7 @@ def _suite_comparison(args, rng):
     seed = rng.randint(0, 10**6)
     s = random_generic_section(bundle, seed=seed)
     eu0 = evaluate_class(bundle, s, Selector("euk", 0), z)
-    info = {"eu0": eu0}
+    info = {"n": n, "field": bundle.field.name, "eu0": eu0}
     if n % 2 == 0:
         eu = evaluate_class(bundle, s, Selector("eu"), z)
         info["eu"] = eu
@@ -315,6 +309,14 @@ SUITES = {
     "comparison": _suite_comparison,
 }
 
+# options a suite never reads; a --rep suite reports its bundle's n and field
+UNREAD = {
+    "witt-relations": ("n", "field"),
+    "witt-cocycle": ("n", "field"),
+    "smillie": ("samples",),
+    "comparison": ("samples",),
+}
+
 
 def cmd_verify(args) -> int:
     t0 = time.time()
@@ -330,6 +332,8 @@ def cmd_verify(args) -> int:
         "failures": failures,
         **extra,
     }
+    for key in UNREAD.get(args.suite, ()):
+        del report[key]
     _emit(report, args.csv, t0)
     return EXIT_OK if not failures else EXIT_FAIL
 

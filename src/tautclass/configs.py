@@ -23,8 +23,8 @@ from .exactmath import (
     clear_denominators,
     determinant,
     exact_div,
-    is_linearly_generic,
     is_rational,
+    rank,
     sign,
 )
 from .witt import WittElement
@@ -53,12 +53,13 @@ def pplus_normalize(v: Point) -> tuple[Scalar, ...]:
     raise ValueError("zero vector does not define a projective point")
 
 
-def is_generic_tuple(points: Sequence[Point], n: int | None = None) -> bool:
+def is_generic_tuple(points: Sequence[Point], n: int) -> bool:
     """Every subsequence of lifts of length <= n linearly independent."""
-    if not points:
-        return True
-    n = len(points[0]) if n is None else n
-    return is_linearly_generic(list(points), n)
+    if any(len(p) != n for p in points):
+        raise ValueError("ambient dimension mismatch")
+    if len(points) < n:
+        return rank(points, n) == len(points)
+    return all(subset_minors(points, n).values())
 
 
 class USymbol(Value):
@@ -167,16 +168,19 @@ def subset_minors(points: Sequence[Point], n: int) -> dict[tuple[int, ...], Scal
     occurs an even number of times.  Lifts over Q(sqrt(d)) are used as
     they are.
     """
-    if is_rational(points):
-        lifts = [clear_denominators(p)[0] for p in points]
-        det = det_int
-    else:
-        lifts = [list(p) for p in points]
-        det = determinant
+    lifts, _, det = _integer_lifts(points)
     return {
         subset: det([lifts[i] for i in subset])
         for subset in combinations(range(len(points)), n)
     }
+
+
+def _integer_lifts(points: Sequence[Point]) -> tuple:
+    """(lifts, factors, det): lift i is factors[i] > 0 times points[i]."""
+    if is_rational(points):
+        cleared = [clear_denominators(p) for p in points]
+        return [c[0] for c in cleared], [c[1] for c in cleared], det_int
+    return [list(p) for p in points], [1] * len(points), determinant
 
 
 def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
@@ -187,6 +191,21 @@ def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
     """
     everything = tuple(range(len(points)))
     return _face_minors(subset_minors(points, len(points) - 1), everything)
+
+
+def relation_coefficients(points: Sequence[Point], scales: Sequence[int]) -> list[Scalar]:
+    """c_0..c_n with sum c_i (points[i] / scales[i]) = 0, up to one positive factor.
+
+    c_i = (-1)^i mu_i D_i, with D_i the maximal minors of the integer
+    lifts and mu_i = scales[i] times the factor that made lift i
+    integral: the true minors are mu_i D_i / prod(mu), and prod(mu) > 0
+    changes no zero, no zero sum and no sum-normalized value.
+    """
+    lifts, factors, det = _integer_lifts(points)
+    return [
+        (-1) ** i * scales[i] * factors[i] * det(lifts[:i] + lifts[i + 1 :])
+        for i in range(len(lifts))
+    ]
 
 
 def _face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:

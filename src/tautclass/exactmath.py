@@ -376,29 +376,21 @@ def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
 def solve_square(
     columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
 ) -> list[Scalar]:
-    """Solve M x = target where M has the given columns; M must be invertible."""
-    n = len(columns)
-    rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-    det = determinant(rows)
+    """Solve M x = target for the invertible M with these columns; a test oracle."""
+    det = determinant(columns)  # Cramer's rule on the transpose, whose rows they are
     if not det:
         raise ValueError("singular system")
-    out = []
-    for j in range(n):
-        repl = [
-            [target[i] if jj == j else columns[jj][i] for jj in range(n)]
-            for i in range(n)
-        ]
-        out.append(exact_div(determinant(repl), det))
-    return out
+    return [
+        exact_div(determinant([*columns[:j], target, *columns[j + 1 :]]), det)
+        for j in range(len(columns))
+    ]
 
 
 class LinearGenericityError(ValueError):
     """A tuple of vectors failed the required genericity."""
 
 
-def unique_relation(
-    vectors: Sequence[Sequence[Scalar]],
-) -> tuple[list[Scalar], bool]:
+def unique_relation(vectors: Sequence[Sequence[Scalar]]) -> tuple[list[Scalar], bool]:
     """The projectively unique linear relation among n+1 vectors in K^n.
 
     Returns (coefficients, zero_sum).  The coefficients satisfy
@@ -407,41 +399,28 @@ def unique_relation(
     coefficient is normalized to 1 and zero_sum is True.
 
     Raises LinearGenericityError unless every n of the vectors are
-    linearly independent.
+    linearly independent.  A test oracle: the package reads relations
+    from integer minors (``configs.relation_coefficients``).
     """
     n = len(vectors) - 1
     if n < 1 or any(len(v) != n for v in vectors):
         raise ValueError("need n+1 vectors in K^n")
-    coeffs: list[Scalar] = []
-    s = 1
-    for i in range(n + 1):
-        minor = [vectors[j] for j in range(n + 1) if j != i]
-        d = determinant(minor)
-        if not d:
-            raise LinearGenericityError("vectors are not linearly generic")
-        coeffs.append(d if s > 0 else -d)
-        s = -s
-    total = coeffs[0]
-    for c in coeffs[1:]:
-        total = total + c
-    if total:
-        return [exact_div(c, total) for c in coeffs], False
-    first = coeffs[0]
-    return [exact_div(c, first) for c in coeffs], True
+    coeffs = [
+        (-1) ** i * determinant([*vectors[:i], *vectors[i + 1 :]]) for i in range(n + 1)
+    ]
+    if not all(coeffs):
+        raise LinearGenericityError("vectors are not linearly generic")
+    total = sum(coeffs)
+    return [exact_div(c, total or coeffs[0]) for c in coeffs], not total
 
 
 def is_linearly_generic(vectors: Sequence[Sequence[Scalar]], n: int) -> bool:
-    """True iff every subsequence of length <= n is linearly independent."""
+    """True iff every subsequence of length <= n is linearly independent; a test oracle."""
     k = len(vectors)
     if any(len(v) != n for v in vectors):
         raise ValueError("ambient dimension mismatch")
-    m = min(n, k)
-    if m < k:
-        # enough to check all subsequences of length exactly n
-        for subset in combinations(range(k), m):
-            if determinant([vectors[i] for i in subset]) == 0:
-                return False
-        return True
+    if k > n:  # enough to check all subsequences of length exactly n
+        return all(determinant([vectors[i] for i in s]) for s in combinations(range(k), n))
     return rank(list(vectors), n) == k
 
 

@@ -28,10 +28,9 @@ from .exactmath import (
     QuadraticField,
     Scalar,
     dot,
-    is_linearly_generic,
     nullspace,
+    rank,
     sign,
-    unique_relation,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -167,22 +166,21 @@ class FlatBundle:
         m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
         return m.scaled(Fraction(1, lam))
 
-    def _to_base(self, value, dim: int, sid: int, corner: int, exact: bool) -> tuple:
-        """A corner's value in the corner-0 frame: M v, or the true M v / lam if exact."""
+    def _to_base(self, value, dim: int, sid: int, corner: int) -> tuple[tuple, int]:
+        """(M v, lam): a corner's value in the corner-0 frame is M v / lam."""
         if not corner:
-            return tuple(value)
+            return tuple(value), 1
         m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
-        value = m.apply(value)
-        if exact and lam != 1:
-            return tuple(exact_div(x, lam) for x in value)
-        return value
+        return m.apply(value), lam
 
     def corner_values(
         self, s: "Section", dim: int, sid: int
     ) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
-        vertices = self.base.simplex(dim, sid).vertices
-        return [self._to_base(s.values[v], dim, sid, c, True) for c, v in enumerate(vertices)]
+        return [
+            lift if lam == 1 else tuple(exact_div(x, lam) for x in lift)
+            for lift, lam in self._corners(s, dim, sid)
+        ]
 
     def corner_lifts(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """M v at every corner: positive multiples of ``corner_values``.
@@ -190,8 +188,11 @@ class FlatBundle:
         They have the same minor signs and ranks, and are integral for an
         integral section over Q.
         """
+        return [lift for lift, _ in self._corners(s, dim, sid)]
+
+    def _corners(self, s: "Section", dim: int, sid: int) -> list[tuple[tuple, int]]:
         vertices = self.base.simplex(dim, sid).vertices
-        return [self._to_base(s.values[v], dim, sid, c, False) for c, v in enumerate(vertices)]
+        return [self._to_base(s.values[v], dim, sid, c) for c, v in enumerate(vertices)]
 
 
 class Section(Value):
@@ -406,7 +407,8 @@ def random_generic_section(
             if rejections > 20 * escalate_after:
                 # practically only reachable when no generic section exists
                 raise GenericityError(
-                    f"no generic value found at vertex {v}; "
+                    f"no generic value found at vertex {v} after {rejections} "
+                    f"rejections (last bound {m}); "
                     "the bundle admits no generic section on this support"
                 )
             values[v] = _random_vector(bundle.field, rng, n, m)
@@ -426,22 +428,23 @@ def _check_simplex_partial(bundle, values: Mapping[int, tuple], d, sid, mode) ->
 
     Partially assigned tuples must stay extendable: up to n corners must
     be linearly independent, and n+1 corners must have a unique relation
-    with all coefficients nonzero and, in mode "strong", a nonzero
-    coefficient sum.  Only that sum needs true values, not lifts.
+    with all coefficients nonzero (all maximal minors nonzero) and, in
+    mode "strong", a nonzero coefficient sum.  Everything is read from
+    the lifts M v; only that sum needs their scales.
     """
     n = bundle.n
-    tup = [
-        bundle._to_base(values[v], d, sid, corner, mode == "strong")
+    corners = [
+        bundle._to_base(values[v], d, sid, corner)
         for corner, v in enumerate(bundle.base.simplices[d][sid].vertices)
         if v in values
     ]
-    if len(tup) <= n:
-        return not tup or is_linearly_generic(tup, n)
-    try:
-        _, zero_sum = unique_relation(tup)
-    except ValueError:
-        return False
-    return not (mode == "strong" and zero_sum)
+    lifts = [lift for lift, _ in corners]
+    if len(lifts) <= n:
+        return rank(lifts, n) == len(lifts)
+    if mode == "strong":
+        coeffs = configs.relation_coefficients(lifts, [lam for _, lam in corners])
+        return all(coeffs) and bool(sum(coeffs))
+    return all(configs.maximal_minors(lifts))
 
 
 def scalar_set(
@@ -450,23 +453,19 @@ def scalar_set(
     """All proper nonempty subset sums of sum-normalized relation coefficients."""
     n = bundle.n
     cx = bundle.base
-    sids = (
-        set(support) if support is not None else set(range(len(cx.simplices[n])))
-    )
+    sids = set(range(len(cx.simplices[n])) if support is None else support)
     out = set()
     for sid in sids:
-        values = bundle.corner_values(s, n, sid)
-        coeffs, zero_sum = unique_relation(values)
-        if zero_sum:
+        lifts, scales = zip(*bundle._corners(s, n, sid))
+        coeffs = configs.relation_coefficients(lifts, scales)
+        total = sum(coeffs)
+        if not (total and all(coeffs)):
             raise GenericityError(
-                "relation with zero coefficient sum: section is not strongly generic"
+                f"section is not strongly generic on {n}-simplex {sid} (a zero minor or sum)"
             )
+        coeffs = [exact_div(c, total) for c in coeffs]
         for size in range(1, n + 1):
-            for subset in combinations(range(n + 1), size):
-                total = coeffs[subset[0]]
-                for i in subset[1:]:
-                    total = total + coeffs[i]
-                out.add(total)
+            out.update(sum(coeffs[i] for i in sub) for sub in combinations(range(n + 1), size))
     return out
 
 
@@ -498,9 +497,9 @@ def is_positive_section(
     s: Section,
     witnesses: Mapping[tuple[int, int], Sequence[Scalar]],
 ) -> bool:
-    """phi_sigma positive on all transported corner values, per witness."""
+    """phi_sigma positive on all transported corner values (read on lifts), per witness."""
     for (d, sid), phi in witnesses.items():
-        for value in bundle.corner_values(s, d, sid):
+        for value in bundle.corner_lifts(s, d, sid):
             if sign(dot(phi, value)) <= 0:
                 return False
     return True
@@ -578,8 +577,8 @@ def _perturbation_step(
     n = bundle.n
     pos_bounds = []
     for d, sid, corner, phi in constraints.get(v, ()):
-        a = dot(phi, bundle._to_base(base_val, d, sid, corner, False))
-        b = dot(phi, bundle._to_base(w, d, sid, corner, False))
+        a = dot(phi, bundle._to_base(base_val, d, sid, corner)[0])
+        b = dot(phi, bundle._to_base(w, d, sid, corner)[0])
         if sign(b) < 0:
             pos_bounds.append(exact_div(a, -b))
     m_bound = None
@@ -605,19 +604,17 @@ def _perturbation_step(
         # the other corners' lifts, mapped from the corner-0 frame into v's
         # frame by the holonomy h of the edge (0, corner): transport is h^-1
         others = [
-            bundle._to_base(values[u], d, sid, c2, False)
+            bundle._to_base(values[u], d, sid, c2)[0]
             for c2, u in enumerate(verts)
             if c2 != corner
         ]
         if corner:
             h = bundle.holonomy[bundle.base.edge_between_corners(d, sid, 0, corner)]
             others = [h.apply(o) for o in others]
-        spans = []
         if d < n:
-            spans.append(others)
-        else:
-            for skip in range(len(others)):
-                spans.append([o for i, o in enumerate(others) if i != skip])
+            spans = [others]
+        else:  # every hyperplane spanned by all but one of them
+            spans = [others[:i] + others[i + 1 :] for i in range(len(others))]
         for span in spans:
             step = _step_into_span(span, base_val, w, n)
             if step is False:

@@ -152,6 +152,34 @@ def test_product_strong_genericity_exhaustion_exit_code(capsys):
         ]
     )
     assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "genericity exhausted: no generic value found at vertex 0 after 2001 "
+        "rejections (last bound 36864); the bundle admits no generic section "
+        "on this support\n"
+    )
+
+
+def test_verify_rep_suite_reports_its_bundles_n_and_field(capsys):
+    # a --rep suite reports its bundle's n and field, not --n, and no --samples
+    code, out = _run(
+        capsys, "verify", "comparison", "--rep", rep_path("g2_fuchs.json"), "--n", "6"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert (report["n"], report["field"]) == (2, "Q")
+    assert "samples" not in report
+    assert list(report)[:5] == ["suite", "seed", "n", "field", "failures"]
+
+
+def test_verify_witt_suite_omits_n_and_field(capsys):
+    # the Witt suites run on 2x2 matrices over Q, whatever --n and --field say
+    code, out = _run(capsys, "verify", "witt-cocycle", "--n", "7", "--field", "quad:2")
+    assert code == 0
+    report = json.loads(out)
+    assert "n" not in report and "field" not in report
+    assert list(report) == ["suite", "samples", "seed", "failures"]
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -1,6 +1,8 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,24 @@ def test_determinant_quadext():
     m = [[1 + r, 1], [1, 1 - r * 0]]
     # det = (1+sqrt2)*1 - 1 = sqrt2
     assert determinant(m) == r
+
+
+ORACLES = {"unique_relation", "is_linearly_generic", "solve_square"}
+
+
+def test_oracle_functions_have_no_caller_in_the_package():
+    # the program decides genericity and relations from integer minors;
+    # these three stay only as test oracles
+    src = Path(__file__).resolve().parent.parent / "src" / "tautclass"
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ORACLES:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
 
 
 def test_unique_relation_examples():
