@@ -68,12 +68,7 @@ from .groupcoh import (
     witt_cocycle,
 )
 from .oracle import OracleError, rotation_euler
-from .witt import (
-    WittElement,
-    hilbert_symbol,
-    signature,
-    square_class,
-)
+from .witt import WittElement, hilbert_symbol, square_class
 
 __version__ = "0.1.0"
 

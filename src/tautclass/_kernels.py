@@ -1,17 +1,20 @@
-"""Integer linear-algebra kernels, in plain Python.
+"""Fraction-free linear-algebra kernels, in plain Python.
 
 These are the hot inner loops of the whole package: every symbol,
 genericity test and class evaluation reduces to exact determinants and
-ranks of small integer matrices.  The Bareiss elimination keeps all
-intermediate values integral, which avoids rational blow-up when many
-determinants are multiplied downstream.
+ranks of small integral matrices.  Integral means ints over Q and
+``QuadExt`` elements with integer parts over Q(sqrt(d)); the two may be
+mixed in one matrix.  The Bareiss elimination keeps all intermediate
+values integral, and its divisions are exact in any integral domain
+(Bareiss 1968), so ``//`` here is exact division: in Z for ints and in
+Z[sqrt(d)] for ``QuadExt``.
 """
 
 from __future__ import annotations
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, Bareiss fraction-free."""
+def det_int(rows: list[list]):
+    """Determinant of a square integral matrix, Bareiss fraction-free."""
     n = len(rows)
     if n == 0:
         return 1
@@ -40,8 +43,8 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank_int(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix via fraction-free echelon reduction."""
+def rank_int(rows: list[list], ncols: int) -> int:
+    """Rank of an integral matrix via fraction-free echelon reduction."""
     m = [list(r) for r in rows]
     nrows = len(m)
     rank = 0

@@ -22,7 +22,7 @@ import traceback
 from fractions import Fraction
 from math import comb
 
-from .complexes import boundary, product_chain, product_complex, surface_complex
+from .complexes import product_chain, product_complex, surface_complex
 from .configs import (
     GenericityError,
     boundary_symbol_sum,
@@ -44,6 +44,7 @@ from .flatbundles import (
     joint_scalar_sets,
     product_bundle,
     random_generic_section,
+    random_vector,
 )
 from .groupcoh import (
     cocycle_identity_residual,
@@ -122,16 +123,7 @@ def _random_sl2(rng, bound=9) -> Matrix:
 
 def _random_generic_tuple(rng, field, n, count, bound=9):
     while True:
-        vecs = []
-        for _ in range(count):
-            if isinstance(field, QuadraticField):
-                vec = tuple(
-                    field.from_pair(rng.randint(-bound, bound), rng.randint(-bound, bound))
-                    for _ in range(n)
-                )
-            else:
-                vec = tuple(rng.randint(-bound, bound) for _ in range(n))
-            vecs.append(vec)
+        vecs = [random_vector(field, rng, n, bound) for _ in range(count)]
         try:
             if is_generic_tuple(vecs, n):
                 return vecs

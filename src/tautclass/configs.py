@@ -17,16 +17,7 @@ from typing import Literal, Sequence
 
 from ._kernels import det_int
 from ._value import Value
-from .exactmath import (
-    Scalar,
-    abs_scalar,
-    clear_denominators,
-    determinant,
-    exact_div,
-    is_rational,
-    rank,
-    sign,
-)
+from .exactmath import Scalar, clear_denominators, determinant, rank, sign
 from .witt import WittElement
 
 Point = Sequence[Scalar]
@@ -34,23 +25,6 @@ Point = Sequence[Scalar]
 
 class GenericityError(ValueError):
     """A point tuple failed the genericity required by a symbol."""
-
-
-def proj_normalize(v: Point) -> tuple[Scalar, ...]:
-    """Canonical lift of a point of P^{n-1}: first nonzero coordinate 1."""
-    for x in v:
-        if x:
-            return tuple(exact_div(y, x) for y in v)
-    raise ValueError("zero vector does not define a projective point")
-
-
-def pplus_normalize(v: Point) -> tuple[Scalar, ...]:
-    """Canonical lift of a point of P_+^{n-1}: first nonzero coordinate +-1."""
-    for x in v:
-        if x:
-            a = abs_scalar(x)
-            return tuple(exact_div(y, a) for y in v)
-    raise ValueError("zero vector does not define a projective point")
 
 
 def is_generic_tuple(points: Sequence[Point], n: int) -> bool:
@@ -161,33 +135,25 @@ class UPlusSymbol(Value):
 def subset_minors(points: Sequence[Point], n: int) -> dict[tuple[int, ...], Scalar]:
     """det of every n-subset of the lifts (ascending indices), in one pass.
 
-    Rational lifts are first scaled to integers, each by its own positive
-    denominator lcm, and go through the integer kernel.  That multiplies
-    each minor by a positive number, which changes no sign, no
-    vanishing, and no square class of a product in which every lift
-    occurs an even number of times.  Lifts over Q(sqrt(d)) are used as
-    they are.
+    Each lift is first made integral by its own positive denominator lcm
+    (``clear_denominators``; integer parts over Q(sqrt(d))) and the minors
+    go through the Bareiss kernel.  That multiplies each minor by a
+    positive number, which changes no sign, no vanishing, and no square
+    class of a product in which every lift occurs an even number of
+    times.
     """
-    lifts, _, det = _integer_lifts(points)
+    lifts = [clear_denominators(p)[0] for p in points]
     return {
-        subset: det([lifts[i] for i in subset])
+        subset: det_int([lifts[i] for i in subset])
         for subset in combinations(range(len(points)), n)
     }
-
-
-def _integer_lifts(points: Sequence[Point]) -> tuple:
-    """(lifts, factors, det): lift i is factors[i] > 0 times points[i]."""
-    if is_rational(points):
-        cleared = [clear_denominators(p) for p in points]
-        return [c[0] for c in cleared], [c[1] for c in cleared], det_int
-    return [list(p) for p in points], [1] * len(points), determinant
 
 
 def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
     """D_j = det of the n+1 lifts in K^n without lift j, for j = 0..n.
 
     Every symbol of the tuple is read from these (see ``subset_minors``
-    for the positive rescaling of rational lifts).
+    for the positive rescaling of the lifts).
     """
     everything = tuple(range(len(points)))
     return _face_minors(subset_minors(points, len(points) - 1), everything)
@@ -196,14 +162,15 @@ def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
 def relation_coefficients(points: Sequence[Point], scales: Sequence[int]) -> list[Scalar]:
     """c_0..c_n with sum c_i (points[i] / scales[i]) = 0, up to one positive factor.
 
-    c_i = (-1)^i mu_i D_i, with D_i the maximal minors of the integer
+    c_i = (-1)^i mu_i D_i, with D_i the maximal minors of the integral
     lifts and mu_i = scales[i] times the factor that made lift i
     integral: the true minors are mu_i D_i / prod(mu), and prod(mu) > 0
     changes no zero, no zero sum and no sum-normalized value.
     """
-    lifts, factors, det = _integer_lifts(points)
+    cleared = [clear_denominators(p) for p in points]
+    lifts = [lift for lift, _ in cleared]
     return [
-        (-1) ** i * scales[i] * factors[i] * det(lifts[:i] + lifts[i + 1 :])
+        (-1) ** i * scales[i] * cleared[i][1] * det_int(lifts[:i] + lifts[i + 1 :])
         for i in range(len(lifts))
     ]
 

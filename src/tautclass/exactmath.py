@@ -3,9 +3,11 @@
 Scalars are Python ``int``/``Fraction`` (the rationals) or ``QuadExt``
 (a real quadratic extension Q(sqrt(d)), embedded with sqrt(d) > 0).
 Every sign is decided exactly; there is no floating point anywhere in
-this module.  Determinants funnel through the integer Bareiss kernel
-after clearing denominators, which keeps the many 4x4 determinants of
-the product pipeline desk-sized.
+this module.  Every determinant and rank, over either field, goes
+through the fraction-free Bareiss kernels of ``_kernels`` after
+``clear_denominators`` has made the entries integral: ints over Q,
+``QuadExt`` with integer parts over Q(sqrt(d)), where ``//`` is exact
+division in Z[sqrt(d)].
 """
 
 from __future__ import annotations
@@ -94,6 +96,27 @@ class QuadExt:
             return NotImplemented
         return o / self
 
+    def __floordiv__(self, other):
+        """Exact division in Z[sqrt(d)]: the quotient must have integer parts.
+
+        The Bareiss kernels divide only where this holds.
+        """
+        if other == 1:
+            return self
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        q = self / o
+        if q.a.denominator != 1 or q.b.denominator != 1:
+            raise ValueError(f"{self} is not divisible by {other} in Z[sqrt({self.d})]")
+        return q
+
+    def __rfloordiv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o // self
+
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.d)
 
@@ -161,10 +184,6 @@ def sign(x: Scalar) -> int:
     # opposite component signs: compare |a| with |b|*sqrt(d) exactly
     cmp = _sign_rational(a * a - b * b * x.d)
     return sa if cmp > 0 else sb
-
-
-def abs_scalar(x: Scalar) -> Scalar:
-    return -x if sign(x) < 0 else x
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
@@ -256,9 +275,10 @@ _SQRT_RE = re.compile(
 
 
 def parse_scalar(s: str, field: Field = QQ) -> Scalar:
-    """Parse "p/q" or "a+b*sqrt(d)" literals.
+    """Parse an element of ``field``: "p/q", or "a+b*sqrt(d)" in Q(sqrt(d)).
 
-    Plain rationals coerce into a quadratic field when one is supplied.
+    Plain rationals coerce into a quadratic field when one is supplied; a
+    sqrt literal is refused outside its own field.
     """
     s = s.strip().replace(" ", "")
     if _RAT_RE.match(s):
@@ -273,12 +293,8 @@ def parse_scalar(s: str, field: Field = QQ) -> Scalar:
         b = -b
     elif m.group("op") is None and m.group("a") is not None:
         raise ValueError(f"missing sign between terms in {s!r}")
-    if isinstance(field, QuadraticField):
-        if d != field.d:
-            raise ValueError(f"sqrt({d}) literal in field {field.name}")
-        return QuadExt(a, b, d)
-    if b == 0:
-        return a
+    if not isinstance(field, QuadraticField) or d != field.d:
+        raise ValueError(f"sqrt({d}) literal in field {field.name}")
     return QuadExt(a, b, d)
 
 
@@ -302,50 +318,23 @@ def render_scalar(x: Scalar) -> str:
 # ---------------------------------------------------------------------------
 
 
-def is_rational(rows: Iterable[Sequence[Scalar]]) -> bool:
-    """True iff every entry is an int or a Fraction."""
-    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+def clear_denominators(row: Sequence[Scalar]) -> tuple[list[Scalar], int]:
+    """(m * row, m) for the least positive integer m making every entry integral.
 
-
-def clear_denominators(row: Sequence[Rational]) -> tuple[list[int], int]:
-    """(m * row, m) for the least positive integer m making every entry integral."""
-    mult = lcm(*(x.denominator for x in row)) if row else 1
-    return [x.numerator * (mult // x.denominator) for x in row], mult
-
-
-def _det_rational(rows: Sequence[Sequence[Rational]]) -> Fraction:
-    cleared = []
-    denom = 1
-    for row in rows:
-        ints, mult = clear_denominators(row)
-        cleared.append(ints)
-        denom *= mult
-    return Fraction(det_int(cleared), denom)
-
-
-def _det_generic(rows: Sequence[Sequence[Scalar]]):
-    # Bareiss over the field; exact because divisions happen in a field.
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sgn = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sgn = -sgn
-                    break
-            else:
-                return rows[0][0] * 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else exact_div(num, prev)
-            m[i][k] = pivot * 0
-        prev = pivot
-    return m[n - 1][n - 1] * sgn
+    Integral means an int over Q and a QuadExt with integer parts over
+    Q(sqrt(d)): the entries the Bareiss kernels take.
+    """
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    dens = [
+        lcm(x.a.denominator, x.b.denominator) if isinstance(x, QuadExt) else x.denominator
+        for x in row
+    ]
+    mult = lcm(*dens)
+    return [
+        _rescale(x, mult) if isinstance(x, QuadExt) else x.numerator * (mult // k)
+        for x, k in zip(row, dens)
+    ], mult
 
 
 def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -357,9 +346,12 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         return Fraction(1)
     if all(isinstance(x, int) for row in rows for x in row):
         return det_int([list(r) for r in rows])
-    if is_rational(rows):
-        return _det_rational(rows)
-    return _det_generic(rows)
+    cleared, denom = [], 1
+    for row in rows:
+        entries, mult = clear_denominators(row)
+        cleared.append(entries)
+        denom *= mult
+    return exact_div(det_int(cleared), denom)
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
@@ -367,10 +359,7 @@ def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
     if not rows:
         return 0
     ncols = len(rows[0]) if ncols is None else ncols
-    if is_rational(rows):
-        cleared = [clear_denominators(row)[0] for row in rows]
-        return rank_int(cleared, ncols)
-    return ncols - len(nullspace(rows, ncols))
+    return rank_int([clear_denominators(row)[0] for row in rows], ncols)
 
 
 def solve_square(
@@ -474,13 +463,10 @@ class Matrix:
         return tuple(dot(row, vec) for row in self.rows)
 
     def cleared(self) -> tuple["Matrix", int]:
-        """(m * self, m) for the least positive integer m making every entry integral.
-
-        Integral means an int over Q and a QuadExt with integer parts over
-        Q(sqrt(d)).
-        """
-        m = lcm(*(p.denominator for row in self.rows for x in row for p in _parts(x)))
-        return Matrix([[_rescale(x, m) for x in row] for row in self.rows]), m
+        """(m * self, m): one ``clear_denominators`` over all the entries."""
+        entries, m = clear_denominators([x for row in self.rows for x in row])
+        it = iter(entries)
+        return Matrix([[next(it) for _ in row] for row in self.rows]), m
 
     def scaled_inverse(self) -> tuple["Matrix", int]:
         """(M, lam): M = lam * self^-1 integral, lam a positive integer.
@@ -494,8 +480,7 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         a, m = self.cleared()
         a = [list(r) for r in a.rows]
-        det = det_int if is_rational(a) else determinant
-        d = det(a)
+        d = det_int(a)
         if not d:
             raise ValueError("singular matrix")
         c, norm = 1, d
@@ -509,7 +494,7 @@ class Matrix:
             adj.append(
                 [
                     f
-                    * ((-1) ** (i + j) * det(without_col[:j] + without_col[j + 1 :]))
+                    * ((-1) ** (i + j) * det_int(without_col[:j] + without_col[j + 1 :]))
                     for j in range(n)
                 ]
             )
@@ -528,7 +513,7 @@ class Matrix:
         return Matrix([[-x for x in row] for row in self.rows])
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and _rows_equal(self.rows, other.rows)
+        return isinstance(other, Matrix) and self.rows == other.rows
 
     def __hash__(self):
         return hash(tuple(tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in self.rows))
@@ -554,7 +539,7 @@ class Matrix:
             (x, y) for r1, r2 in zip(self.rows, other.rows) for x, y in zip(r1, r2)
         ]
         x0, y0 = next(((x, y) for x, y in pairs if y), (None, None))
-        if y0 is None or any(not _eq_scalar(x * y0, x0 * y) for x, y in pairs):
+        if y0 is None or any(x * y0 != x0 * y for x, y in pairs):
             return None
         return x0, y0
 
@@ -566,10 +551,6 @@ class Matrix:
 
     def to_json(self) -> list[list[str]]:
         return [[render_scalar(x) for x in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, rows: list[list[str]], field: Field = QQ) -> "Matrix":
-        return cls([[parse_scalar(s, field) for s in row] for row in rows])
 
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -586,23 +567,10 @@ def _parts(x: Scalar) -> tuple[Rational, ...]:
 def _rescale(x: Scalar, num: int, den: int = 1) -> Scalar:
     """x * num / den for a result with integral parts; an int for rational x."""
     if isinstance(x, QuadExt):
+        if num == den:
+            return x
         return QuadExt(x.a * num / den, x.b * num / den, x.d)
     return x.numerator * num // (x.denominator * den)
-
-
-def _eq_scalar(x: Scalar, y: Scalar) -> bool:
-    return not (x - y)
-
-
-def _rows_equal(r1, r2) -> bool:
-    if len(r1) != len(r2):
-        return False
-    for a, b in zip(r1, r2):
-        if len(a) != len(b):
-            return False
-        if any(not _eq_scalar(x, y) for x, y in zip(a, b)):
-            return False
-    return True
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Scalar, ...]]:

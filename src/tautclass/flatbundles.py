@@ -365,15 +365,19 @@ def is_generic_section(
     )
 
 
-def _random_vector(field: Field, rng: random.Random, n: int, bound: int):
+def random_vector(field: Field, rng: random.Random, n: int, bound: int) -> tuple:
+    """n entries drawn from [-bound, bound]: integers, or pairs of them over Q(sqrt(d))."""
+    if isinstance(field, QuadraticField):
+        return tuple(
+            field.from_pair(rng.randint(-bound, bound), rng.randint(-bound, bound))
+            for _ in range(n)
+        )
+    return tuple(rng.randint(-bound, bound) for _ in range(n))
+
+
+def _random_nonzero_vector(field: Field, rng: random.Random, n: int, bound: int) -> tuple:
     while True:
-        if isinstance(field, QuadraticField):
-            vec = tuple(
-                field.from_pair(rng.randint(-bound, bound), rng.randint(-bound, bound))
-                for _ in range(n)
-            )
-        else:
-            vec = tuple(rng.randint(-bound, bound) for _ in range(n))
+        vec = random_vector(field, rng, n, bound)
         if not vec_is_zero(vec):
             return vec
 
@@ -411,7 +415,7 @@ def random_generic_section(
                     f"rejections (last bound {m}); "
                     "the bundle admits no generic section on this support"
                 )
-            values[v] = _random_vector(bundle.field, rng, n, m)
+            values[v] = _random_nonzero_vector(bundle.field, rng, n, m)
             if all(
                 _check_simplex_partial(bundle, values, d, sid, mode)
                 for d, sid in star.get(v, ())
@@ -541,7 +545,7 @@ def make_positive_generic(
         repeated = any(verts.count(v) > 1 for _, _, verts in simplices)
         base_val = new_values[v]
         for _ in range(32):
-            w = _random_vector(bundle.field, rng, n, 9)
+            w = _random_nonzero_vector(bundle.field, rng, n, 9)
             alpha = _perturbation_step(
                 bundle, new_values, constraints, v, base_val, w, simplices, repeated
             )

@@ -300,7 +300,3 @@ class WittElement:
 
     def __repr__(self):
         return f"WittElement({self.to_text()})"
-
-
-def signature(w: WittElement) -> int:
-    return w.signature()

@@ -243,6 +243,17 @@ def test_csv_output(capsys):
     assert any(line.startswith("suite,witt-relations") for line in lines)
 
 
+@pytest.mark.parametrize("selector", ["eu0", "euplus", "witt"])
+def test_sqrt_entry_in_a_rational_rep_is_invalid_representation(capsys, tmp_path, selector):
+    # a Q representation holds rationals only; sqrt(2) belongs to Q(sqrt(2))
+    data = json.loads(Path(rep_path("g1_diag.json")).read_text())
+    data["matrices"][0] = [["1+sqrt(2)", "0"], ["0", "-1+sqrt(2)"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out = _run(capsys, "eval", "--rep", str(bad), "--selector", selector)
+    assert (code, out) == (3, "")
+
+
 @pytest.mark.parametrize("key", ["field", "genus", "tag", "matrices"])
 def test_rep_without_key_is_invalid_representation(capsys, tmp_path, key):
     data = json.loads(Path(rep_path("g2_fuchs.json")).read_text())

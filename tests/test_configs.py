@@ -12,8 +12,6 @@ from tautclass.configs import (
     homological_core_check,
     is_generic_tuple,
     maximal_minors,
-    pplus_normalize,
-    proj_normalize,
     u_symbol,
     uplus_canonicalize,
     uplus_raw_symbol,
@@ -197,13 +195,6 @@ def test_homological_core():
     assert homological_core_check(UPlusSymbol(2, (1, -3)))
     assert not homological_core_check(UPlusSymbol(2, (1, 0)))
     assert homological_core_check(UPlusSymbol(4, (0, 0, 0)))
-
-
-def test_normalizations():
-    assert proj_normalize((0, 3, 6)) == (0, 1, 2)
-    assert pplus_normalize((-2, 4)) == (-1, 2)
-    with pytest.raises(ValueError):
-        proj_normalize((0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from tautclass.exactmath import (
     LinearGenericityError,
     Matrix,
     QuadExt,
+    QQ,
     QuadraticField,
     determinant,
+    exact_div,
     is_linearly_generic,
     nullspace,
     parse_scalar,
@@ -83,15 +85,36 @@ def test_parse_render_roundtrip():
         parse_scalar("nonsense")
 
 
+@pytest.mark.parametrize("text", ["1+sqrt(2)", "-1+sqrt(2)", "sqrt(3)", "2-1/2*sqrt(5)"])
+def test_parse_scalar_refuses_sqrt_literals_over_q(text):
+    # an element of the field it is given: Q has no sqrt(d)
+    with pytest.raises(ValueError, match="literal in field Q$"):
+        parse_scalar(text, QQ)
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_quadext_floordiv_is_exact_division_in_z_sqrt_d():
+    for d in (2, 3, 5, 7):
+        x, y = QuadExt(3, -2, d), QuadExt(-1, 4, d)
+        assert (x * y) // y == x and (x * y) // x == y
+        assert (x * 6) // 6 == x
+        assert 6 // QuadExt(2, 0, d) == 3
+        assert x // 1 is x
+        with pytest.raises(ValueError, match="not divisible"):
+            x // 2
+        with pytest.raises(ValueError, match="not divisible"):
+            1 // y  # N(y) = 1 - 16d: y is no unit
+
+
 def _cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = Fraction(rows[0][j]) * _cofactor_det(minor)
-        total += term if j % 2 == 0 else -term
+    """Laplace expansion along row 0, over any field: the determinant oracle."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, x in enumerate(rows[0]):
+        term = x * _cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
     return total
 
 
@@ -110,6 +133,18 @@ def test_determinant_against_cofactor_oracle():
             for _ in range(5)
         ]
         assert determinant(m) == _cofactor_det(m)
+    for d in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for trial in range(6):
+                m = [[_random_quad(rng, d) for _ in range(n)] for _ in range(n)]
+                if n >= 2 and trial % 2:
+                    # a combination of the other rows: the determinant is 0
+                    a, b = _random_quad(rng, d), _random_quad(rng, d)
+                    m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (n - 1)])]
+                det = determinant(m)
+                assert det == _cofactor_det(m), (d, m)
+                assert not (n >= 2 and trial % 2 and det)
+                assert rank(m, n) == n - len(nullspace(m, n)), (d, m)
 
 
 def test_determinant_multiplicative():
@@ -230,19 +265,23 @@ def test_rank_bounds(n):
     assert 0 <= rank(rows, n) <= n
 
 
-def _random_quad(rng):
-    """A small element of Q(sqrt(2)), now and then a plain int (mixed matrices)."""
+def _random_quad(rng, d=2):
+    """A small element of Q(sqrt(d)) with Fraction parts, now and then a plain int."""
     if rng.random() < 0.2:
         return rng.randint(-3, 3)
-    return QuadExt(Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-2, 2), 2)
+    return QuadExt(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
+        d,
+    )
 
 
 def _minor_rank(rows, ncols):
-    """Size of the largest nonzero minor: the rank oracle."""
+    """Size of the largest nonzero minor (by cofactors): the rank oracle."""
     for k in range(min(len(rows), ncols), 0, -1):
         for rs in combinations(range(len(rows)), k):
             for cs in combinations(range(ncols), k):
-                if determinant([[rows[i][j] for j in cs] for i in rs]):
+                if _cofactor_det([[rows[i][j] for j in cs] for i in rs]):
                     return k
     return 0
 
@@ -257,6 +296,7 @@ def test_quad_rank_matches_minor_oracle():
             a, b = _random_quad(rng), _random_quad(rng)
             rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
         assert rank(rows, nc) == _minor_rank(rows, nc)
+        assert rank(rows, nc) == nc - len(nullspace(rows, nc))
     r2 = QuadraticField(2).sqrt_gen()
     assert rank([[r2, 1], [2, r2]], 2) == 1
     assert rank([[r2, 1], [1, r2]], 2) == 2
@@ -264,13 +304,17 @@ def test_quad_rank_matches_minor_oracle():
 
 
 def _cramer_inverse(m):
-    """Column j of m^-1 solves m x = e_j (Cramer over the field)."""
-    n = m.nrows
-    cols = [
-        solve_square(list(zip(*m.rows)), [1 if i == j else 0 for i in range(n)])
-        for j in range(n)
+    """Entry (i, j) of m^-1 is det(m with column i replaced by e_j) / det(m), by cofactors."""
+    rows = [list(r) for r in m.rows]
+    det = _cofactor_det(rows)
+
+    def replaced(i, j):
+        return [r[:i] + [int(k == j)] + r[i + 1 :] for k, r in enumerate(rows)]
+
+    return [
+        [exact_div(_cofactor_det(replaced(i, j)), det) for j in range(m.nrows)]
+        for i in range(m.nrows)
     ]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def test_rational_inverse_matches_cramer():
