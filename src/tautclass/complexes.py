@@ -15,6 +15,7 @@ returned chain has boundary zero, which tests verify.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Sequence
 
 from ._value import Value
@@ -60,34 +61,33 @@ class DeltaComplex:
         return self.simplices[dim][sid]
 
     def validate(self) -> None:
-        """Check vertex consistency of faces and the double-face identities."""
+        """Check face ids, vertex consistency of faces and the double-face identities."""
         for d, level in enumerate(self.simplices):
+            below = self.simplices[d - 1] if d else ()
+            n_below = len(below)
+            # d_i d_j = d_{j-1} d_i for i < j, on the faces of faces
+            pairs = [(i, j) for j in range(d + 1) for i in range(j)] if d >= 2 else ()
             for sid, s in enumerate(level):
-                if len(s.vertices) != d + 1:
+                vertices, faces = s.vertices, s.faces
+                if len(vertices) != d + 1:
                     raise ValueError(f"simplex ({d},{sid}) has wrong vertex count")
-                if d == 0:
-                    if s.faces:
-                        raise ValueError("0-simplices have no faces")
-                    continue
-                if len(s.faces) != d + 1:
+                if len(faces) != (d + 1 if d else 0):
                     raise ValueError(f"simplex ({d},{sid}) has wrong face count")
-                for j, fid in enumerate(s.faces):
-                    f = self.simplices[d - 1][fid]
-                    expected = s.vertices[:j] + s.vertices[j + 1 :]
-                    if f.vertices != expected:
+                for j, fid in enumerate(faces):
+                    if not 0 <= fid < n_below:
+                        raise ValueError(
+                            f"face {j} of simplex ({d},{sid}) has id {fid} out of range"
+                        )
+                    if below[fid].vertices != vertices[:j] + vertices[j + 1 :]:
                         raise ValueError(
                             f"face {j} of simplex ({d},{sid}) is not order-compatible"
                         )
-                if d >= 2:
-                    for j in range(d + 1):
-                        for i in range(j):
-                            # d_i d_j = d_{j-1} d_i for i < j
-                            left = self.simplices[d - 1][s.faces[j]].faces[i]
-                            right = self.simplices[d - 1][s.faces[i]].faces[j - 1]
-                            if left != right:
-                                raise ValueError(
-                                    f"double-face identity fails at ({d},{sid},i={i},j={j})"
-                                )
+                ff = [below[fid].faces for fid in faces]
+                for i, j in pairs:
+                    if ff[j][i] != ff[i][j - 1]:
+                        raise ValueError(
+                            f"double-face identity fails at ({d},{sid},i={i},j={j})"
+                        )
 
     def subsimplex(self, dim: int, sid: int, keep: Sequence[int]) -> tuple[int, int]:
         """The iterated face on the given corner positions; returns (dim, id)."""
@@ -326,71 +326,64 @@ def path_sign(path: GridChain) -> int:
 ProductKey = tuple[int, int, int, int, GridChain]  # (p, sid, q, sid2, chain)
 
 
+@lru_cache(maxsize=None)
+def _chain_templates(p: int, q: int) -> tuple:
+    """The covering chains of the (p, q) grid, shortest first, with face templates.
+
+    Face m drops chain point (i_m, j_m); entry m is (r, c, i_m, j_m, rest).
+    r = 1 when no other point is in row i_m: the face lies over face i_m of
+    the left cell and later rows shift down (c and j_m likewise for columns).
+    """
+    out = []
+    for chain in sorted(_covering_chains(p, q), key=len):  # stable: ids keep their order
+        template = []
+        for m, (i_m, j_m) in enumerate(chain if len(chain) > 1 else ()):
+            rest = chain[:m] + chain[m + 1 :]
+            r = int(all(i != i_m for i, _ in rest))
+            c = int(all(j != j_m for _, j in rest))
+            rest = tuple((i - r * (i > i_m), j - c * (j > j_m)) for i, j in rest)
+            template.append((r, c, i_m, j_m, rest))
+        out.append((chain, tuple(template)))
+    return tuple(out)
+
+
 class ProductComplex(DeltaComplex):
     """Staircase triangulation of the product of two Delta-complexes.
 
     Simplices are triples (cell of X, cell of X', covering chain in the
     grid of the two cell dimensions); top simplices over a cell pair are
-    indexed by admissible paths.
+    indexed by admissible paths.  A face lies over an earlier cell pair or
+    a shorter chain of the same one, so one pass in that order reads every
+    face id off the chain's template.
     """
 
     def __init__(self, left: DeltaComplex, right: DeltaComplex):
-        self.left = left
-        self.right = right
-        self._ids: dict[ProductKey, tuple[int, int]] = {}
-        keys_by_dim: list[list[ProductKey]] = [
-            [] for _ in range(left.dimension + right.dimension + 1)
-        ]
+        self.left, self.right = left, right
+        dims = range(left.dimension + right.dimension + 1)
+        self._ids: dict[ProductKey, int] = {}
+        self._keys_by_dim: list[list[ProductKey]] = [[] for _ in dims]
+        levels: list[list[Simplex]] = [[] for _ in dims]
+        ids, nright = self._ids, right.num_vertices
         for p, level in enumerate(left.simplices):
             for q, level2 in enumerate(right.simplices):
-                chains = _covering_chains(p, q)
-                for sid in range(len(level)):
-                    for sid2 in range(len(level2)):
-                        for chain in chains:
-                            key = (p, sid, q, sid2, chain)
-                            d = len(chain) - 1
-                            self._ids[key] = (d, len(keys_by_dim[d]))
-                            keys_by_dim[d].append(key)
-        self._keys_by_dim = keys_by_dim
-        nright = right.num_vertices
-        levels: list[list[Simplex]] = []
-        for d, keys in enumerate(keys_by_dim):
-            level = []
-            for key in keys:
-                p, sid, q, sid2, chain = key
-                vl = left.simplices[p][sid].vertices
-                vr = right.simplices[q][sid2].vertices
-                verts = tuple(vl[i] * nright + vr[j] for i, j in chain)
-                if d == 0:
-                    level.append(Simplex(verts, ()))
-                else:
-                    faces = tuple(
-                        self._ids[self._face_key(key, m)][1] for m in range(d + 1)
-                    )
-                    level.append(Simplex(verts, faces))
-            levels.append(level)
+                templates = _chain_templates(p, q)
+                for sid, s in enumerate(level):
+                    for sid2, s2 in enumerate(level2):
+                        for chain, template in templates:
+                            faces = tuple(
+                                ids[p - r, s.faces[i] if r else sid,
+                                    q - c, s2.faces[j] if c else sid2, rest]
+                                for r, c, i, j, rest in template
+                            )
+                            key, d = (p, sid, q, sid2, chain), len(chain) - 1
+                            ids[key] = len(levels[d])
+                            self._keys_by_dim[d].append(key)
+                            verts = (s.vertices[i] * nright + s2.vertices[j] for i, j in chain)
+                            levels[d].append(Simplex(tuple(verts), faces))
         super().__init__(levels)
 
-    def _face_key(self, key: ProductKey, m: int) -> ProductKey:
-        """Canonical key of the m-th face: drop a chain point, renormalize."""
-        p, sid, q, sid2, chain = key
-        i_m, j_m = chain[m]
-        rest = chain[:m] + chain[m + 1 :]
-        row_covered = any(i == i_m for i, _ in rest)
-        col_covered = any(j == j_m for _, j in rest)
-        if not row_covered:
-            sid = self.left.simplices[p][sid].faces[i_m]
-            p -= 1
-            rest = tuple((i - 1 if i > i_m else i, j) for i, j in rest)
-        if not col_covered:
-            sid2 = self.right.simplices[q][sid2].faces[j_m]
-            q -= 1
-            rest = tuple((i, j - 1 if j > j_m else j) for i, j in rest)
-        return (p, sid, q, sid2, rest)
-
     def id_of(self, p: int, sid: int, q: int, sid2: int, chain: GridChain) -> int:
-        d, i = self._ids[(p, sid, q, sid2, chain)]
-        return i
+        return self._ids[(p, sid, q, sid2, chain)]
 
     def cell_info(self, dim: int, sid: int) -> ProductKey:
         """(p, sid, q, sid2, chain) of a product simplex."""

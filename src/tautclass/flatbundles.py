@@ -76,15 +76,19 @@ def _check_tag_det(d: Scalar, tag: str) -> None:
         raise TagError(f"tag {tag} needs a positive-determinant representative")
 
 
-def _path_ratio(h12, h01, h02) -> tuple[Scalar, Scalar] | None:
+def _path_ratio(h12, h01, h02, cleared, ratios) -> tuple[Scalar, Scalar] | None:
     """(x, y) with h12 h01 == (x/y) h02, checked block by block, or None.
 
-    Each argument lists the integer-cleared blocks (a, m) of one edge,
-    each standing for a/m; every block must give the same ratio.
+    Each argument lists the blocks of one edge; every block must give the
+    same ratio.  ``cleared`` maps the id of a block to (a, m, det), a = m *
+    block integral, and ``ratios`` keeps a12 a01 : a02 per triple of ids.
     """
     out = None
-    for (a, ma), (b, mb), (c, mc) in zip(h12, h01, h02):
-        r = (a @ b).ratio_to(c)
+    for key in zip(map(id, h12), map(id, h01), map(id, h02)):
+        (a, ma, _), (b, mb, _), (c, mc, _) = (cleared[k] for k in key)
+        if key not in ratios:
+            ratios[key] = (a @ b).ratio_to(c)
+        r = ratios[key]
         if r is None:
             return None
         # (a b) / (ma mb) == (x0/y0) c / (ma mb) == (x0 mc / (y0 ma mb)) (c / mc)
@@ -124,8 +128,9 @@ class FlatBundle:
         self.validate()
 
     def validate(self) -> None:
+        """Shape and tag of every edge, the triangle condition on every 2-simplex."""
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        cleared = {}
+        cleared, ratios = {}, {}
         sizes = [b.nrows for b in self.blocks.get(0, ())]
         for eid in range(n_edges):
             if eid not in self.holonomy:
@@ -134,13 +139,15 @@ class FlatBundle:
             shape = [b.nrows for b in self.blocks[eid]]
             if m.nrows != self.n or m.ncols != self.n or shape != sizes:
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            _check_tag_det(prod(b.det() for b in self.blocks[eid]), self.tag)
-            cleared[eid] = [b.cleared() for b in self.blocks[eid]]
+            for b in self.blocks[eid]:
+                if id(b) not in cleared:
+                    cleared[id(b)] = (*b.cleared(), b.det())
+            _check_tag_det(prod(cleared[id(b)][2] for b in self.blocks[eid]), self.tag)
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
-                faces = [cleared[f] for f in s.faces]
-                ratio = _path_ratio(faces[0], faces[2], faces[1])
+                faces = [self.blocks[f] for f in s.faces]
+                ratio = _path_ratio(faces[0], faces[2], faces[1], cleared, ratios)
                 if ratio is None or not _tag_allows(*ratio, self.tag):
                     h01, h12, h02 = (self.holonomy[s.faces[i]] for i in (2, 0, 1))
                     residual = h02.inverse() @ (h12 @ h01)

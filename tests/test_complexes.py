@@ -6,6 +6,7 @@ from tautclass.complexes import (
     Chain,
     DeltaComplex,
     Simplex,
+    _covering_chains,
     admissible_paths,
     boundary,
     cup_evaluate,
@@ -186,6 +187,88 @@ def test_validation_catches_bad_faces():
     bad_triangle = [Simplex((0, 0, 0), (0, 0))]  # wrong face count
     with pytest.raises(ValueError):
         DeltaComplex([vertices, edges, bad_triangle])
+
+
+@pytest.mark.parametrize("bad_id", [-1, 1], ids=["negative", "too-large"])
+def test_validation_rejects_face_ids_outside_the_level_below(bad_id):
+    vertices = [Simplex((0,), ())]
+    edge = {"dim": 1, "vertices": [0, 0], "faces": [0, bad_id]}
+    data = {"simplices": [[{"dim": 0, "vertices": [0], "faces": []}], [edge]]}
+    with pytest.raises(ValueError, match=rf"^face 1 of simplex \(1,0\) has id {bad_id} out"):
+        DeltaComplex.from_json(data)
+    with pytest.raises(ValueError, match=r"face 1 of simplex \(1,0\)"):
+        DeltaComplex([vertices, [Simplex((0, 0), (0, bad_id))]])
+
+
+def _oracle_product(left, right):
+    """Staircase product built face by face from canonical keys.
+
+    The m-th face of (p, sid, q, sid2, chain) drops chain point m; a row
+    (column) it leaves uncovered moves the left (right) cell to its face
+    and renumbers the chain.  Returns per-dimension (vertices, faces)
+    lists, the key -> id map and the keys per dimension.
+    """
+    ids, keys_by_dim = {}, [[] for _ in range(left.dimension + right.dimension + 1)]
+    for p, level in enumerate(left.simplices):
+        for q, level2 in enumerate(right.simplices):
+            for sid in range(len(level)):
+                for sid2 in range(len(level2)):
+                    for chain in _covering_chains(p, q):
+                        key, d = (p, sid, q, sid2, chain), len(chain) - 1
+                        ids[key] = len(keys_by_dim[d])
+                        keys_by_dim[d].append(key)
+
+    def face_key(key, m):
+        p, sid, q, sid2, chain = key
+        i_m, j_m = chain[m]
+        rest = chain[:m] + chain[m + 1 :]
+        if not any(i == i_m for i, _ in rest):
+            sid = left.simplices[p][sid].faces[i_m]
+            p -= 1
+            rest = tuple((i - 1 if i > i_m else i, j) for i, j in rest)
+        if not any(j == j_m for _, j in rest):
+            sid2 = right.simplices[q][sid2].faces[j_m]
+            q -= 1
+            rest = tuple((i, j - 1 if j > j_m else j) for i, j in rest)
+        return (p, sid, q, sid2, rest)
+
+    nright = right.num_vertices
+    levels = []
+    for d, keys in enumerate(keys_by_dim):
+        level = []
+        for key in keys:
+            p, sid, q, sid2, chain = key
+            vl = left.simplices[p][sid].vertices
+            vr = right.simplices[q][sid2].vertices
+            verts = tuple(vl[i] * nright + vr[j] for i, j in chain)
+            faces = tuple(ids[face_key(key, m)] for m in range(d + 1)) if d else ()
+            level.append((verts, faces))
+        levels.append(level)
+    return levels, ids, keys_by_dim
+
+
+@pytest.mark.parametrize(
+    "make_left, make_right, counts",
+    [
+        (lambda: surface_complex(1)[0], lambda: surface_complex(2)[0], None),
+        (lambda: surface_complex(2)[0], lambda: surface_complex(2)[0], (1, 99, 426, 540, 216)),
+        (lambda: sphere_complex()[0], lambda: surface_complex(2)[0], None),
+        (lambda: surface_complex(2)[0], lambda: sphere_complex()[0], None),
+        (lambda: standard_simplex_complex(2), lambda: standard_simplex_complex(2), None),
+    ],
+    ids=["T2xS2g", "S2gxS2g", "sphere x S2g", "S2g x sphere", "D2xD2"],
+)
+def test_product_complex_matches_face_key_oracle(make_left, make_right, counts):
+    left, right = make_left(), make_right()
+    px = product_complex(left, right)
+    levels, ids, keys_by_dim = _oracle_product(left, right)
+    assert [[(s.vertices, s.faces) for s in level] for level in px.simplices] == levels
+    for d, keys in enumerate(keys_by_dim):
+        assert [px.cell_info(d, sid) for sid in range(len(keys))] == keys
+    assert all(px.id_of(*key) == i for key, i in ids.items())
+    chi = left.euler_characteristic() * right.euler_characteristic()
+    assert px.euler_characteristic() == chi
+    assert counts is None or px.counts() == counts
 
 
 def test_subsimplex_extraction():

@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import rep_path
 
 from tautclass.complexes import (
     Chain,
@@ -45,6 +47,7 @@ from tautclass.reps import (
     genus2_rank1,
     genus2_solved,
     genus2_swap,
+    load_rep,
 )
 
 
@@ -479,6 +482,105 @@ def test_product_blocks_must_share_one_scalar():
     ):
         with pytest.raises(ValueError, match="triangle condition fails on 2-simplex"):
             FlatBundle(px, 4, "P+GL+", hol)
+
+
+def _fuchs_times(name):
+    """g2_fuchs x a genus-2 fixture: the product complex and the two factor bundles."""
+    factors = []
+    for rep in (load_rep(rep_path("g2_fuchs.json")), load_rep(rep_path(f"{name}.json"))):
+        sc, _ = surface_complex(2)
+        factors.append(bundle_from_surface_rep(sc, rep.matrices, rep.tag))
+    return product_complex(factors[0].base, factors[1].base), *factors
+
+
+def _first_triangle_failure(px, holonomy):
+    """The error text of the first 2-simplex whose full residual is not the identity."""
+    for sid, s in enumerate(px.simplices[2]):
+        h12, h02, h01 = (holonomy[f] for f in s.faces)
+        residual = h02.inverse() @ (h12 @ h01)
+        if not residual.is_identity():
+            return f"triangle condition fails on 2-simplex {sid} (residual {residual!r})"
+    return None
+
+
+def _over_two_factor_edges(px):
+    """The last product edge over a pair of factor edges; its block objects are shared."""
+    return max(e for e in range(len(px.simplices[1])) if px.cell_info(1, e)[:3:2] == (1, 1))
+
+
+def test_validation_treats_value_equal_block_copies_alike():
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    shared = product_bundle(px, e_a, e_b)
+    copies = {e: tuple(Matrix(b.rows) for b in bs) for e, bs in shared.blocks.items()}
+    assert len({id(b) for bs in copies.values() for b in bs}) == 2 * len(copies)
+    copied = FlatBundle(px, 4, shared.tag, copies)
+    assert all(copied.transport(e) == shared.transport(e) for e in copies)
+
+
+# error texts recorded from the block-by-block check before distinct
+# blocks and block triangles were shared across edges and 2-simplices
+CORRUPTED_SHARED_BLOCK_ERRORS = {
+    0: "triangle condition fails on 2-simplex 166 "
+    "(residual Matrix[1 -1 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1])",
+    1: "triangle condition fails on 2-simplex 166 "
+    "(residual Matrix[1 0 0 0; 0 1 0 0; 0 0 1 -1; 0 0 0 1])",
+}
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["L", "R"])
+def test_corrupted_copy_of_a_shared_block_is_rejected(side):
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    bundle = product_bundle(px, e_a, e_b)
+    blocks = {e: list(bs) for e, bs in bundle.blocks.items()}
+    eid = _over_two_factor_edges(px)
+    # one edge gets a changed copy, det kept; the other edges keep the original
+    blocks[eid][side] = blocks[eid][side] @ Matrix([[1, 1], [0, 1]])
+    full = {e: Matrix.block_diag(*bs) for e, bs in blocks.items()}
+    expected = _first_triangle_failure(px, full)
+    assert expected == CORRUPTED_SHARED_BLOCK_ERRORS[side]
+    for holonomy in ({e: tuple(bs) for e, bs in blocks.items()}, full):
+        with pytest.raises(ValueError) as err:
+            FlatBundle(px, 4, bundle.tag, holonomy)
+        assert str(err.value) == expected
+
+
+def test_det_off_on_one_product_edge_violates_sl():
+    px, e_a, e_b = _fuchs_times("g2_swap2")
+    bundle = product_bundle(px, e_a, e_b)
+    assert bundle.tag == "SL"
+    blocks = {e: list(bs) for e, bs in bundle.blocks.items()}
+    eid = _over_two_factor_edges(px)
+    blocks[eid][0] = blocks[eid][0].scaled(2)  # det 4 on this edge only
+    with pytest.raises(TagError, match="tag SL needs det 1, got det 4"):
+        FlatBundle(px, 4, "SL", {e: tuple(bs) for e, bs in blocks.items()})
+
+
+def _count_calls(monkeypatch, cls, name, calls):
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[name] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_product_validation_works_once_per_block_and_block_triangle(monkeypatch):
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    calls = Counter()
+    for name in ("cleared", "ratio_to"):
+        _count_calls(monkeypatch, Matrix, name, calls)
+    bundle = product_bundle(px, e_a, e_b)
+    blocks = {id(b) for bs in bundle.blocks.values() for b in bs}
+    triangles = {
+        tuple(map(id, blocks_ijk))
+        for s in px.simplices[2]
+        for blocks_ijk in zip(*(bundle.blocks[s.faces[i]] for i in (0, 2, 1)))
+    }
+    # 9 factor edges + the identity on each side; one clear and one block
+    # product per edge and per 2-simplex would be 198 and 852 calls
+    assert (len(blocks), len(triangles)) == (20, 50)
+    assert calls == {"cleared": 20, "ratio_to": 50}
 
 
 def _integral(x) -> bool:
