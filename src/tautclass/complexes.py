@@ -256,17 +256,8 @@ class SurfaceComplex(DeltaComplex):
                 faces = (side_edge(i), dd(i), dd(i + 1))
                 coeffs[len(triangles)] = -1
             triangles.append(Simplex((0, 0, 0), faces))
-        self.side_edge = [side_edge(k) for k in range(n_sides)]
-        self.side_forward = [forward(k) for k in range(n_sides)]
         self.fundamental = Chain(2, coeffs)
         super().__init__([vertices, edges, triangles])
-
-    def boundary_word(self) -> list[tuple[int, int]]:
-        """The polygon edge word as (edge id, +-1 exponent) letters."""
-        return [
-            (e, 1 if f else -1)
-            for e, f in zip(self.side_edge, self.side_forward)
-        ]
 
 
 def surface_complex(genus: int) -> tuple[SurfaceComplex, Chain]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import prod
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from ._kernels import det_int
 from ._value import Value
@@ -51,8 +51,8 @@ class USymbol(Value):
             raise ValueError("dimension mismatch")
         return USymbol(self.n, self.coefficient + other.coefficient)
 
-    def __neg__(self) -> "USymbol":
-        return USymbol(self.n, -self.coefficient)
+    def scale(self, m: int) -> "USymbol":
+        return USymbol(self.n, m * self.coefficient)
 
     def __str__(self):
         c = self.coefficient
@@ -111,9 +111,6 @@ class UPlusSymbol(Value):
         return UPlusSymbol(
             self.n, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
         )
-
-    def __neg__(self) -> "UPlusSymbol":
-        return UPlusSymbol(self.n, tuple(-a for a in self.coefficients))
 
     def scale(self, m: int) -> "UPlusSymbol":
         return UPlusSymbol(self.n, tuple(m * a for a in self.coefficients))
@@ -275,6 +272,38 @@ def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
 
 Mode = Literal["P", "P+", "witt"]
 
+# per mode: the zero of the symbol group for lifts in K^n, and the
+# symbol of a generic tuple read from its maximal minors
+SYMBOL_MODES = {
+    "P": (lambda n: USymbol(n, 0), u_symbol_from_minors),
+    "P+": (UPlusSymbol.zero, lambda minors: uplus_canonicalize(raw_symbol_from_minors(minors))),
+    "witt": (lambda n: WittElement.zero(), witt_symbol_from_minors),
+}
+
+
+def symbol_sum(
+    mode: Mode,
+    n: int,
+    terms: Iterable[tuple[Sequence[Scalar], int]],
+    texts: list[str] | None = None,
+):
+    """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
+
+    A USymbol (mode "P"), a UPlusSymbol ("P+") or a WittElement ("witt",
+    n = 2).  ``texts``, when given, receives the text of every symbol in
+    order.
+    """
+    if mode not in SYMBOL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    zero, symbol = SYMBOL_MODES[mode]
+    total = zero(n)
+    for minors, c in terms:
+        term = symbol(minors)
+        if texts is not None:
+            texts.append(str(term))
+        total = total + term.scale(c)
+    return total
+
 
 def boundary_symbol_sum(points: Sequence[Point], mode: Mode):
     """Alternating sum of face symbols of a generic (n+2)-tuple.
@@ -290,29 +319,15 @@ def boundary_symbol_sum(points: Sequence[Point], mode: Mode):
     minors = subset_minors(points, n)
     if not all(minors.values()):
         raise GenericityError("tuple is not generic")
-    if mode == "P":
-
-        def symbol(face_minors):
-            return u_symbol_from_minors(face_minors).coefficient
-
-        total = 0
-    elif mode == "P+":
-
-        def symbol(face_minors):
-            return uplus_canonicalize(raw_symbol_from_minors(face_minors))
-
-        total = UPlusSymbol.zero(n)
-    elif mode == "witt":
-        if n != 2:
-            raise ValueError("witt mode needs 2-dimensional lifts")
-        symbol, total = witt_symbol_from_minors, WittElement.zero()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "witt" and n != 2:
+        raise ValueError("witt mode needs 2-dimensional lifts")
     everything = tuple(range(n + 2))
-    for j in everything:
-        term = symbol(_face_minors(minors, everything[:j] + everything[j + 1 :]))
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    faces = (
+        (_face_minors(minors, everything[:j] + everything[j + 1 :]), (-1) ** j)
+        for j in everything
+    )
+    total = symbol_sum(mode, n, faces)
+    return total.coefficient if mode == "P" else total
 
 
 def homological_core_check(c: UPlusSymbol) -> bool:

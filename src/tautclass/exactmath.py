@@ -227,9 +227,6 @@ class QuadraticField:
         self.d = d
         self.name = f"Q(sqrt({d}))"
 
-    def sqrt_gen(self) -> QuadExt:
-        return QuadExt(0, 1, self.d)
-
     def coerce(self, x) -> QuadExt:
         if isinstance(x, QuadExt):
             if x.d != self.d:
@@ -518,14 +515,6 @@ class Matrix:
     def __hash__(self):
         return hash(tuple(tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in self.rows))
 
-    def is_identity(self) -> bool:
-        return self == Matrix.identity(self.nrows)
-
-    def scalar_multiple_of_identity(self) -> Scalar | None:
-        """The scalar c with self == c*I, or None."""
-        r = self.ratio_to(Matrix.identity(self.nrows))
-        return None if r is None else r[0]
-
     def ratio_to(self, other: "Matrix") -> tuple[Scalar, Scalar] | None:
         """(x, y) with y * self == x * other, or None.
 
@@ -571,41 +560,6 @@ def _rescale(x: Scalar, num: int, den: int = 1) -> Scalar:
             return x
         return QuadExt(x.a * num / den, x.b * num / den, x.d)
     return x.numerator * num // (x.denominator * den)
-
-
-def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Scalar, ...]]:
-    """Basis of {f in K^ncols : row . f = 0 for every row}, exact."""
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        pivot = m[rk][col]
-        for i in range(len(m)):
-            if i != rk and m[i][col]:
-                factor = exact_div(m[i][col], pivot)
-                for j in range(col, ncols):
-                    m[i][j] = m[i][j] - factor * m[rk][j]
-        pivots.append(col)
-        rk += 1
-        if rk == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec: list[Scalar] = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = exact_div(-m[r][fc], m[r][pc])
-        basis.append(tuple(vec))
-    return basis
 
 
 def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:

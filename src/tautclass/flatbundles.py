@@ -27,15 +27,14 @@ from .exactmath import (
     QQ,
     QuadraticField,
     Scalar,
+    determinant,
     dot,
-    nullspace,
     rank,
     sign,
     vec_add,
     vec_is_zero,
     vec_scale,
 )
-from .witt import WittElement
 
 TAGS = ("GL+", "SL", "PGL+", "P+GL+")
 LINEAR_TAGS = ("GL+", "SL")
@@ -646,26 +645,28 @@ def _perturbation_step(
 def _step_into_span(span, base_val, w, n):
     """The unique beta with base_val + beta*w inside span(span), if any.
 
-    Returns None when the line misses the subspace, False when it lies
-    inside it (bad direction), else the step beta.
+    ``span`` holds k < n linearly independent vectors, so x lies in their
+    span iff every (k+1)-column minor of [span; x] vanishes.  On the line
+    that minor is a + beta*b, with a = det[span; base_val] and b =
+    det[span; w] cut to the same columns.  Returns None when the line
+    misses the subspace, False when it lies inside it (bad direction),
+    else the step beta.
     """
-    functionals = nullspace(list(span), n)
-    candidate = None
-    for f in functionals:
-        a = dot(f, base_val)
-        b = dot(f, w)
+    beta = None
+    for cols in combinations(range(n), len(span) + 1):
+        rows = [[v[c] for c in cols] for v in span]
+        a = determinant(rows + [[base_val[c] for c in cols]])
+        b = determinant(rows + [[w[c] for c in cols]])
         if not b:
             if a:
                 return None
             continue
-        beta = exact_div(-a, b)
-        if candidate is None:
-            candidate = beta
-        elif candidate - beta:
+        step = exact_div(-a, b)
+        if beta is None:
+            beta = step
+        elif beta - step:
             return None
-    if candidate is None:
-        return False if functionals else None
-    return candidate
+    return False if beta is None else beta
 
 
 # ---------------------------------------------------------------------------
@@ -701,32 +702,21 @@ def evaluate_class(
             raise UsageError("the witt selector needs an SL(2, Q) bundle")
     # one pass per top simplex: the maximal minors of the lifts decide
     # genericity and give the symbol (see ``configs.subset_minors``)
-    minors = {}
-    for sid in z.coeffs:
-        minors[sid] = configs.maximal_minors(bundle.corner_lifts(s, n, sid))
-        if not all(minors[sid]):
+    terms = []
+    for sid, c in z.coeffs.items():
+        minors = configs.maximal_minors(bundle.corner_lifts(s, n, sid))
+        if not all(minors):
             raise GenericityError("section is not generic on the support of z")
-    per_simplex = {}
-    if selector.kind == "witt":
-        acc = WittElement.zero()
-        for sid, c in z.coeffs.items():
-            term = configs.witt_symbol_from_minors(minors[sid])
-            per_simplex[sid] = term.to_text()
-            acc = acc + term.scale(c)
-    elif selector.kind == "eu":
-        acc = 0
-        for sid, c in z.coeffs.items():
-            term = configs.u_symbol_from_minors(minors[sid])
-            per_simplex[sid] = str(term)
-            acc += c * term.coefficient
+        terms.append((minors, c))
+    texts = [] if detail else None
+    mode = {"eu": "P", "witt": "witt"}.get(selector.kind, "P+")
+    total = configs.symbol_sum(mode, n, terms, texts)
+    if selector.kind == "eu":
+        acc = total.coefficient
+    elif selector.kind == "euk":
+        acc = total.coefficients[selector.k]
     else:
-        total = configs.UPlusSymbol.zero(n)
-        for sid, c in z.coeffs.items():
-            raw = configs.raw_symbol_from_minors(minors[sid])
-            term = configs.uplus_canonicalize(raw)
-            per_simplex[sid] = str(term)
-            total = total + term.scale(c)
-        acc = total if selector.kind == "euplus" else total.coefficients[selector.k]
+        acc = total
     if detail:
-        return acc, per_simplex
+        return acc, dict(zip(z.coeffs, texts))
     return acc

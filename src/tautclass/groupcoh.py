@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from ._value import Value
 from .complexes import surface_complex
 from .configs import GenericityError, witt_triple_symbol
-from .exactmath import Matrix, Scalar, sign, vec_is_zero
+from .exactmath import Matrix, Scalar, vec_is_zero
 from .flatbundles import bundle_from_surface_rep
 from .witt import WittElement
 
@@ -61,18 +61,6 @@ def psl_equal(a: Matrix, b: Matrix) -> bool:
     return a == b or a == -b
 
 
-def psl_canonical(m: Matrix) -> Matrix:
-    """Sign-normalized lift: first nonzero entry positive."""
-    for row in m.rows:
-        for x in row:
-            s = sign(x)
-            if s < 0:
-                return -m
-            if s > 0:
-                return m
-    return m
-
-
 class BarChain2(Value):
     """An integer combination of homogeneous triples of PSL(2,Q) matrices."""
 
@@ -86,27 +74,6 @@ class BarChain2(Value):
 
     def __neg__(self) -> "BarChain2":
         return BarChain2([(-c, t) for c, t in self.terms])
-
-    def boundary_classes(self) -> dict:
-        """Coefficients of the bar boundary on coinvariant pair classes.
-
-        The pair (a, b) is G-equivalent to (1, a^-1 b); the returned map
-        sends the sign-normalized value of a^-1 b to its total
-        coefficient.  An empty map means the chain is a 2-cycle.
-        """
-        out: dict = {}
-        for c, (g0, g1, g2) in self.terms:
-            for s, (a, b) in (
-                (1, (g1, g2)),
-                (-1, (g0, g2)),
-                (1, (g0, g1)),
-            ):
-                key = psl_canonical(a.inverse() @ b)
-                out[key] = out.get(key, 0) + s * c
-        return {k: v for k, v in out.items() if v != 0}
-
-    def is_cycle(self) -> bool:
-        return not self.boundary_classes()
 
     def to_json(self) -> list:
         return [

@@ -203,14 +203,6 @@ class WittElement:
     def __hash__(self):
         raise TypeError("WittElement equality is up to Witt equivalence; unhashable")
 
-    def diagonal_entries(self) -> list[int]:
-        """Diagonal form entries; negative multiplicity contributes <-rep>."""
-        out = []
-        for rep, mult in self._terms:
-            entry = rep if mult > 0 else -rep
-            out.extend([entry] * abs(mult))
-        return out
-
     def dimension(self) -> int:
         return sum(abs(m) for _, m in self._terms)
 
@@ -288,6 +280,8 @@ class WittElement:
         if not self._terms:
             return "0"
         return " + ".join(f"{m}*<{r}>" for r, m in self._terms)
+
+    __str__ = to_text
 
     def to_json(self) -> list[list[int]]:
         return [[r, m] for r, m in self._terms]

@@ -8,7 +8,7 @@ FIXTURES = REPO / "fixtures"
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
-    assert FIXTURES.is_dir(), "run tautclass.reps.write_fixtures first"
+    assert FIXTURES.is_dir(), "run PYTHONPATH=src python tests/fixture_builders.py fixtures first"
     return FIXTURES
 
 

@@ -1,0 +1,254 @@
+"""Builders of the committed representation fixtures, and their exact helpers.
+
+Every file under ``fixtures/`` is the output of one builder in
+``BUILTIN_FIXTURES``; ``tests/test_reps.py`` rebuilds them all and
+compares the bytes.  Regenerate them from the repository root with
+
+    PYTHONPATH=src python tests/fixture_builders.py fixtures
+
+``nullspace`` (Gauss-Jordan over the field) solves the kernel equation
+of ``genus2_solved`` and is the tests' oracle for ``rank`` and for the
+perturbation step, which the package reads from minors.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import random
+import sys
+from fractions import Fraction
+from typing import Sequence
+
+from tautclass.complexes import surface_complex
+from tautclass.exactmath import QQ, Matrix, Scalar, exact_div
+from tautclass.flatbundles import bundle_from_surface_rep, relator_product
+from tautclass.reps import SurfaceRep
+
+
+def nullspace(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[tuple[Scalar, ...]]:
+    """Basis of {f in K^ncols : row . f = 0 for every row}, exact."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    rk = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rk, len(m)):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        pivot = m[rk][col]
+        for i in range(len(m)):
+            if i != rk and m[i][col]:
+                factor = exact_div(m[i][col], pivot)
+                for j in range(col, ncols):
+                    m[i][j] = m[i][j] - factor * m[rk][j]
+        pivots.append(col)
+        rk += 1
+        if rk == len(m):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec: list[Scalar] = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = exact_div(-m[r][fc], m[r][pc])
+        basis.append(tuple(vec))
+    return basis
+
+
+def scalar_multiple_of_identity(m: Matrix) -> Scalar | None:
+    """The scalar c with m == c*I, or None."""
+    r = m.ratio_to(Matrix.identity(m.nrows))
+    return None if r is None else r[0]
+
+
+def save_rep(rep: SurfaceRep, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(rep.to_json(), fh, indent=1)
+        fh.write("\n")
+
+
+def _m(rows) -> Matrix:
+    return Matrix([[Fraction(x) for x in row] for row in rows])
+
+
+def genus1_diagonal() -> SurfaceRep:
+    a = _m([[2, 0], [0, Fraction(1, 2)]])
+    b = _m([[3, 0], [0, Fraction(1, 3)]])
+    return SurfaceRep(QQ, 1, "SL", [a, b])
+
+
+def genus1_diagonal2() -> SurfaceRep:
+    a = _m([[5, 0], [0, Fraction(1, 5)]])
+    b = _m([[7, 0], [0, Fraction(1, 7)]])
+    return SurfaceRep(QQ, 1, "SL", [a, b])
+
+
+def genus1_parabolic() -> SurfaceRep:
+    a = _m([[1, 1], [0, 1]])
+    b = _m([[1, 3], [0, 1]])
+    return SurfaceRep(QQ, 1, "SL", [a, b])
+
+
+def genus2_swap(a_rows=None, b_rows=None) -> SurfaceRep:
+    """(A, B, B, A): the relator cancels identically."""
+    a = _m(a_rows or [[1, 1], [0, 1]])
+    b = _m(b_rows or [[1, 0], [1, 1]])
+    return SurfaceRep(QQ, 2, "SL", [a, b, b, a])
+
+
+def genus2_solved(seed: int, bound: int = 5, attempts: int = 400) -> SurfaceRep:
+    """Random A1, B1, A2 with B2 solved from [A2, B2] = [A1, B1]^-1.
+
+    The matrix equation A2 X = C X A2 with C = [A1,B1]^-1 is linear in
+    X; a kernel element with positive determinant gives a GL+ fixture.
+    """
+    rng = random.Random(seed)
+
+    def rand_sl2():
+        while True:
+            a, b, c = (rng.randint(-3, 3) for _ in range(3))
+            # complete to determinant 1 when possible: a*d - b*c = 1
+            if a and (1 + b * c) % a == 0:
+                return _m([[a, b], [c, (1 + b * c) // a]])
+
+    for _ in range(attempts):
+        a1, b1, a2 = rand_sl2(), rand_sl2(), rand_sl2()
+        c = (a1 @ b1 @ a1.inverse() @ b1.inverse()).inverse()
+        # rows of the linear system for X = (x00, x01, x10, x11)
+        rows = []
+        for i in range(2):
+            for j in range(2):
+                row = [Fraction(0)] * 4
+                for k in range(2):
+                    row[2 * k + j] += a2.rows[i][k]  # (A2 X)_ij
+                for k in range(2):
+                    for l in range(2):
+                        row[2 * k + l] -= c.rows[i][k] * a2.rows[l][j]  # (C X A2)_ij
+                rows.append(row)
+        basis = nullspace(rows, 4)
+        candidates = list(basis)
+        if len(basis) >= 2:
+            for m1 in range(-2, 3):
+                for m2 in range(-2, 3):
+                    candidates.append(
+                        tuple(m1 * x + m2 * y for x, y in zip(basis[0], basis[1]))
+                    )
+        for vec in candidates:
+            b2 = Matrix([[vec[0], vec[1]], [vec[2], vec[3]]])
+            if b2.det() <= 0:
+                continue
+            rep = SurfaceRep(QQ, 2, "GL+", [a1, b1, a2, b2])
+            if scalar_multiple_of_identity(relator_product(rep.matrices)) != 1:
+                continue
+            if _admits_generic_section(rep):
+                return rep
+    raise RuntimeError(f"no solvable fixture found for seed {seed}")
+
+
+def _admits_generic_section(rep: SurfaceRep) -> bool:
+    """Whether corner transports force no projective coincidence.
+
+    With a single base vertex the corner tuple of a triangle is
+    (s, t1 s, t2 s); a pair of corners is forced to coincide exactly
+    when the transport relating them is a scalar matrix.
+    """
+    sc, _ = surface_complex(rep.genus)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
+    for sid in range(len(sc.simplices[2])):
+        t1 = bundle.transport_to_base(2, sid, 1)
+        t2 = bundle.transport_to_base(2, sid, 2)
+        for m in (t1, t2, t1.inverse() @ t2):
+            if scalar_multiple_of_identity(m) is not None:
+                return False
+    return True
+
+
+def genus2_fuchsian() -> SurfaceRep:
+    """A rational genus-2 representation with Euler number of maximal size.
+
+    Start from a pair (A, B) whose commutator C has trace -5/2 (the
+    one-holed-torus holonomies with hyperbolic boundary live where the
+    commutator trace is below -2).  Since trace^2 - 4 is a rational
+    square, the axis of C has rational endpoints, and a rational point
+    of the axis yields a rational half-turn j with j C j^-1 = C^-1.
+    Doubling by (A, B, jAj^-1, jBj^-1) closes the relator exactly.
+    """
+    a = _m([[2, 0], [0, Fraction(1, 2)]])
+    b = _m([["3/2", 1], [2, 2]])
+    c = a @ b @ a.inverse() @ b.inverse()
+    tr = c.rows[0][0] + c.rows[1][1]
+    disc = tr * tr - 4
+    s = _sqrt_fraction(disc)  # fixed points of C on the boundary line
+    c21 = c.rows[1][0]
+    if c21 == 0:
+        raise RuntimeError("commutator is triangular; pick other generators")
+    p = (c.rows[0][0] - c.rows[1][1] + s) / (2 * c21)
+    q = (c.rows[0][0] - c.rows[1][1] - s) / (2 * c21)
+    # rational point (x, y) on the semicircle over [p, q]
+    centre = (p + q) / 2
+    radius = abs(q - p) / 2
+    t = Fraction(1, 2)
+    x = centre + radius * (1 - t * t) / (1 + t * t)
+    y = radius * 2 * t / (1 + t * t)
+    j = Matrix(
+        [[x / y, -(x * x + y * y) / y], [Fraction(1) / y, -x / y]]
+    )  # half-turn about x + iy, det 1
+    a2 = j @ a @ j.inverse()
+    b2 = j @ b @ j.inverse()
+    return SurfaceRep(QQ, 2, "SL", [a, b, a2, b2])
+
+
+def _sqrt_fraction(x: Fraction) -> Fraction:
+    num, den = x.numerator, x.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn != num or rd * rd != den:
+        raise ValueError(f"{x} is not a rational square")
+    return Fraction(rn, rd)
+
+
+def genus2_rank1(values=(2, 3, 5, 7)) -> SurfaceRep:
+    """A rank-1 positive flat bundle over the genus-2 surface."""
+    mats = [_m([[v]]) for v in values]
+    return SurfaceRep(QQ, 2, "GL+", mats)
+
+
+BUILTIN_FIXTURES = {
+    "g1_diag.json": genus1_diagonal,
+    "g1_diag2.json": genus1_diagonal2,
+    "g1_parab.json": genus1_parabolic,
+    "g2_swap.json": genus2_swap,
+    "g2_swap2.json": lambda: genus2_swap([[2, 1], [1, 1]], [[1, 1], [1, 2]]),
+    "g2_fuchs.json": genus2_fuchsian,
+    "g2_rank1.json": genus2_rank1,
+    "g2_solved_1.json": lambda: genus2_solved(1),
+    "g2_solved_2.json": lambda: genus2_solved(2),
+    "g2_solved_3.json": lambda: genus2_solved(3),
+    "g2_solved_4.json": lambda: genus2_solved(4),
+    "g2_solved_5.json": lambda: genus2_solved(5),
+    "g2_solved_6.json": lambda: genus2_solved(6),
+    "g2_solved_7.json": lambda: genus2_solved(7),
+    "g2_solved_8.json": lambda: genus2_solved(8),
+}
+
+
+def write_fixtures(directory: str) -> list[str]:
+    """Materialize the built-in fixture files; returns the paths written."""
+    out = []
+    os.makedirs(directory, exist_ok=True)
+    for name, builder in BUILTIN_FIXTURES.items():
+        path = os.path.join(directory, name)
+        save_rep(builder(), path)
+        out.append(path)
+    return out
+
+
+if __name__ == "__main__":
+    for path in write_fixtures(sys.argv[1] if len(sys.argv) > 1 else "fixtures"):
+        print(path)

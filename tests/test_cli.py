@@ -272,9 +272,22 @@ def test_rep_with_ill_typed_genus_or_broken_json(capsys, tmp_path):
     bad.write_text(json.dumps(data))
     assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
     assert "key 'genus' must be a positive integer" in capsys.readouterr().err
-    bad.write_text("{not json")
-    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
-    assert capsys.readouterr().err.startswith("invalid representation: not a JSON file")
+    for text in (b"{not json", b"\xff\xfe"):  # the second is not UTF-8
+        bad.write_bytes(text)
+        assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid representation: not a JSON file")
+        assert "Traceback" not in err
+
+
+def test_directory_as_rep_is_a_missing_file(capsys, monkeypatch, fixtures_dir, tmp_path):
+    assert main(["eval", "--rep", str(fixtures_dir), "--selector", "eu0"]) == 2
+    assert capsys.readouterr() == ("", f"missing file: {fixtures_dir}\n")
+    # nor does a directory of that name under TAUTCLASS_FIXTURES resolve
+    (tmp_path / "g1_diag.json").mkdir()
+    monkeypatch.setenv("TAUTCLASS_FIXTURES", str(tmp_path))
+    monkeypatch.chdir(tmp_path.parent)
+    assert main(["eval", "--rep", "g1_diag.json", "--selector", "eu0"]) == 2
 
 
 def test_factorization_bound_has_its_own_exit_code(capsys, monkeypatch):

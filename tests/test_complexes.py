@@ -50,10 +50,28 @@ def test_surface_complex_validates():
         surface_complex(0)
 
 
+def boundary_word(sc) -> list[tuple[int, int]]:
+    """The polygon edge word as (edge id, +-1 exponent), read off the fan triangles.
+
+    Triangle t spans the polygon corners (c0, c_t+1, c_t+2) in this order
+    when its fundamental coefficient is +1, else (c0, c_t+2, c_t+1); side
+    k runs from c_k to c_k+1.  So the middle side of triangle t is its
+    face 0 with the triangle's coefficient as exponent, while side 0
+    (c0 -> c1) and side 4g-1 (c_4g-1 -> c0) are edges at c0 of the first
+    and last triangles, read forward and backward.
+    """
+    tris, coeffs = sc.simplices[2], sc.fundamental.coeffs
+    last = len(tris) - 1
+    word = [(tris[0].faces[2 if coeffs[0] > 0 else 1], 1)]
+    word += [(t.faces[0], coeffs[i]) for i, t in enumerate(tris)]
+    word.append((tris[last].faces[1 if coeffs[last] > 0 else 2], -1))
+    return word
+
+
 def test_surface_edge_word_is_commutator_product():
     for g in (1, 2, 3):
         sc, _ = surface_complex(g)
-        word = sc.boundary_word()
+        word = boundary_word(sc)
         expected = []
         for j in range(g):
             a, b = 2 * j, 2 * j + 1

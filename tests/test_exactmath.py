@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixture_builders import nullspace, scalar_multiple_of_identity
 from tautclass.exactmath import (
     LinearGenericityError,
     Matrix,
@@ -17,7 +18,6 @@ from tautclass.exactmath import (
     determinant,
     exact_div,
     is_linearly_generic,
-    nullspace,
     parse_scalar,
     rank,
     render_scalar,
@@ -157,7 +157,7 @@ def test_determinant_multiplicative():
 
 def test_determinant_quadext():
     f = QuadraticField(2)
-    r = f.sqrt_gen()
+    r = f.from_pair(0, 1)
     m = [[1 + r, 1], [1, 1 - r * 0]]
     # det = (1+sqrt2)*1 - 1 = sqrt2
     assert determinant(m) == r
@@ -179,6 +179,37 @@ def test_oracle_functions_have_no_caller_in_the_package():
                 if name in ORACLES:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+# code that only tests run: the fixture builders and their helpers
+# (tests/fixture_builders.py), nullspace (the rank and step oracle) and
+# methods whose callers were all tests (now helpers in those tests)
+TEST_ONLY = {
+    "nullspace", "scalar_multiple_of_identity", "save_rep", "_m",
+    "genus1_diagonal", "genus1_diagonal2", "genus1_parabolic", "genus2_swap",
+    "genus2_solved", "genus2_fuchsian", "genus2_rank1",
+    "_admits_generic_section", "_sqrt_fraction", "BUILTIN_FIXTURES", "write_fixtures",
+    "boundary_word", "diagonal_entries", "is_cycle", "boundary_classes",
+    "psl_canonical", "sqrt_gen", "is_identity",
+}
+
+
+def test_test_only_code_is_not_defined_in_the_package():
+    src = Path(__file__).resolve().parent.parent / "src" / "tautclass"
+    defined = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            defined += [f"{path.name}:{node.lineno} {n}" for n in names if n in TEST_ONLY]
+    assert defined == []
 
 
 def test_unique_relation_examples():
@@ -234,7 +265,7 @@ def test_solve_and_inverse():
         m = Matrix([[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)])
         if m.det() == 0:
             continue
-        assert (m @ m.inverse()).is_identity()
+        assert m @ m.inverse() == Matrix.identity(3)
         target = tuple(rng.randint(-9, 9) for _ in range(3))
         x = solve_square(list(zip(*m.rows)), target)
         assert m.apply(x) == tuple(Fraction(t) for t in target)
@@ -250,8 +281,8 @@ def test_nullspace():
 
 def test_matrix_block_diag_and_scalar_detect():
     a = Matrix([[2, 0], [0, 2]])
-    assert a.scalar_multiple_of_identity() == 2
-    assert Matrix([[2, 1], [0, 2]]).scalar_multiple_of_identity() is None
+    assert scalar_multiple_of_identity(a) == 2
+    assert scalar_multiple_of_identity(Matrix([[2, 1], [0, 2]])) is None
     b = Matrix([[3]])
     blk = Matrix.block_diag(a, b)
     assert blk.rows == ((2, 0, 0), (0, 2, 0), (0, 0, 3))
@@ -297,7 +328,7 @@ def test_quad_rank_matches_minor_oracle():
             rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
         assert rank(rows, nc) == _minor_rank(rows, nc)
         assert rank(rows, nc) == nc - len(nullspace(rows, nc))
-    r2 = QuadraticField(2).sqrt_gen()
+    r2 = QuadraticField(2).from_pair(0, 1)
     assert rank([[r2, 1], [2, r2]], 2) == 1
     assert rank([[r2, 1], [1, r2]], 2) == 2
     assert rank([[r2 * 0, 0]], 2) == 0
@@ -347,7 +378,7 @@ def test_rational_inverse_matches_cramer():
                 continue
             inv = m.inverse()
             assert [list(r) for r in inv.rows] == _cramer_inverse(m)
-            assert (m @ inv).is_identity()
+            assert m @ inv == Matrix.identity(n)
             done += 1
 
 
@@ -368,7 +399,7 @@ def test_ratio_to():
     assert Matrix([[1, 0], [0, 1]]).ratio_to(Matrix([[0, 0], [0, 0]])) is None
     assert Matrix([[1, 0]]).ratio_to(Matrix([[1], [0]])) is None
     q = QuadraticField(2)
-    r2 = q.sqrt_gen()
+    r2 = q.from_pair(0, 1)
     assert Matrix([[r2, 0], [0, r2]]).ratio_to(Matrix.identity(2)) == (r2, 1)
     # integral input: nothing is divided, so no Fraction appears
     x, y = Matrix([[6, 9], [3, 12]]).ratio_to(Matrix([[4, 6], [2, 8]]))

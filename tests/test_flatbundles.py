@@ -4,6 +4,15 @@ from fractions import Fraction
 
 import pytest
 from conftest import rep_path
+from fixture_builders import (
+    genus1_diagonal,
+    genus2_fuchsian,
+    genus2_rank1,
+    genus2_solved,
+    genus2_swap,
+    nullspace,
+    scalar_multiple_of_identity,
+)
 
 from tautclass.complexes import (
     Chain,
@@ -20,9 +29,13 @@ from tautclass.exactmath import (
     Matrix,
     QuadExt,
     QuadraticField,
+    dot,
+    exact_div,
     rank,
     sign,
     solve_square,
+    vec_add,
+    vec_scale,
 )
 from tautclass.flatbundles import (
     FlatBundle,
@@ -41,14 +54,7 @@ from tautclass.flatbundles import (
     relator_product,
     scalar_set,
 )
-from tautclass.reps import (
-    genus1_diagonal,
-    genus2_fuchsian,
-    genus2_rank1,
-    genus2_solved,
-    genus2_swap,
-    load_rep,
-)
+from tautclass.reps import load_rep
 
 
 def _diag(a, b):
@@ -125,7 +131,7 @@ def _triangle_residual_oracle(bundle_base, hol, tag):
     for sid, simplex in enumerate(bundle_base.simplices[2]):
         h01, h12, h02 = (hol[simplex.faces[k]] for k in (2, 0, 1))
         residual = h02.inverse() @ (h12 @ h01)
-        c = residual.scalar_multiple_of_identity()
+        c = scalar_multiple_of_identity(residual)
         ok = c is not None and (
             c == 1 if tag in ("GL+", "SL") else (c != 0 if tag == "PGL+" else c > 0)
         )
@@ -178,7 +184,7 @@ def test_transport_identity_and_path_independence():
     rep = genus2_fuchsian()
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
     for sid in range(6):
-        assert bundle.transport_to_base(2, sid, 0).is_identity()
+        assert bundle.transport_to_base(2, sid, 0) == Matrix.identity(2)
         s = sc.simplices[2][sid]
         via_edges = (
             bundle.holonomy[s.faces[0]] @ bundle.holonomy[s.faces[2]]
@@ -253,7 +259,7 @@ def test_random_generic_section_small_bound():
 
 def test_quadratic_field_sections():
     field = QuadraticField(2)
-    r = field.sqrt_gen()
+    r = field.from_pair(0, 1)
     sc, z = surface_complex(1)
     mats = [
         Matrix([[1 + r, 0], [0, (1 + r) * 0 + 1 / (1 + r)]]),
@@ -320,6 +326,85 @@ def test_make_positive_generic_witness_failure():
 
     with pytest.raises(WitnessError):
         make_positive_generic(bundle, s, {(2, 0): (1, 0)})
+
+
+def _step_oracle(span, base_val, w, n):
+    """The perturbation step by Gauss-Jordan: functionals f vanishing on the span."""
+    functionals = nullspace(list(span), n)
+    candidate = None
+    for f in functionals:
+        a, b = dot(f, base_val), dot(f, w)
+        if not b:
+            if a:
+                return None
+            continue
+        beta = exact_div(-a, b)
+        if candidate is None:
+            candidate = beta
+        elif candidate - beta:
+            return None
+    if candidate is None:
+        return False if functionals else None
+    return candidate
+
+
+def test_step_into_span_matches_the_nullspace_oracle():
+    from tautclass.flatbundles import _step_into_span
+
+    rng = random.Random(17)
+
+    def scalar(field):
+        if field == QQ:  # ints and Fractions mixed
+            x = rng.randint(-6, 6)
+            return x if rng.random() < 0.5 else Fraction(x, rng.randint(1, 5))
+        return field.from_pair(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4))
+
+    def vector(field, n):
+        return tuple(scalar(field) for _ in range(n))
+
+    def combination(field, vectors):
+        out = tuple(0 for _ in vectors[0])
+        for v in vectors:
+            out = vec_add(out, vec_scale(scalar(field), v))
+        return out
+
+    outcomes = set()
+    for field in (QQ, QuadraticField(2)):
+        for n in (3, 4):
+            for k in range(1, n):
+                done = 0
+                while done < 6:
+                    span = [vector(field, n) for _ in range(k)]
+                    w = vector(field, n)
+                    if rank(span, n) < k or rank(span + [w], n) == k:
+                        continue
+                    inside = combination(field, span)
+                    beta0 = scalar(field)
+                    lines = {
+                        # base + beta0 * w lies in the span, and w does not
+                        "hit": (vec_add(inside, vec_scale(-beta0, w)), w),
+                        # the whole line lies in the span
+                        "inside": (inside, combination(field, span)),
+                        # parallel to the span, off it
+                        "parallel": (vec_add(inside, w), combination(field, span)),
+                        "random": (vector(field, n), w),
+                    }
+                    for kind, (base_val, direction) in lines.items():
+                        step = _step_into_span(span, base_val, direction, n)
+                        oracle = _step_oracle(span, base_val, direction, n)
+                        outcome = "miss" if step is None else "inside" if step is False else "step"
+                        outcomes.add(outcome)
+                        assert (oracle is None, oracle is False) == (
+                            outcome == "miss", outcome == "inside"
+                        ), (kind, span, base_val, direction)
+                        if outcome == "step":
+                            assert step == oracle, (kind, span, base_val, direction)
+                        expected = {"hit": "step", "inside": "inside", "parallel": "miss"}
+                        assert outcome == expected.get(kind, outcome), (kind, span)
+                        if kind == "hit":
+                            assert step == beta0
+                    done += 1
+    assert outcomes == {"step", "miss", "inside"}
 
 
 def test_evaluate_class_validations():
@@ -498,7 +583,7 @@ def _first_triangle_failure(px, holonomy):
     for sid, s in enumerate(px.simplices[2]):
         h12, h02, h01 = (holonomy[f] for f in s.faces)
         residual = h02.inverse() @ (h12 @ h01)
-        if not residual.is_identity():
+        if residual != Matrix.identity(residual.nrows):
             return f"triangle condition fails on 2-simplex {sid} (residual {residual!r})"
     return None
 
@@ -634,7 +719,7 @@ def test_trivial_product_bundle_and_tags():
     px = product_complex(scA, scB)
     EP = product_bundle(px, trivA, trivB)
     assert EP.n == 3 and EP.tag == "GL+"
-    assert all(m.is_identity() for m in EP.holonomy.values())
+    assert all(m == Matrix.identity(3) for m in EP.holonomy.values())
 
 
 def test_product_bundle_rejects_mismatches():

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from tautclass.oracle import OracleError, rotation_euler
-from tautclass.reps import (
+from fixture_builders import (
     genus1_diagonal,
     genus2_fuchsian,
     genus2_solved,
     genus2_swap,
 )
+from tautclass.oracle import OracleError, rotation_euler
 
 
 def _mm(a, b):

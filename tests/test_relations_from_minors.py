@@ -49,7 +49,7 @@ def _fixture(name):
 def _quad_sphere_bundle(seed=0):
     """The sphere with holonomy g_b g_a^-1 for random upper-triangular g_v in SL(2, Q(sqrt 2))."""
     rng = random.Random(seed)
-    r = QUAD.sqrt_gen()
+    r = QUAD.from_pair(0, 1)
     cx, _ = sphere_complex()
     g = []
     for _ in range(cx.num_vertices):

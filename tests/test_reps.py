@@ -2,15 +2,17 @@ import json
 
 import pytest
 
-from tautclass.flatbundles import relator_product
-from tautclass.reps import (
+from fixture_builders import (
     BUILTIN_FIXTURES,
     genus2_fuchsian,
     genus2_solved,
-    load_rep,
-    rep_from_dict,
     save_rep,
+    scalar_multiple_of_identity,
+    write_fixtures,
 )
+from tautclass.exactmath import Matrix
+from tautclass.flatbundles import relator_product
+from tautclass.reps import RepFormatError, load_rep, rep_from_dict
 
 
 def test_all_fixture_files_load(fixtures_dir):
@@ -18,7 +20,15 @@ def test_all_fixture_files_load(fixtures_dir):
         rep = load_rep(str(fixtures_dir / name))
         assert not rep.inexact
         assert len(rep.matrices) == 2 * rep.genus
-        assert relator_product(rep.matrices).scalar_multiple_of_identity() == 1
+        assert scalar_multiple_of_identity(relator_product(rep.matrices)) == 1
+
+
+def test_builders_rebuild_every_committed_fixture_byte_for_byte(fixtures_dir, tmp_path):
+    written = write_fixtures(str(tmp_path))
+    assert sorted(p.name for p in fixtures_dir.glob("*.json")) == sorted(BUILTIN_FIXTURES)
+    assert len(written) == len(BUILTIN_FIXTURES) == 15
+    for name in BUILTIN_FIXTURES:
+        assert (tmp_path / name).read_bytes() == (fixtures_dir / name).read_bytes(), name
 
 
 def test_rep_roundtrip(tmp_path):
@@ -39,7 +49,7 @@ def test_fuchsian_construction_properties():
     tr = c.rows[0][0] + c.rows[1][1]
     assert tr < -2  # hyperbolic one-holed-torus region
     c2 = a2 @ b2 @ a2.inverse() @ b2.inverse()
-    assert (c @ c2).is_identity()
+    assert c @ c2 == Matrix.identity(2)
 
 
 def test_solved_family_structure():
@@ -75,8 +85,6 @@ def test_fixture_env_resolution(monkeypatch, fixtures_dir, tmp_path):
 
 
 def test_rep_format_errors_name_the_key():
-    from tautclass.reps import RepFormatError
-
     good = {
         "field": "Q",
         "genus": 1,
