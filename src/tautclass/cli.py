@@ -124,11 +124,8 @@ def _random_sl2(rng, bound=9) -> Matrix:
 def _random_generic_tuple(rng, field, n, count, bound=9):
     while True:
         vecs = [random_vector(field, rng, n, bound) for _ in range(count)]
-        try:
-            if is_generic_tuple(vecs, n):
-                return vecs
-        except ValueError:
-            continue
+        if is_generic_tuple(vecs, n):
+            return vecs
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +282,7 @@ def _suite_comparison(args, rng):
         if not (bar == w):
             failures.append({"check": "bar-vs-bundle-witt"})
     if args.oracle:
-        val = rotation_euler(rep.float_matrices() if not rep.inexact else rep.raw_float)
+        val = rotation_euler(rep.float_matrices())
         info["oracle"] = val
         if val != eu0:
             failures.append({"check": "oracle", "oracle": val, "eu0": eu0})
@@ -355,8 +352,7 @@ def cmd_eval(args) -> int:
     else:
         report["value"] = value
     if args.oracle:
-        mats = rep.raw_float if rep.inexact else rep.float_matrices()
-        oracle_value = rotation_euler(mats)
+        oracle_value = rotation_euler(rep.float_matrices())
         report["oracle"] = oracle_value
         if selector.kind == "euk" and selector.k == 0:
             report["agree"] = oracle_value == value

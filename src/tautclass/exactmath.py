@@ -411,12 +411,19 @@ def is_linearly_generic(vectors: Sequence[Sequence[Scalar]], n: int) -> bool:
 
 
 class Matrix:
-    """Immutable exact matrix over Q or Q(sqrt(d))."""
+    """Immutable exact matrix over Q or Q(sqrt(d)).
 
-    __slots__ = ("rows",)
+    An object fills its integral record (cleared rows, multiplier, their
+    determinant) and its scaled inverse once, on first use; ``==``,
+    hashing and repr read only the rows.
+    """
+
+    __slots__ = ("rows", "_integral", "_inverse")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "_integral", None)
+        object.__setattr__(self, "_inverse", None)
         if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged matrix")
 
@@ -444,26 +451,34 @@ class Matrix:
         return cls(rows)
 
     def det(self) -> Scalar:
-        return determinant(self.rows)
+        _, m, d = self._record()
+        return d if m == 1 else exact_div(d, m**self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         ot = list(zip(*other.rows))
-        return Matrix(
-            [[dot(row, col) for col in ot] for row in self.rows]
-        )
+        return Matrix([[dot(row, col) for col in ot] for row in self.rows])
 
     def apply(self, vec: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
         return tuple(dot(row, vec) for row in self.rows)
 
+    def _record(self) -> tuple["Matrix", int, Scalar]:
+        """(a, m, det(a)): a = m * self integral, m the least positive integer."""
+        if self._integral is None:
+            if self.nrows != self.ncols:
+                raise ValueError("non-square matrix")
+            entries, m = clear_denominators([x for row in self.rows for x in row])
+            it = iter(entries)
+            a = [[next(it) for _ in row] for row in self.rows]
+            object.__setattr__(self, "_integral", (Matrix(a), m, det_int(a)))
+        return self._integral
+
     def cleared(self) -> tuple["Matrix", int]:
-        """(m * self, m): one ``clear_denominators`` over all the entries."""
-        entries, m = clear_denominators([x for row in self.rows for x in row])
-        it = iter(entries)
-        return Matrix([[next(it) for _ in row] for row in self.rows]), m
+        """(m * self, m) for a square matrix, m the least positive integer making it integral."""
+        return self._record()[:2]
 
     def scaled_inverse(self) -> tuple["Matrix", int]:
         """(M, lam): M = lam * self^-1 integral, lam a positive integer.
@@ -472,12 +487,13 @@ class Matrix:
         det(a) c = N is a rational integer (c = 1 over Q, the conjugate of
         det(a) over Q(sqrt(d))); lam = |N| less the factor M shares with it.
         """
+        if self._inverse is None:
+            object.__setattr__(self, "_inverse", self._scaled_inverse())
+        return self._inverse
+
+    def _scaled_inverse(self) -> tuple["Matrix", int]:
         n = self.nrows
-        if n != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        a, m = self.cleared()
-        a = [list(r) for r in a.rows]
-        d = det_int(a)
+        a, m, d = self._record()
         if not d:
             raise ValueError("singular matrix")
         c, norm = 1, d
@@ -487,14 +503,9 @@ class Matrix:
         adj = []
         for i in range(n):
             # adj(a)[i][j] = (-1)^(i+j) * det(a without row j and column i)
-            without_col = [r[:i] + r[i + 1 :] for r in a]
-            adj.append(
-                [
-                    f
-                    * ((-1) ** (i + j) * det_int(without_col[:j] + without_col[j + 1 :]))
-                    for j in range(n)
-                ]
-            )
+            without_col = [r[:i] + r[i + 1 :] for r in a.rows]
+            minors = [det_int(without_col[:j] + without_col[j + 1 :]) for j in range(n)]
+            adj.append([f * ((-1) ** (i + j) * x) for j, x in enumerate(minors)])
         lam = abs(norm).numerator
         g = gcd(lam, *(p.numerator for row in adj for x in row for p in _parts(x)))
         return Matrix([[_rescale(x, 1, g) for x in row] for row in adj]), lam // g

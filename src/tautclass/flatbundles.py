@@ -52,6 +52,10 @@ class TagError(ValueError):
     """A holonomy matrix violates the structure tag."""
 
 
+class TriangleError(ValueError):
+    """The triangle condition fails on a 2-simplex."""
+
+
 class UsageError(ValueError):
     """The caller's input is at fault: a selector, cycle or bundle that doesn't fit."""
 
@@ -75,16 +79,17 @@ def _check_tag_det(d: Scalar, tag: str) -> None:
         raise TagError(f"tag {tag} needs a positive-determinant representative")
 
 
-def _path_ratio(h12, h01, h02, cleared, ratios) -> tuple[Scalar, Scalar] | None:
+def _path_ratio(h12, h01, h02, ratios) -> tuple[Scalar, Scalar] | None:
     """(x, y) with h12 h01 == (x/y) h02, checked block by block, or None.
 
     Each argument lists the blocks of one edge; every block must give the
-    same ratio.  ``cleared`` maps the id of a block to (a, m, det), a = m *
-    block integral, and ``ratios`` keeps a12 a01 : a02 per triple of ids.
+    same ratio.  Blocks are compared through their cleared forms a = m *
+    block, and ``ratios`` keeps a12 a01 : a02 per triple of block ids.
     """
     out = None
-    for key in zip(map(id, h12), map(id, h01), map(id, h02)):
-        (a, ma, _), (b, mb, _), (c, mc, _) = (cleared[k] for k in key)
+    for blocks in zip(h12, h01, h02):
+        (a, ma), (b, mb), (c, mc) = (block.cleared() for block in blocks)
+        key = tuple(map(id, blocks))
         if key not in ratios:
             ratios[key] = (a @ b).ratio_to(c)
         r = ratios[key]
@@ -129,7 +134,7 @@ class FlatBundle:
     def validate(self) -> None:
         """Shape and tag of every edge, the triangle condition on every 2-simplex."""
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        cleared, ratios = {}, {}
+        ratios = {}
         sizes = [b.nrows for b in self.blocks.get(0, ())]
         for eid in range(n_edges):
             if eid not in self.holonomy:
@@ -138,19 +143,16 @@ class FlatBundle:
             shape = [b.nrows for b in self.blocks[eid]]
             if m.nrows != self.n or m.ncols != self.n or shape != sizes:
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            for b in self.blocks[eid]:
-                if id(b) not in cleared:
-                    cleared[id(b)] = (*b.cleared(), b.det())
-            _check_tag_det(prod(cleared[id(b)][2] for b in self.blocks[eid]), self.tag)
+            _check_tag_det(prod(b.det() for b in self.blocks[eid]), self.tag)
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
                 faces = [self.blocks[f] for f in s.faces]
-                ratio = _path_ratio(faces[0], faces[2], faces[1], cleared, ratios)
+                ratio = _path_ratio(faces[0], faces[2], faces[1], ratios)
                 if ratio is None or not _tag_allows(*ratio, self.tag):
                     h01, h12, h02 = (self.holonomy[s.faces[i]] for i in (2, 0, 1))
                     residual = h02.inverse() @ (h12 @ h01)
-                    raise ValueError(
+                    raise TriangleError(
                         f"triangle condition fails on 2-simplex {sid} "
                         f"(residual {residual!r})"
                     )
@@ -179,9 +181,7 @@ class FlatBundle:
         m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
         return m.apply(value), lam
 
-    def corner_values(
-        self, s: "Section", dim: int, sid: int
-    ) -> list[tuple[Scalar, ...]]:
+    def corner_values(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
         return [
             lift if lam == 1 else tuple(exact_div(x, lam) for x in lift)
@@ -254,11 +254,8 @@ class Selector(Value):
 
 def relator_product(matrices: Sequence[Matrix]) -> Matrix:
     """[A1,B1] [A2,B2] ... as a matrix product, left to right."""
-    g = len(matrices) // 2
-    n = matrices[0].nrows
-    out = Matrix.identity(n)
-    for j in range(g):
-        a, b = matrices[2 * j], matrices[2 * j + 1]
+    out = Matrix.identity(matrices[0].nrows)
+    for a, b in zip(matrices[::2], matrices[1::2]):
         out = out @ (a @ b @ a.inverse() @ b.inverse())
     return out
 
@@ -271,7 +268,9 @@ def bundle_from_surface_rep(
     matrices = (A1, B1, ..., Ag, Bg); the product of commutators must be
     the identity in the tag's quotient group.  Boundary edges carry the
     generator holonomies, diagonals the products forced by the triangle
-    condition.
+    condition.  That makes every fan triangle but the last (2-simplex
+    4g - 3) hold, and the last holds iff the relator is a scalar of the
+    tag, so validation decides the relator once.
     """
     g = sc.genus
     if len(matrices) != 2 * g:
@@ -281,24 +280,18 @@ def bundle_from_surface_rep(
         if m.nrows != n or m.ncols != n:
             raise ValueError("matrices must be square of equal size")
         _check_tag_det(m.det(), tag)
-    residual = relator_product(matrices)
-    ratio = residual.ratio_to(Matrix.identity(n))
-    if ratio is None or not _tag_allows(*ratio, tag):
-        raise RelatorError(residual)
     inv = [m.inverse() for m in matrices]
+    holonomy: dict[int, Matrix] = dict(enumerate(inv))  # the a_j and b_j edges
     # traversal holonomy of side k in polygon direction
-    letters = []
-    for j in range(g):
-        letters += [inv[2 * j], inv[2 * j + 1], matrices[2 * j], matrices[2 * j + 1]]
-    holonomy: dict[int, Matrix] = {}
-    for j in range(g):
-        holonomy[2 * j] = inv[2 * j]  # a_j edge
-        holonomy[2 * j + 1] = inv[2 * j + 1]  # b_j edge
+    letters = [x for j in range(0, 2 * g, 2) for x in (*inv[j : j + 2], *matrices[j : j + 2])]
     prefix = letters[0]
     for i in range(2, 4 * g - 1):
         prefix = letters[i - 1] @ prefix
         holonomy[2 * g + (i - 2)] = prefix
-    return FlatBundle(sc, n, tag, holonomy, field=field)
+    try:
+        return FlatBundle(sc, n, tag, holonomy, field=field)
+    except TriangleError:
+        raise RelatorError(relator_product(matrices)) from None
 
 
 def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBundle:

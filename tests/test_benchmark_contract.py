@@ -1,14 +1,17 @@
-"""The traced benchmark run wraps program functions by name.
+"""The benchmark calls and wraps program functions by name.
 
-`perfbench/tracer.py` lists the layer functions it wraps in `TARGETS`.
-A rename or removal in the package would break `perfbench/run.py
---trace 1` and its per-layer metrics without failing any program test,
-so these tests read the benchmark's tracer and check the names and the
-install/uninstall round trip.  Nothing under `perfbench/` is changed.
+`perfbench/tracer.py` lists the layer functions it wraps in `TARGETS`,
+and `perfbench/workloads.py` calls more of them directly.  A rename or
+removal in the package would break `perfbench/run.py` without failing
+any program test, so these tests read the benchmark's tracer and
+workloads, check the traced names and the install/uninstall round trip,
+and run two ops of every workload.  Nothing under `perfbench/` is
+changed.
 """
 
 import importlib
 import importlib.util
+import itertools
 import sys
 from fractions import Fraction
 
@@ -19,16 +22,17 @@ from conftest import REPO
 import tautclass.cli  # noqa: F401  (loads every module the tracer patches)
 
 
-def _tracer_module():
+def _perfbench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+        f"perfbench_{name}", REPO / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _tracer_module()
+TRACER = _perfbench_module("tracer")
+WORKLOADS = _perfbench_module("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name, module, attr, kind", TRACER.TARGETS)
@@ -76,3 +80,16 @@ def test_tracer_install_and_uninstall_restore_every_original():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_two_ops_of_every_workload_pass_the_workloads_own_check(name):
+    # the workloads call names TARGETS does not wrap, for example
+    # FlatBundle.corner_values, cup_evaluate, product_chain and
+    # homological_core_check
+    workload = WORKLOADS[name](REPO)
+    workload.prepare()
+    for inp in itertools.islice(workload.inputs(0), 2):
+        built = workload.setup(inp)
+        answer = workload.solve(inp, built)
+        assert workload.check(inp, built, answer) is None

@@ -223,6 +223,53 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["eval", "--rep", str(dec), "--selector", "eu0"]) == 3
 
 
+_UNIPOTENT = [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
+_ONE = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "field, tag, matrices, message",
+    [
+        ("Q", "SL", _UNIPOTENT, "relator is not the identity; residual Matrix[3 -1; 1 0]"),
+        (
+            "Q",
+            "P+GL+",
+            [[["2", "1"], ["1", "1"]], [["1", "0"], ["1", "1"]]],
+            "relator is not the identity; residual Matrix[3 -1; 1 0]",
+        ),
+        (
+            "Q",
+            "SL",
+            _UNIPOTENT + [[["2", "1/2"], ["0", "1/2"]], [["1", "0"], ["3", "1"]]],
+            "relator is not the identity; residual Matrix[12 -5/2; 4 -3/4]",
+        ),
+        (
+            {"quad": 2},
+            "SL",
+            [[["1", "sqrt(2)"], ["0", "1"]], [["1", "0"], ["1/2", "1"]]],
+            "relator is not the identity; residual "
+            "Matrix[3/2+1/2*sqrt(2) -1; 1/4*sqrt(2) 1-1/2*sqrt(2)]",
+        ),
+        ("Q", "SL", [[["2", "0"], ["0", "1"]], _ONE], "tag SL needs det 1, got det 2"),
+        ("Q", "SL", [[["2", "0"], ["0", "1/3"]], _ONE], "tag SL needs det 1, got det 2/3"),
+        (
+            {"quad": 2},
+            "SL",
+            [[["sqrt(2)", "0"], ["0", "1"]], _ONE],
+            "tag SL needs det 1, got det 1*sqrt(2)",
+        ),
+    ],
+    ids=["relator", "relator-P+GL+", "relator-g2", "relator-quad", "det", "det-frac", "det-quad"],
+)
+def test_eval_invalid_representation_stderr(capsys, tmp_path, field, tag, matrices, message):
+    # the texts the relator check gave before validation decided the relator
+    bad = tmp_path / "bad.json"
+    rep = {"field": field, "genus": len(matrices) // 2, "tag": tag, "matrices": matrices}
+    bad.write_text(json.dumps(rep))
+    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
+    assert capsys.readouterr() == ("", f"invalid representation: {message}\n")
+
+
 def test_fixture_dir_env(capsys, monkeypatch, fixtures_dir):
     monkeypatch.setenv("TAUTCLASS_FIXTURES", str(fixtures_dir))
     code, out = _run(capsys, "eval", "--rep", "g1_diag.json", "--selector", "eu0")

@@ -2,6 +2,7 @@ import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -404,3 +405,58 @@ def test_ratio_to():
     # integral input: nothing is divided, so no Fraction appears
     x, y = Matrix([[6, 9], [3, 12]]).ratio_to(Matrix([[4, 6], [2, 8]]))
     assert (type(x), type(y), Fraction(x, y)) == (int, int, Fraction(3, 2))
+
+
+def _parts(x):
+    return (x.a, x.b) if isinstance(x, QuadExt) else (Fraction(x),)
+
+
+@pytest.mark.parametrize("field", [QQ, QuadraticField(2)], ids=["Q", "Q(sqrt2)"])
+def test_integral_record_is_invisible_and_matches_a_recomputation(field):
+    rng = random.Random(17)
+
+    def scalar():
+        a = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6]))
+        if field == QQ:
+            return a
+        return field.from_pair(a, Fraction(rng.randint(-3, 3), rng.choice([1, 2, 5])))
+
+    singular = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [[scalar() for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:  # a multiple of the first row: singular
+            c = scalar()
+            rows[-1] = [c * x for x in rows[0]] if n > 1 else [0]
+        m, twin = Matrix(rows), Matrix(rows)
+        seen = (hash(m), repr(m), m.to_json())
+        # cleared: m * mult with mult the least positive integer making it integral
+        a, mult = m.cleared()
+        assert mult == lcm(*(p.denominator for row in rows for x in row for p in _parts(x)))
+        assert a == m.scaled(mult)
+        assert all(p.denominator == 1 for row in a.rows for x in row for p in _parts(x))
+        # det: the value and the text of determinant(rows)
+        d = m.det()
+        assert d == determinant(rows) and render_scalar(d) == render_scalar(determinant(rows))
+        if not d:
+            singular += 1
+            for _ in range(2):  # a failure is not remembered as a result
+                with pytest.raises(ValueError, match="^singular matrix$"):
+                    m.scaled_inverse()
+        else:
+            big_m, lam = m.scaled_inverse()
+            assert m @ big_m == Matrix.identity(n).scaled(lam)
+            assert all(p.denominator == 1 for row in big_m.rows for x in row for p in _parts(x))
+            assert gcd(lam, *(p.numerator for row in big_m.rows for x in row for p in _parts(x))) == 1
+            assert m.scaled_inverse() is m.scaled_inverse()
+            assert twin.scaled_inverse() == (big_m, lam)
+        # read again from the record, and equal to the untouched twin's
+        assert m.cleared() == (a, mult) and m.det() == d
+        assert m.cleared()[0] is a
+        assert twin.cleared() == (a, mult) and twin.det() == d
+        assert (hash(m), repr(m), m.to_json()) == seen
+        assert m == twin and hash(m) == hash(twin) and {twin: 1}[m] == 1
+        for name in ("rows", "_integral", "_inverse", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+    assert 0 < singular < 60

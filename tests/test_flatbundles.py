@@ -38,6 +38,7 @@ from tautclass.exactmath import (
     vec_scale,
 )
 from tautclass.flatbundles import (
+    TAGS,
     FlatBundle,
     RelatorError,
     Section,
@@ -54,6 +55,7 @@ from tautclass.flatbundles import (
     relator_product,
     scalar_set,
 )
+from tautclass import flatbundles
 from tautclass.reps import load_rep
 
 
@@ -650,22 +652,148 @@ def _count_calls(monkeypatch, cls, name, calls):
     monkeypatch.setattr(cls, name, counted)
 
 
+def _count_records(monkeypatch, calls):
+    """Count the integral records a Matrix fills, not the reads of a filled one."""
+    record = Matrix._record
+
+    def counted(self):
+        calls["cleared"] += self._integral is None
+        return record(self)
+
+    monkeypatch.setattr(Matrix, "_record", counted)
+
+
 def test_product_validation_works_once_per_block_and_block_triangle(monkeypatch):
-    px, e_a, e_b = _fuchs_times("g2_solved_3")
     calls = Counter()
-    for name in ("cleared", "ratio_to"):
-        _count_calls(monkeypatch, Matrix, name, calls)
+    _count_records(monkeypatch, calls)
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    # per factor: the 4 generators (tag check) and the 9 edge holonomies
+    assert calls == {"cleared": 2 * (4 + 9)}
+    calls.clear()
+    _count_calls(monkeypatch, Matrix, "ratio_to", calls)
     bundle = product_bundle(px, e_a, e_b)
-    blocks = {id(b) for bs in bundle.blocks.values() for b in bs}
+    blocks = {id(b): b for bs in bundle.blocks.values() for b in bs}
     triangles = {
         tuple(map(id, blocks_ijk))
         for s in px.simplices[2]
         for blocks_ijk in zip(*(bundle.blocks[s.faces[i]] for i in (0, 2, 1)))
     }
     # 9 factor edges + the identity on each side; one clear and one block
-    # product per edge and per 2-simplex would be 198 and 852 calls
+    # product per edge and per 2-simplex would be 198 and 852 calls.  The
+    # factor blocks keep the records their own validation filled, so only
+    # the two identities are cleared here.
     assert (len(blocks), len(triangles)) == (20, 50)
-    assert calls == {"cleared": 20, "ratio_to": 50}
+    assert calls == {"cleared": 2, "ratio_to": 50}
+    assert all(b._integral is not None for b in blocks.values())
+
+
+def test_product_transports_invert_each_block_object_once(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, Matrix, "_scaled_inverse", calls)
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    calls.clear()  # building a factor inverts its 4 generators
+    bundle = product_bundle(px, e_a, e_b)
+    edges = range(len(px.simplices[1]))
+    transports = {eid: bundle.transport(eid) for eid in edges}
+    blocks = {id(b) for bs in bundle.blocks.values() for b in bs}
+    # 99 edges of 2 blocks each: one inverse per block would be 198
+    assert (len(transports), len(blocks)) == (99, 20)
+    assert calls == {"_scaled_inverse": 20}
+    for eid, (m, lam) in transports.items():
+        assert bundle.holonomy[eid] @ m == Matrix.identity(4).scaled(lam)
+    # the factor bundles read the inverses their blocks carry: no new one
+    for factor in (e_a, e_b):
+        for eid in range(len(factor.base.simplices[1])):
+            m, lam = factor.transport(eid)
+            assert factor.holonomy[eid] @ m == Matrix.identity(2).scaled(lam)
+    assert calls == {"_scaled_inverse": 20}
+
+
+# left multiplication by the unit quaternions i and j: [L_i, L_j] = L_{-1} = -I
+QUATERNION_I = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+QUATERNION_J = Matrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+
+
+def _random_sl(rng, n):
+    """A product of elementary matrices: an element of SL(n, Z)."""
+    m = Matrix.identity(n)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        t = rng.randint(-2, 2)
+        m = m @ Matrix([[int(r == c) + t * ((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+    return m
+
+
+def _random_rep(rng, g, n):
+    """2g generators in SL(n, Z): each pair commutes, is random, or (n = 4)
+    is a conjugate of the quaternion pair, whose commutator is -I."""
+    kinds = ["commuting", "random"] + (["quaternion"] if n == 4 else [])
+    matrices = []
+    for _ in range(g):
+        kind = rng.choice(kinds)
+        if kind == "quaternion":
+            p = _random_sl(rng, n)
+            matrices += [p @ q @ p.inverse() for q in (QUATERNION_I, QUATERNION_J)]
+        else:
+            a = _random_sl(rng, n)
+            matrices += [a, a @ a if kind == "commuting" else _random_sl(rng, n)]
+    return matrices
+
+
+def _relator_holds(matrices, tag):
+    """The relator decision taken apart from validation: R == c*I, c in the tag's scalars."""
+    c = scalar_multiple_of_identity(relator_product(matrices))
+    if c is None:
+        return False
+    return c == 1 if tag in ("GL+", "SL") else (c != 0 if tag == "PGL+" else c > 0)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_validation_decides_the_relator(g):
+    assert relator_product([QUATERNION_I, QUATERNION_J]) == Matrix.identity(4).scaled(-1)
+    rng = random.Random(g)
+    sc, _ = surface_complex(g)
+    outcomes = Counter()
+    for _ in range(30):
+        generators = _random_rep(rng, g, rng.choice([2, 4]))
+        for tag in TAGS:
+            matrices = generators
+            if tag != "SL":  # positive scalars leave every commutator alone
+                matrices = [m.scaled(Fraction(rng.randint(1, 4), rng.randint(1, 4))) for m in matrices]
+            holds = _relator_holds(matrices, tag)
+            outcomes[tag, holds] += 1
+            if holds:
+                bundle_from_surface_rep(sc, matrices, tag).validate()
+                continue
+            with pytest.raises(RelatorError) as err:
+                bundle_from_surface_rep(sc, matrices, tag)
+            residual = relator_product(matrices)
+            assert err.value.residual == residual
+            assert str(err.value) == f"relator is not the identity; residual {residual!r}"
+    assert all(outcomes[tag, holds] for tag in TAGS for holds in (True, False)), outcomes
+    # a relator -I is accepted by PGL+ only
+    assert outcomes["PGL+", True] > outcomes["P+GL+", True]
+
+
+def test_valid_fixtures_build_without_a_relator_product(monkeypatch, fixtures_dir):
+    calls = Counter()
+    original = flatbundles.relator_product
+
+    def counted(matrices):
+        calls["relator_product"] += 1
+        return original(matrices)
+
+    monkeypatch.setattr(flatbundles, "relator_product", counted)
+    paths = sorted(fixtures_dir.glob("*.json"))
+    for path in paths:
+        rep = load_rep(str(path))
+        sc, _ = surface_complex(rep.genus)
+        bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
+    assert len(paths) == 15 and calls["relator_product"] == 0
+    sc, _ = surface_complex(1)
+    with pytest.raises(RelatorError):
+        bundle_from_surface_rep(sc, [Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [1, 1]])], "SL")
+    assert calls["relator_product"] == 1
 
 
 def _integral(x) -> bool:
