@@ -12,6 +12,11 @@ Z[sqrt(d)] for ``QuadExt``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations
+
+SWEEP_MAX_N = 8  # the largest subset size that minors_int sweeps
+
 
 def det_int(rows: list[list]):
     """Determinant of a square integral matrix, Bareiss fraction-free."""
@@ -70,3 +75,44 @@ def rank_int(rows: list[list], ncols: int) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def minors_int(rows: list[list], n: int) -> list:
+    """det of every n-subset of the integral rows, in ``combinations`` order.
+
+    For 0 < n <= 8 one division-free sweep: the k x k leading minors of all
+    row subsets come from the (k-1) x (k-1) ones by Laplace expansion along
+    column k-1, about (n+1) 2^n products on n+1 rows.  On ints that beats
+    det_int per subset at n = 8, not at n = 9, and its plan would take about
+    5 MB at n = 12: above 8, each minor is one det_int and no plan is built.
+    """
+    m = len(rows)
+    if not 0 < n <= min(m, SWEEP_MAX_N):
+        return [det_int([rows[i] for i in s]) for s in combinations(range(m), n)]
+    prev = [r[0] for r in rows]
+    for col, level in enumerate(_sweep_plan(m, n), 1):
+        c = [r[col] for r in rows]
+        c += [-x for x in c]  # c[i + m] = -c[i]
+        cur = []
+        for terms in level:
+            acc = 0
+            for i, j in terms:
+                acc += c[i] * prev[j]
+            cur.append(acc)
+        prev = cur
+    return prev
+
+
+@lru_cache(maxsize=32)
+def _sweep_plan(m: int, n: int) -> tuple:
+    """Per column k-1 (k = 2..n), per k-subset S in ``combinations`` order: (i, index
+    of S without row i) for the rows i of S, i + m where the sign (-1)^(p+k-1) is -."""
+    levels, index = [], {(i,): i for i in range(m)}
+    for k in range(2, n + 1):
+        subsets = list(combinations(range(m), k))
+        levels.append(tuple(
+            tuple((i + m * ((p + k - 1) % 2), index[s[:p] + s[p + 1 :]]) for p, i in enumerate(s))
+            for s in subsets
+        ))
+        index = {s: t for t, s in enumerate(subsets)}
+    return tuple(levels)

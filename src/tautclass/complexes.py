@@ -91,11 +91,11 @@ class DeltaComplex:
 
     def subsimplex(self, dim: int, sid: int, keep: Sequence[int]) -> tuple[int, int]:
         """The iterated face on the given corner positions; returns (dim, id)."""
-        keep_set = set(keep)
         cur, d = sid, dim
-        for k in sorted(set(range(dim + 1)) - keep_set, reverse=True):
-            cur = self.simplices[d][cur].faces[k]
-            d -= 1
+        for k in range(dim, -1, -1):  # drop corners from the last, so k stays a position
+            if k not in keep:
+                cur = self.simplices[d][cur].faces[k]
+                d -= 1
         return d, cur
 
     def edge_between_corners(self, dim: int, sid: int, i: int, j: int) -> int:

@@ -15,9 +15,9 @@ from itertools import combinations
 from math import prod
 from typing import Iterable, Literal, Sequence
 
-from ._kernels import det_int
+from ._kernels import minors_int
 from ._value import Value
-from .exactmath import Scalar, clear_denominators, determinant, rank, sign
+from .exactmath import Scalar, clear_denominators, rank, sign
 from .witt import WittElement
 
 Point = Sequence[Scalar]
@@ -130,30 +130,26 @@ class UPlusSymbol(Value):
 
 
 def subset_minors(points: Sequence[Point], n: int) -> dict[tuple[int, ...], Scalar]:
-    """det of every n-subset of the lifts (ascending indices), in one pass.
+    """det of every n-subset of the lifts (ascending indices), in one sweep.
 
     Each lift is first made integral by its own positive denominator lcm
     (``clear_denominators``; integer parts over Q(sqrt(d))) and the minors
-    go through the Bareiss kernel.  That multiplies each minor by a
+    come from the ``minors_int`` kernel.  That multiplies each minor by a
     positive number, which changes no sign, no vanishing, and no square
     class of a product in which every lift occurs an even number of
     times.
     """
     lifts = [clear_denominators(p)[0] for p in points]
-    return {
-        subset: det_int([lifts[i] for i in subset])
-        for subset in combinations(range(len(points)), n)
-    }
+    return dict(zip(combinations(range(len(points)), n), minors_int(lifts, n)))
 
 
 def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
     """D_j = det of the n+1 lifts in K^n without lift j, for j = 0..n.
 
-    Every symbol of the tuple is read from these (see ``subset_minors``
-    for the positive rescaling of the lifts).
+    Every symbol of the tuple is read from these (see ``subset_minors`` for
+    the positive rescaling of the lifts), the sweep's minors in reverse.
     """
-    everything = tuple(range(len(points)))
-    return _face_minors(subset_minors(points, len(points) - 1), everything)
+    return minors_int([clear_denominators(p)[0] for p in points], len(points) - 1)[::-1]
 
 
 def relation_coefficients(points: Sequence[Point], scales: Sequence[int]) -> list[Scalar]:
@@ -164,12 +160,9 @@ def relation_coefficients(points: Sequence[Point], scales: Sequence[int]) -> lis
     integral: the true minors are mu_i D_i / prod(mu), and prod(mu) > 0
     changes no zero, no zero sum and no sum-normalized value.
     """
-    cleared = [clear_denominators(p) for p in points]
-    lifts = [lift for lift, _ in cleared]
-    return [
-        (-1) ** i * scales[i] * cleared[i][1] * det_int(lifts[:i] + lifts[i + 1 :])
-        for i in range(len(lifts))
-    ]
+    lifts, mults = zip(*map(clear_denominators, points))
+    minors = minors_int(lifts, len(lifts) - 1)[::-1]
+    return [(-1) ** i * scales[i] * mults[i] * d for i, d in enumerate(minors)]
 
 
 def _face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:
@@ -261,23 +254,23 @@ def uplus_symbol(points: Sequence[Point]) -> UPlusSymbol:
 
 def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
     """<det(u,v) det(v,w) det(w,u)> for pairwise independent u,v,w in Q^2."""
-    d1 = determinant([tuple(u), tuple(v)])
-    d2 = determinant([tuple(v), tuple(w)])
-    d3 = determinant([tuple(w), tuple(u)])
-    prod = d1 * d2 * d3
-    if prod == 0:
+    minors = maximal_minors([u, v, w])
+    if not all(minors):
         raise GenericityError("triple contains a linearly dependent pair")
-    return WittElement.symbol(prod)
+    return witt_symbol_from_minors(minors)
 
 
 Mode = Literal["P", "P+", "witt"]
 
-# per mode: the zero of the symbol group for lifts in K^n, and the
-# symbol of a generic tuple read from its maximal minors
+# per mode: the symbol of a generic tuple read from its maximal minors, and
+# the sum of (symbol, c) pairs in the symbol group for lifts in K^n
 SYMBOL_MODES = {
-    "P": (lambda n: USymbol(n, 0), u_symbol_from_minors),
-    "P+": (UPlusSymbol.zero, lambda minors: uplus_canonicalize(raw_symbol_from_minors(minors))),
-    "witt": (lambda n: WittElement.zero(), witt_symbol_from_minors),
+    "P": (u_symbol_from_minors, lambda n, pairs: sum((t.scale(c) for t, c in pairs), USymbol(n, 0))),
+    "P+": (
+        lambda minors: uplus_canonicalize(raw_symbol_from_minors(minors)),
+        lambda n, pairs: sum((t.scale(c) for t, c in pairs), UPlusSymbol.zero(n)),
+    ),
+    "witt": (witt_symbol_from_minors, lambda n, pairs: WittElement.combination(pairs)),
 }
 
 
@@ -290,19 +283,16 @@ def symbol_sum(
     """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
 
     A USymbol (mode "P"), a UPlusSymbol ("P+") or a WittElement ("witt",
-    n = 2).  ``texts``, when given, receives the text of every symbol in
-    order.
+    n = 2, summed in one pass).  ``texts``, when given, receives the text
+    of every symbol in order.
     """
     if mode not in SYMBOL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    zero, symbol = SYMBOL_MODES[mode]
-    total = zero(n)
-    for minors, c in terms:
-        term = symbol(minors)
-        if texts is not None:
-            texts.append(str(term))
-        total = total + term.scale(c)
-    return total
+    symbol, total = SYMBOL_MODES[mode]
+    pairs = [(symbol(minors), c) for minors, c in terms]
+    if texts is not None:
+        texts.extend(str(term) for term, _ in pairs)
+    return total(n, pairs)
 
 
 def boundary_symbol_sum(points: Sequence[Point], mode: Mode):

@@ -15,10 +15,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
-from ._kernels import det_int, rank_int
+from ._kernels import det_int, minors_int, rank_int
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
@@ -341,14 +341,9 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    if all(isinstance(x, int) for row in rows for x in row):
-        return det_int([list(r) for r in rows])
-    cleared, denom = [], 1
-    for row in rows:
-        entries, mult = clear_denominators(row)
-        cleared.append(entries)
-        denom *= mult
-    return exact_div(det_int(cleared), denom)
+    cleared, mults = zip(*map(clear_denominators, rows))
+    d = det_int(list(cleared))
+    return d if all(isinstance(x, int) for row in rows for x in row) else exact_div(d, prod(mults))
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
@@ -504,15 +499,18 @@ class Matrix:
         for i in range(n):
             # adj(a)[i][j] = (-1)^(i+j) * det(a without row j and column i)
             without_col = [r[:i] + r[i + 1 :] for r in a.rows]
-            minors = [det_int(without_col[:j] + without_col[j + 1 :]) for j in range(n)]
+            minors = minors_int(without_col, n - 1)[::-1]  # minor j drops row j
             adj.append([f * ((-1) ** (i + j) * x) for j, x in enumerate(minors)])
         lam = abs(norm).numerator
         g = gcd(lam, *(p.numerator for row in adj for x in row for p in _parts(x)))
         return Matrix([[_rescale(x, 1, g) for x in row] for row in adj]), lam // g
 
     def inverse(self) -> "Matrix":
+        """self^-1, carrying its scaled inverse self.cleared() (the least integral multiple of self)."""
         m, lam = self.scaled_inverse()
-        return m.scaled(Fraction(1, lam))
+        inv = m.scaled(Fraction(1, lam))
+        object.__setattr__(inv, "_inverse", self.cleared())
+        return inv
 
     def scaled(self, c: Scalar) -> "Matrix":
         return Matrix([[c * x for x in row] for row in self.rows])

@@ -196,9 +196,17 @@ class FlatBundle:
         """
         return [lift for lift, _ in self._corners(s, dim, sid)]
 
-    def _corners(self, s: "Section", dim: int, sid: int) -> list[tuple[tuple, int]]:
+    def _corners(self, s: "Section", dim: int, sid: int, memo=None) -> list[tuple[tuple, int]]:
+        """(M v, lam) per corner, through ``memo``: (edge id, vertex) -> (M v, lam) for s."""
+        memo = {} if memo is None else memo
         vertices = self.base.simplex(dim, sid).vertices
-        return [self._to_base(s.values[v], dim, sid, c) for c, v in enumerate(vertices)]
+        out = [(tuple(s.values[vertices[0]]), 1)]
+        for c, v in enumerate(vertices[1:], 1):
+            key = (self.base.edge_between_corners(dim, sid, 0, c), v)
+            if key not in memo:
+                memo[key] = self._to_base(s.values[v], dim, sid, c)
+            out.append(memo[key])
+        return out
 
 
 class Section(Value):
@@ -457,9 +465,9 @@ def scalar_set(
     n = bundle.n
     cx = bundle.base
     sids = set(range(len(cx.simplices[n])) if support is None else support)
-    out = set()
+    out, memo = set(), {}
     for sid in sids:
-        lifts, scales = zip(*bundle._corners(s, n, sid))
+        lifts, scales = zip(*bundle._corners(s, n, sid, memo))
         coeffs = configs.relation_coefficients(lifts, scales)
         total = sum(coeffs)
         if not (total and all(coeffs)):
@@ -551,12 +559,7 @@ def make_positive_generic(
             if alpha is None:
                 continue
             candidate = vec_add(base_val, vec_scale(alpha, w))
-            trial = dict(new_values)
-            trial[v] = candidate
-            if not vec_is_zero(candidate) and all(
-                _check_simplex_partial(bundle, trial, d, sid, "basic")
-                for d, sid, _ in simplices
-            ):
+            if _generic_at(bundle, new_values, v, candidate, simplices):
                 new_values[v] = candidate
                 break
         else:
@@ -566,6 +569,14 @@ def make_positive_generic(
     if not is_positive_section(bundle, out, witnesses):
         raise WitnessError("perturbation broke positivity (internal error)")
     return out
+
+
+def _generic_at(bundle, values, v, value, simplices) -> bool:
+    """Whether value is nonzero and keeps the (d, sid, _) simplices generic at v."""
+    trial = {**values, v: value}
+    return not vec_is_zero(value) and all(
+        _check_simplex_partial(bundle, trial, d, sid, "basic") for d, sid, _ in simplices
+    )
 
 
 def _perturbation_step(
@@ -592,12 +603,7 @@ def _perturbation_step(
         # non-affine constraints: descend from M/4 until generic
         alpha = exact_div(m_bound, 4) if m_bound is not None else Fraction(1)
         for _ in range(64):
-            trial = dict(values)
-            trial[v] = vec_add(base_val, vec_scale(alpha, w))
-            if not vec_is_zero(trial[v]) and all(
-                _check_simplex_partial(bundle, trial, d, sid, "basic")
-                for d, sid, _ in simplices
-            ):
+            if _generic_at(bundle, values, v, vec_add(base_val, vec_scale(alpha, w)), simplices):
                 return alpha
             alpha = exact_div(alpha, 2)
         return None
@@ -695,9 +701,9 @@ def evaluate_class(
             raise UsageError("the witt selector needs an SL(2, Q) bundle")
     # one pass per top simplex: the maximal minors of the lifts decide
     # genericity and give the symbol (see ``configs.subset_minors``)
-    terms = []
+    terms, lifts = [], {}
     for sid, c in z.coeffs.items():
-        minors = configs.maximal_minors(bundle.corner_lifts(s, n, sid))
+        minors = configs.maximal_minors([lift for lift, _ in bundle._corners(s, n, sid, lifts)])
         if not all(minors):
             raise GenericityError("section is not generic on the support of z")
         terms.append((minors, c))

@@ -48,12 +48,8 @@ def cocycle_identity_residual(gs: Sequence[Matrix], u: Vector) -> WittElement:
     """
     if len(gs) != 4:
         raise ValueError("need a quadruple")
-    acc = WittElement.zero()
-    for i in range(4):
-        face = [g for j, g in enumerate(gs) if j != i]
-        term = witt_cocycle(*face, u)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    faces = ([g for j, g in enumerate(gs) if j != i] for i in range(4))
+    return WittElement.combination((witt_cocycle(*face, u), (-1) ** i) for i, face in enumerate(faces))
 
 
 def psl_equal(a: Matrix, b: Matrix) -> bool:
@@ -84,10 +80,7 @@ class BarChain2(Value):
 
 def evaluate_bar(cocycle: Cocycle, chain: BarChain2, u: Vector) -> WittElement:
     """Linear extension of a cocycle over a bar 2-chain."""
-    acc = WittElement.zero()
-    for c, (g0, g1, g2) in chain.terms:
-        acc = acc + cocycle(g0, g1, g2, u).scale(c)
-    return acc
+    return WittElement.combination((cocycle(*triple, u), c) for c, triple in chain.terms)
 
 
 def commuting_pair_cycle(g: Matrix, h: Matrix) -> BarChain2:

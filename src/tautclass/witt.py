@@ -144,9 +144,7 @@ class WittElement:
     def __init__(self, terms: Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
         for rep, mult in terms:
-            if rep == 0:
-                raise SenselessSymbolError("the symbol <0> is senseless")
-            rep = square_class(rep)
+            rep = square_class(rep)  # <0> is senseless: square_class raises
             acc[rep] = acc.get(rep, 0) + mult
         object.__setattr__(
             self,
@@ -177,6 +175,15 @@ class WittElement:
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
         return self._terms
+
+    @classmethod
+    def combination(cls, pairs: Iterable[tuple["WittElement", int]]) -> "WittElement":
+        """sum c * w over the (w, c) pairs: one sort, where ``+`` re-sorts per term."""
+        acc: dict[int, int] = {}
+        for w, c in pairs:
+            for rep, mult in w._terms:
+                acc[rep] = acc.get(rep, 0) + c * mult
+        return cls._canonical(tuple(sorted((r, m) for r, m in acc.items() if m)))
 
     def __add__(self, other: "WittElement") -> "WittElement":
         acc = dict(self._terms)

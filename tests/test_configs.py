@@ -12,6 +12,7 @@ from tautclass.configs import (
     homological_core_check,
     is_generic_tuple,
     maximal_minors,
+    symbol_sum,
     u_symbol,
     uplus_canonicalize,
     uplus_raw_symbol,
@@ -303,3 +304,41 @@ def test_boundary_sums_vanish_over_fractions_and_quad():
                 if kind == "fraction" and n == 2:
                     assert boundary_symbol_sum(tup, "witt").is_zero()
                 done += 1
+
+
+def _witt_terms(rng, count):
+    """(minors, c) pairs of generic triples in Q^2, each also with its negation,
+    so that the sum cancels in part."""
+    terms = []
+    while len(terms) < count:
+        minors = maximal_minors(_random_generic(rng, 2, 3, bound=5))
+        c = rng.choice([-2, -1, 1, 3])
+        terms.append((minors, c))
+        if rng.random() < 0.4:
+            terms.append((minors, -c))
+    return terms
+
+
+def test_witt_symbol_sum_is_the_term_by_term_fold():
+    rng = random.Random(8)
+    for count in (0, 1, 2, 40, 300):
+        terms = _witt_terms(rng, count)
+        fold = WittElement.zero()
+        for minors, c in terms:
+            fold = fold + witt_symbol_from_minors(minors).scale(c)
+        texts = []
+        total = symbol_sum("witt", 2, terms, texts)
+        assert total.terms == fold.terms
+        assert symbol_sum("witt", 2, terms).terms == fold.terms
+        assert texts == [str(witt_symbol_from_minors(minors)) for minors, _ in terms]
+    cancelled = terms + [(minors, -c) for minors, c in terms]
+    assert symbol_sum("witt", 2, cancelled).terms == ()
+
+
+def test_witt_symbol_sum_makes_no_element_addition(monkeypatch):
+    terms = _witt_terms(random.Random(9), 1500)
+    calls = []
+    add = WittElement.__add__
+    monkeypatch.setattr(WittElement, "__add__", lambda a, b: calls.append(1) or add(a, b))
+    total = symbol_sum("witt", 2, terms)
+    assert calls == [] and total.dimension() > 0

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import rep_path
+from conftest import FIXTURES, rep_path
 from fixture_builders import (
     genus1_diagonal,
     genus2_fuchsian,
@@ -23,7 +23,7 @@ from tautclass.complexes import (
     standard_simplex_complex,
     surface_complex,
 )
-from tautclass.configs import GenericityError, maximal_minors
+from tautclass.configs import GenericityError, UPlusSymbol, maximal_minors, u_symbol, uplus_symbol
 from tautclass.exactmath import (
     QQ,
     Matrix,
@@ -696,9 +696,10 @@ def test_product_transports_invert_each_block_object_once(monkeypatch):
     edges = range(len(px.simplices[1]))
     transports = {eid: bundle.transport(eid) for eid in edges}
     blocks = {id(b) for bs in bundle.blocks.values() for b in bs}
-    # 99 edges of 2 blocks each: one inverse per block would be 198
+    # 99 edges of 2 blocks each: one inverse per block would be 198; the 8
+    # generator edges hold inverses, which carry their own scaled inverse
     assert (len(transports), len(blocks)) == (99, 20)
-    assert calls == {"_scaled_inverse": 20}
+    assert calls == {"_scaled_inverse": 12}
     for eid, (m, lam) in transports.items():
         assert bundle.holonomy[eid] @ m == Matrix.identity(4).scaled(lam)
     # the factor bundles read the inverses their blocks carry: no new one
@@ -706,7 +707,87 @@ def test_product_transports_invert_each_block_object_once(monkeypatch):
         for eid in range(len(factor.base.simplices[1])):
             m, lam = factor.transport(eid)
             assert factor.holonomy[eid] @ m == Matrix.identity(2).scaled(lam)
-    assert calls == {"_scaled_inverse": 20}
+    assert calls == {"_scaled_inverse": 12}
+
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_edge_transports_equal_a_fresh_scaled_inverse(name):
+    """The generator edges hold inverses, whose scaled inverse is carried, not computed."""
+    rep = load_rep(rep_path(f"{name}.json"))
+    sc, _ = surface_complex(rep.genus)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
+    for eid, h in bundle.holonomy.items():
+        assert bundle.transport(eid) == h._scaled_inverse()
+
+
+@pytest.mark.parametrize("field", [QQ, QuadraticField(2)])
+def test_an_inverse_carries_the_scaled_inverse_it_would_compute(field):
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        entries = [
+            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)
+        ]
+        if field != QQ:
+            entries = [[field.from_pair(x, Fraction(rng.randint(-3, 3), 2)) for x in r] for r in entries]
+        m = Matrix(entries)
+        if not m.det():
+            continue
+        inv = m.inverse()
+        assert inv.scaled_inverse() == inv._scaled_inverse()
+        assert inv.inverse() == m
+        checked += 1
+    assert checked >= 40
+
+
+def _product_with_generic_section(name):
+    """g2_fuchs x a genus-2 fixture, its product cycle and a generic product section."""
+    rep_a, rep_b = load_rep(rep_path("g2_fuchs.json")), load_rep(rep_path(f"{name}.json"))
+    (sc_a, z_a), (sc_b, z_b) = surface_complex(2), surface_complex(2)
+    e_a = bundle_from_surface_rep(sc_a, rep_a.matrices, rep_a.tag)
+    e_b = bundle_from_surface_rep(sc_b, rep_b.matrices, rep_b.tag)
+    px = product_complex(sc_a, sc_b)
+    s_a = random_generic_section(e_a, seed=1, mode="strong")
+    for seed in range(40, 60):
+        s_b = random_generic_section(e_b, seed=seed, mode="strong")
+        if joint_scalar_sets(e_a, s_a, e_b, s_b)[2]:
+            break
+    section = Section({0: tuple(s_a.values[0]) + tuple(s_b.values[0])})
+    return product_bundle(px, e_a, e_b), section, product_chain(px, z_a, z_b)
+
+
+def test_evaluation_applies_each_corner_transport_once(monkeypatch):
+    bundle, s, zz = _product_with_generic_section("g2_solved_3")
+    cx = bundle.base
+    lifted = {
+        (cx.edge_between_corners(4, sid, 0, c), v)
+        for sid in zz.coeffs
+        for c, v in enumerate(cx.simplices[4][sid].vertices)
+        if c
+    }
+    assert (len(zz.coeffs), len(lifted)) == (216, 63)  # 216 * 4 = 864 corner lifts
+    # the oracle: symbols of the true corner values, simplex by simplex
+    values = {sid: bundle.corner_values(s, 4, sid) for sid in zz.coeffs}
+    plus = {sid: uplus_symbol(v) for sid, v in values.items()}
+    plain = {sid: u_symbol(v) for sid, v in values.items()}
+    total = sum((plus[sid].scale(c) for sid, c in zz.coeffs.items()), UPlusSymbol.zero(4))
+    expected = {
+        "eu0": (total.coefficients[0], plus),
+        "euplus": (total, plus),
+        "eu": (sum(plain[sid].coefficient * c for sid, c in zz.coeffs.items()), plain),
+    }
+    calls = Counter()
+    _count_calls(monkeypatch, Matrix, "apply", calls)
+    for text, (value, symbols) in expected.items():
+        calls.clear()
+        got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
+        assert calls == {"apply": 63}
+        assert got == value
+        assert detail == {sid: str(symbols[sid]) for sid in zz.coeffs}
 
 
 # left multiplication by the unit quaternions i and j: [L_i, L_j] = L_{-1} = -I

@@ -1,11 +1,16 @@
-"""The integer kernels against a plain Fraction Gaussian-elimination oracle."""
+"""The integer kernels against a plain Fraction Gaussian-elimination oracle,
+and the minors sweep against one ``det_int`` per subset."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from tautclass._kernels import det_int, rank_int
+from tautclass import configs
+from tautclass._kernels import SWEEP_MAX_N, _sweep_plan, det_int, minors_int, rank_int
+from tautclass.cli import main
+from tautclass.exactmath import QuadExt, clear_denominators
 
 
 def _gauss_det(rows):
@@ -67,3 +72,78 @@ def test_singular_and_degenerate_ranks():
     assert det_int([]) == 1
     assert rank_int([], 0) == 0
 
+
+def _per_subset(rows, n):
+    return [det_int([rows[i] for i in s]) for s in combinations(range(len(rows)), n)]
+
+
+def _rows(kind, rng, m, n):
+    """m integral rows of length n: ints, cleared Fractions, or Z[sqrt d] elements."""
+    if kind == "int":
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if kind == "frac":
+        return [
+            clear_denominators([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)])[0]
+            for _ in range(m)
+        ]
+    d = int(kind[4:])
+    return [[QuadExt(rng.randint(-3, 3), rng.randint(-3, 3), d) for _ in range(n)] for _ in range(m)]
+
+
+def _check_sweep(rows, n, singular=True):
+    assert minors_int(rows, n) == _per_subset(rows, n)
+    if singular:  # a repeated row, a zero row, and rows in a hyperplane
+        for bad in (rows[:-1] + [rows[0]], rows[:-1] + [[0] * n], [r[:-1] + [0] for r in rows]):
+            assert minors_int(bad, n) == _per_subset(bad, n)
+
+
+# n = 1..9 crosses the cut at SWEEP_MAX_N = 8.  Z[sqrt d] is slow per
+# subset, so above n = 5 it runs for d = 2 on n+1 rows, below the cut only
+SWEEP_CASES = [(kind, n) for kind in ("int", "frac") for n in range(1, 10)] + [
+    (f"quad{d}", n) for d in (2, 3, 5, 7) for n in range(1, 6)
+] + [("quad2", n) for n in range(6, 9)]
+
+
+@pytest.mark.parametrize("kind, n", SWEEP_CASES)
+def test_minors_sweep_matches_det_per_subset(kind, n):
+    rng = random.Random(n)
+    if n > 5 and kind.startswith("quad"):
+        _check_sweep(_rows(kind, rng, n + 1, n), n, singular=False)
+        return
+    for m in (n, n + 1, n + 2):
+        _check_sweep(_rows(kind, rng, m, n), n)
+
+
+def test_minors_sweep_edge_sizes():
+    assert minors_int([[1, 2], [3, 4]], 0) == [1]
+    assert minors_int([[1, 2]], 2) == []
+    assert minors_int([[5]], 1) == [5]
+
+
+def test_maximal_minors_order_and_relation_coefficients():
+    """D_j drops lift j, and the relation is the per-minor det_int formula."""
+    rng = random.Random(3)
+    for n in range(1, 6):
+        for _ in range(10):
+            points = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n + 1)]
+            cleared = [clear_denominators(p) for p in points]
+            lifts = [lift for lift, _ in cleared]
+            dropped = [det_int(lifts[:j] + lifts[j + 1 :]) for j in range(n + 1)]
+            assert configs.maximal_minors(points) == dropped
+            scales = [rng.randint(1, 5) for _ in points]
+            expected = [(-1) ** i * scales[i] * cleared[i][1] * dropped[i] for i in range(n + 1)]
+            assert configs.relation_coefficients(points, scales) == expected
+
+
+def test_no_sweep_plan_above_the_cut(capsys):
+    """Above n = SWEEP_MAX_N the minors come per subset: the plan would grow as 2^n."""
+    rng = random.Random(0)
+    n = 16
+    points = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n + 2)]
+    before = _sweep_plan.cache_info()
+    minors = configs.subset_minors(points, n)
+    assert _sweep_plan.cache_info() == before
+    assert len(minors) == 153 and all(minors.values())
+    assert SWEEP_MAX_N < 12
+    assert main(["verify", "euler-boundary", "--n", "12", "--samples", "1"]) == 0
+    capsys.readouterr()
