@@ -220,8 +220,6 @@ def _suite_alternation(args, rng):
 
 def _load_bundle(path: str):
     rep = load_rep(path)
-    if rep.inexact:
-        raise TagError("representation has decimal entries; exact pipeline refused")
     sc, z = surface_complex(rep.genus)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
     return rep, sc, z, bundle

@@ -42,6 +42,15 @@ class DeltaComplex:
         while self.simplices and not self.simplices[-1]:
             self.simplices.pop()
         self.validate()
+        # corner_edges[d][sid]: the edges on corners (0, c), c = 1..d.  Face d
+        # keeps corners 0..d-1; face 1 keeps 0, 2..d, so its last edge is (0, d).
+        self.corner_edges: list[list[tuple[int, ...]]] = [
+            [(sid,) * d for sid in range(len(level))]  # () on a vertex, (eid,) on an edge
+            for d, level in enumerate(self.simplices[:2])
+        ]
+        for d, level in enumerate(self.simplices[2:], 2):
+            below = self.corner_edges[d - 1]
+            self.corner_edges.append([below[s.faces[d]] + below[s.faces[1]][-1:] for s in level])
 
     @property
     def num_vertices(self) -> int:
@@ -56,9 +65,6 @@ class DeltaComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices))
-
-    def simplex(self, dim: int, sid: int) -> Simplex:
-        return self.simplices[dim][sid]
 
     def validate(self) -> None:
         """Check face ids, vertex consistency of faces and the double-face identities."""
@@ -97,14 +103,6 @@ class DeltaComplex:
                 cur = self.simplices[d][cur].faces[k]
                 d -= 1
         return d, cur
-
-    def edge_between_corners(self, dim: int, sid: int, i: int, j: int) -> int:
-        """The 1-simplex on corners i < j of a simplex."""
-        if not 0 <= i < j <= dim:
-            raise ValueError("need corner positions i < j")
-        d, eid = self.subsimplex(dim, sid, (i, j))
-        assert d == 1
-        return eid
 
     def to_json(self) -> dict:
         return {

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
@@ -29,7 +30,6 @@ from .exactmath import (
     Scalar,
     determinant,
     dot,
-    rank,
     sign,
     vec_add,
     vec_is_zero,
@@ -171,21 +171,14 @@ class FlatBundle:
         """Parallel transport from a corner to corner 0 along the edge (0, corner)."""
         if corner == 0:
             return Matrix.identity(self.n)
-        m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
+        m, lam = self.transport(self.base.corner_edges[dim][sid][corner - 1])
         return m.scaled(Fraction(1, lam))
-
-    def _to_base(self, value, dim: int, sid: int, corner: int) -> tuple[tuple, int]:
-        """(M v, lam): a corner's value in the corner-0 frame is M v / lam."""
-        if not corner:
-            return tuple(value), 1
-        m, lam = self.transport(self.base.edge_between_corners(dim, sid, 0, corner))
-        return m.apply(value), lam
 
     def corner_values(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
         return [
             lift if lam == 1 else tuple(exact_div(x, lam) for x in lift)
-            for lift, lam in self._corners(s, dim, sid)
+            for lift, lam in self._corners(s.values, dim, sid)
         ]
 
     def corner_lifts(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
@@ -194,18 +187,24 @@ class FlatBundle:
         They have the same minor signs and ranks, and are integral for an
         integral section over Q.
         """
-        return [lift for lift, _ in self._corners(s, dim, sid)]
+        return [lift for lift, _ in self._corners(s.values, dim, sid)]
 
-    def _corners(self, s: "Section", dim: int, sid: int, memo=None) -> list[tuple[tuple, int]]:
-        """(M v, lam) per corner, through ``memo``: (edge id, vertex) -> (M v, lam) for s."""
+    def _corners(self, values: Mapping, dim: int, sid: int, memo=None) -> list[tuple[tuple, int]]:
+        """(M v, lam) for each corner whose vertex has a value: the true value is M v / lam.
+
+        ``values`` maps vertices to vectors: a section's values or a partial
+        assignment.  ``memo`` keeps (edge id, vertex) -> (M v, lam) for one
+        fixed ``values`` across simplices.
+        """
         memo = {} if memo is None else memo
-        vertices = self.base.simplex(dim, sid).vertices
-        out = [(tuple(s.values[vertices[0]]), 1)]
-        for c, v in enumerate(vertices[1:], 1):
-            key = (self.base.edge_between_corners(dim, sid, 0, c), v)
-            if key not in memo:
-                memo[key] = self._to_base(s.values[v], dim, sid, c)
-            out.append(memo[key])
+        vertices = self.base.simplices[dim][sid].vertices
+        out = [(tuple(values[vertices[0]]), 1)] if vertices[0] in values else []
+        for eid, v in zip(self.base.corner_edges[dim][sid], vertices[1:]):
+            if v in values:
+                if (eid, v) not in memo:
+                    m, lam = self.transport(eid)
+                    memo[eid, v] = m.apply(values[v]), lam
+                out.append(memo[eid, v])
         return out
 
 
@@ -444,18 +443,12 @@ def _check_simplex_partial(bundle, values: Mapping[int, tuple], d, sid, mode) ->
     the lifts M v; only that sum needs their scales.
     """
     n = bundle.n
-    corners = [
-        bundle._to_base(values[v], d, sid, corner)
-        for corner, v in enumerate(bundle.base.simplices[d][sid].vertices)
-        if v in values
-    ]
+    corners = bundle._corners(values, d, sid)
     lifts = [lift for lift, _ in corners]
-    if len(lifts) <= n:
-        return rank(lifts, n) == len(lifts)
-    if mode == "strong":
+    if mode == "strong" and len(lifts) > n:
         coeffs = configs.relation_coefficients(lifts, [lam for _, lam in corners])
         return all(coeffs) and bool(sum(coeffs))
-    return all(configs.maximal_minors(lifts))
+    return configs.is_generic_tuple(lifts, n)
 
 
 def scalar_set(
@@ -467,7 +460,7 @@ def scalar_set(
     sids = set(range(len(cx.simplices[n])) if support is None else support)
     out, memo = set(), {}
     for sid in sids:
-        lifts, scales = zip(*bundle._corners(s, n, sid, memo))
+        lifts, scales = zip(*bundle._corners(s.values, n, sid, memo))
         coeffs = configs.relation_coefficients(lifts, scales)
         total = sum(coeffs)
         if not (total and all(coeffs)):
@@ -537,10 +530,10 @@ def make_positive_generic(
     n = bundle.n
     rng = random.Random(seed)
     order, star = _scope(bundle, "strong", support)
-    constraints: dict[int, list] = {}  # per vertex: its witnessed corners
+    constraints: dict[int, list] = {}  # per vertex: the witnessed simplices at it
     for (d, sid), phi in witnesses.items():
-        for corner, u in enumerate(bundle.base.simplices[d][sid].vertices):
-            constraints.setdefault(u, []).append((d, sid, corner, phi))
+        for u in dict.fromkeys(bundle.base.simplices[d][sid].vertices):
+            constraints.setdefault(u, []).append((d, sid, phi))
     new_values = dict(s.values)
     processed: set[int] = set()
     for v in order or sorted(s.values):
@@ -590,15 +583,15 @@ def _perturbation_step(
     """
     n = bundle.n
     pos_bounds = []
-    for d, sid, corner, phi in constraints.get(v, ()):
-        a = dot(phi, bundle._to_base(base_val, d, sid, corner)[0])
-        b = dot(phi, bundle._to_base(w, d, sid, corner)[0])
-        if sign(b) < 0:
-            pos_bounds.append(exact_div(a, -b))
-    m_bound = None
-    for x in pos_bounds:
-        if m_bound is None or sign(x - m_bound) < 0:
-            m_bound = x
+    for d, sid, phi in constraints.get(v, ()):
+        # every corner at v; the lifts are linear in the value
+        for (a, _), (b, _) in zip(
+            bundle._corners({v: base_val}, d, sid), bundle._corners({v: w}, d, sid)
+        ):
+            a, b = dot(phi, a), dot(phi, b)
+            if sign(b) < 0:
+                pos_bounds.append(exact_div(a, -b))
+    m_bound = _least(pos_bounds)
     if repeated:
         # non-affine constraints: descend from M/4 until generic
         alpha = exact_div(m_bound, 4) if m_bound is not None else Fraction(1)
@@ -612,13 +605,10 @@ def _perturbation_step(
         corner = verts.index(v)
         # the other corners' lifts, mapped from the corner-0 frame into v's
         # frame by the holonomy h of the edge (0, corner): transport is h^-1
-        others = [
-            bundle._to_base(values[u], d, sid, c2)[0]
-            for c2, u in enumerate(verts)
-            if c2 != corner
-        ]
+        lifts = [lift for lift, _ in bundle._corners(values, d, sid)]
+        others = lifts[:corner] + lifts[corner + 1 :]
         if corner:
-            h = bundle.holonomy[bundle.base.edge_between_corners(d, sid, 0, corner)]
+            h = bundle.holonomy[bundle.base.corner_edges[d][sid][corner - 1]]
             others = [h.apply(o) for o in others]
         if d < n:
             spans = [others]
@@ -630,15 +620,13 @@ def _perturbation_step(
                 return None  # w parallel to a bad subspace
             if step is not None:
                 bad_steps.append(step)
-    b_bound = None
-    for x in bad_steps:
-        if sign(x) > 0 and (b_bound is None or sign(x - b_bound) < 0):
-            b_bound = x
-    cap = None
-    for x in (b_bound, m_bound):
-        if x is not None and (cap is None or sign(x - cap) < 0):
-            cap = x
+    cap = _least([x for x in bad_steps if sign(x) > 0] + pos_bounds)
     return Fraction(1) if cap is None else exact_div(cap, 4)
+
+
+def _least(xs):
+    """The least of xs, or None; sign(x - y) orders Q and Q(sqrt(d)) alike."""
+    return min(xs, key=cmp_to_key(lambda x, y: sign(x - y)), default=None)
 
 
 def _step_into_span(span, base_val, w, n):
@@ -703,7 +691,9 @@ def evaluate_class(
     # genericity and give the symbol (see ``configs.subset_minors``)
     terms, lifts = [], {}
     for sid, c in z.coeffs.items():
-        minors = configs.maximal_minors([lift for lift, _ in bundle._corners(s, n, sid, lifts)])
+        minors = configs.maximal_minors(
+            [lift for lift, _ in bundle._corners(s.values, n, sid, lifts)]
+        )
         if not all(minors):
             raise GenericityError("section is not generic on the support of z")
         terms.append((minors, c))

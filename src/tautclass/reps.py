@@ -7,8 +7,7 @@ A representation file is JSON:
      "tag": "SL" | "GL+" | "PGL+" | "P+GL+",
      "matrices": [[["p/q", ...], ...], ...]}   # A1, B1, ..., Ag, Bg
 
-Decimal entries are permitted for oracle-only use; the exact pipeline
-rejects them.
+Every entry is an exact scalar; a decimal entry is a format error.
 """
 
 from __future__ import annotations
@@ -29,31 +28,12 @@ class RepFormatError(ValueError):
 
 
 class SurfaceRep(Value):
-    """Generator matrices A1, B1, ..., Ag, Bg of a surface representation.
+    """Generator matrices A1, B1, ..., Ag, Bg of a surface representation."""
 
-    ``inexact`` marks decimal entries (oracle-only); then ``matrices`` is
-    empty and ``raw_float`` holds the entries for the oracle.
-    """
+    __slots__ = ("field", "genus", "tag", "matrices")
 
-    __slots__ = ("field", "genus", "tag", "matrices", "inexact", "raw_float")
-
-    def __init__(
-        self,
-        field: Field,
-        genus: int,
-        tag: str,
-        matrices: list[Matrix],
-        inexact: bool = False,
-        raw_float: list[list[list[float]]] | None = None,
-    ):
-        self._set(
-            field=field,
-            genus=genus,
-            tag=tag,
-            matrices=matrices,
-            inexact=inexact,
-            raw_float=raw_float,
-        )
+    def __init__(self, field: Field, genus: int, tag: str, matrices: list[Matrix]):
+        self._set(field=field, genus=genus, tag=tag, matrices=matrices)
 
     def to_json(self) -> dict:
         return {
@@ -71,10 +51,6 @@ def _parse_entry(text: str, field: Field):
     text = text.strip()
     try:
         return parse_scalar(text, field)
-    except ValueError:
-        pass
-    try:
-        return float(text)  # decimal literal: oracle-only
     except ValueError:
         raise RepFormatError(f"key 'matrices': cannot parse entry {text!r}") from None
 
@@ -113,13 +89,10 @@ def rep_from_dict(data: dict) -> SurfaceRep:
         raise RepFormatError(f"key 'matrices' must hold 2*genus = {2 * genus} "
                              "nonempty square matrices of one size")
     parsed = [
-        [[_parse_entry(str(x), field) for x in row] for row in rows]
+        Matrix([[_parse_entry(str(x), field) for x in row] for row in rows])
         for rows in matrices
     ]
-    if any(isinstance(x, float) for m in parsed for row in m for x in row):
-        raw_float = [[[float(x) for x in row] for row in m] for m in parsed]
-        return SurfaceRep(field, genus, tag, [], inexact=True, raw_float=raw_float)
-    return SurfaceRep(field, genus, tag, [Matrix(m) for m in parsed])
+    return SurfaceRep(field, genus, tag, parsed)
 
 
 def resolve_rep_path(path: str) -> Path:

@@ -179,6 +179,23 @@ def test_cup_kunneth_on_product_of_surfaces():
     assert lhs == eval_a * eval_b
 
 
+def test_cup_walks_two_faces_per_top_simplex(monkeypatch):
+    s1, z1 = surface_complex(1)
+    s2, z2 = surface_complex(2)
+    px = product_complex(s1, s2)
+    zz = product_chain(px, z1, z2)
+    walks = []
+    subsimplex = DeltaComplex.subsimplex
+
+    def counted(self, *args):
+        walks.append(args)
+        return subsimplex(self, *args)
+
+    monkeypatch.setattr(DeltaComplex, "subsimplex", counted)
+    cup_evaluate(px, 2, lambda pid: 1, 2, lambda pid: 1, zz)
+    assert len(walks) == 2 * len(zz.coeffs)
+
+
 def test_cup_missing_value_errors():
     cx = standard_simplex_complex(2)
     z = Chain(2, {0: 1})
@@ -295,7 +312,30 @@ def test_subsimplex_extraction():
     d, sid = cx.subsimplex(3, top, (1, 3))
     assert d == 1
     assert cx.simplices[1][sid].vertices == (1, 3)
-    assert cx.edge_between_corners(3, top, 0, 2) == cx.subsimplex(3, top, (0, 2))[1]
+    assert cx.corner_edges[3][top][1] == cx.subsimplex(3, top, (0, 2))[1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: surface_complex(1)[0],
+        lambda: surface_complex(2)[0],
+        lambda: surface_complex(3)[0],
+        lambda: sphere_complex()[0],
+        lambda: standard_simplex_complex(4),
+        lambda: product_complex(surface_complex(2)[0], surface_complex(2)[0]),
+        lambda: product_complex(sphere_complex()[0], surface_complex(1)[0]),
+    ],
+    ids=["S1g", "S2g", "S3g", "sphere", "D4", "S2gxS2g", "sphere x T2"],
+)
+def test_corner_edge_table_matches_subsimplex(make):
+    cx = make()
+    for d, level in enumerate(cx.simplices):
+        assert len(cx.corner_edges[d]) == len(level)
+        for sid in range(len(level)):
+            assert len(cx.corner_edges[d][sid]) == d
+            for c in range(1, d + 1):
+                assert cx.corner_edges[d][sid][c - 1] == cx.subsimplex(d, sid, (0, c))[1]
 
 
 def test_value_types_compare_by_fields_and_are_immutable():

@@ -16,6 +16,7 @@ from fixture_builders import (
 
 from tautclass.complexes import (
     Chain,
+    DeltaComplex,
     boundary,
     product_chain,
     product_complex,
@@ -764,10 +765,9 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     bundle, s, zz = _product_with_generic_section("g2_solved_3")
     cx = bundle.base
     lifted = {
-        (cx.edge_between_corners(4, sid, 0, c), v)
+        (eid, v)
         for sid in zz.coeffs
-        for c, v in enumerate(cx.simplices[4][sid].vertices)
-        if c
+        for eid, v in zip(cx.corner_edges[4][sid], cx.simplices[4][sid].vertices[1:])
     }
     assert (len(zz.coeffs), len(lifted)) == (216, 63)  # 216 * 4 = 864 corner lifts
     # the oracle: symbols of the true corner values, simplex by simplex
@@ -782,12 +782,24 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     }
     calls = Counter()
     _count_calls(monkeypatch, Matrix, "apply", calls)
+    _count_calls(monkeypatch, DeltaComplex, "subsimplex", calls)
     for text, (value, symbols) in expected.items():
         calls.clear()
         got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
-        assert calls == {"apply": 63}
+        assert calls == {"apply": 63}  # and no subsimplex walk: edges come from the table
         assert got == value
         assert detail == {sid: str(symbols[sid]) for sid in zz.coeffs}
+
+
+@pytest.mark.parametrize("mode", ["basic", "strong"])
+def test_sampling_reads_corner_edges_from_the_table(monkeypatch, mode):
+    rep = load_rep(rep_path("g2_fuchs.json"))
+    bundle = bundle_from_surface_rep(surface_complex(2)[0], rep.matrices, rep.tag)
+    calls = Counter()
+    _count_calls(monkeypatch, DeltaComplex, "subsimplex", calls)
+    s = random_generic_section(bundle, seed=3, mode=mode)
+    assert is_generic_section(bundle, s, mode)
+    assert calls == {}
 
 
 # left multiplication by the unit quaternions i and j: [L_i, L_j] = L_{-1} = -I

@@ -18,7 +18,6 @@ from tautclass.reps import RepFormatError, load_rep, rep_from_dict
 def test_all_fixture_files_load(fixtures_dir):
     for name in BUILTIN_FIXTURES:
         rep = load_rep(str(fixtures_dir / name))
-        assert not rep.inexact
         assert len(rep.matrices) == 2 * rep.genus
         assert scalar_multiple_of_identity(relator_product(rep.matrices)) == 1
 
@@ -60,20 +59,18 @@ def test_solved_family_structure():
     assert b2.det() > 0
 
 
-def test_decimal_entries_marked_inexact():
-    rep = rep_from_dict(
-        {
-            "field": "Q",
-            "genus": 1,
-            "tag": "SL",
-            "matrices": [
-                [["2.0", "0"], ["0", "0.5"]],
-                [["3", "0"], ["0", "1/3"]],
-            ],
-        }
-    )
-    assert rep.inexact
-    assert rep.raw_float[0][0][0] == 2.0
+def test_decimal_entries_are_a_format_error():
+    data = {
+        "field": "Q",
+        "genus": 1,
+        "tag": "SL",
+        "matrices": [
+            [["2.0", "0"], ["0", "0.5"]],
+            [["3", "0"], ["0", "1/3"]],
+        ],
+    }
+    with pytest.raises(RepFormatError, match=r"key 'matrices': cannot parse entry '2\.0'"):
+        rep_from_dict(data)
 
 
 def test_fixture_env_resolution(monkeypatch, fixtures_dir, tmp_path):
@@ -91,7 +88,7 @@ def test_rep_format_errors_name_the_key():
         "tag": "SL",
         "matrices": [[["2", "0"], ["0", "1/2"]], [["3", "0"], ["0", "1/3"]]],
     }
-    assert rep_from_dict(good).raw_float is None
+    assert rep_from_dict(good).genus == 1
     for key, bad_value, text in [
         ("field", "R", "key 'field'"),
         ("field", {"quad": 4}, "key 'field'"),

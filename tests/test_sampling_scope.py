@@ -165,6 +165,20 @@ def test_each_draw_checks_only_the_star_of_its_vertex(monkeypatch, name, mode):
     assert max(len(s) for s in checked.values()) < len(_scope(bundle, mode))
 
 
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_a_partial_read_is_the_full_read_at_the_assigned_corners(name):
+    bundle = BUNDLES[name]
+    s = random_generic_section(bundle, seed=4)
+    rng = random.Random(1)
+    for d, level in enumerate(bundle.base.simplices):
+        for sid, simplex in enumerate(level):
+            full = bundle._corners(s.values, d, sid)
+            assert len(full) == d + 1
+            assigned = {v: x for v, x in s.values.items() if rng.random() < 0.5}
+            expected = [c for c, v in zip(full, simplex.vertices) if v in assigned]
+            assert bundle._corners(assigned, d, sid) == expected
+
+
 def test_make_positive_generic_on_a_strip_is_pinned():
     # upper-triangular holonomies with positive diagonal keep the second
     # coordinate positive, so (0, 1) is a degenerate positive section
