@@ -18,63 +18,49 @@ from itertools import combinations
 SWEEP_MAX_N = 8  # the largest subset size that minors_int sweeps
 
 
-def det_int(rows: list[list]):
-    """Determinant of a square integral matrix, Bareiss fraction-free."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                # exact by Bareiss: prev divides the numerator
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def _echelon(rows: list[list], ncols: int) -> tuple:
+    """(rank, signed last pivot) of the fraction-free echelon form of integral rows.
 
-
-def rank_int(rows: list[list], ncols: int) -> int:
-    """Rank of an integral matrix via fraction-free echelon reduction."""
+    Bareiss elimination that skips a column with no pivot; the last pivot
+    carries the sign of the row swaps.  At full rank on a square matrix no
+    column is skipped, and the signed last pivot is the determinant.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
-    rank = 0
-    prev = 1
+    rank, prev, swaps = 0, 1, 0
     for col in range(ncols):
-        pivot_row = None
         for i in range(rank, nrows):
             if m[i][col] != 0:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
+            swaps += 1
+        row_k = m[rank]
+        pivot = row_k[col]
         for i in range(rank + 1, nrows):
             row_i = m[i]
             aic = row_i[col]
             for j in range(col + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - aic * m[rank][j]) // prev
-            row_i[col] = 0
+                # exact by Bareiss: prev divides the numerator
+                row_i[j] = (pivot * row_i[j] - aic * row_k[j]) // prev
         prev = pivot
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, -prev if swaps % 2 else prev
+
+
+def det_int(rows: list[list]):
+    """Determinant of a square integral matrix; 1 for no rows."""
+    rank, pivot = _echelon(rows, len(rows))
+    return pivot if rank == len(rows) else 0
+
+
+def rank_int(rows: list[list], ncols: int) -> int:
+    """Rank of an integral matrix with ncols columns."""
+    return _echelon(rows, ncols)[0]
 
 
 def minors_int(rows: list[list], n: int) -> list:

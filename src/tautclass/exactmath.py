@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from ._kernels import det_int, minors_int, rank_int
@@ -198,13 +198,6 @@ class RationalField:
 
     name = "Q"
 
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, QuadExt):
-            if x.b != 0:
-                raise ValueError(f"{x} is not rational")
-            return x.a
-        return Fraction(x)
-
     def to_json(self):
         return "Q"
 
@@ -226,13 +219,6 @@ class QuadraticField:
             raise ValueError(f"d must be a squarefree integer > 1, got {d}")
         self.d = d
         self.name = f"Q(sqrt({d}))"
-
-    def coerce(self, x) -> QuadExt:
-        if isinstance(x, QuadExt):
-            if x.d != self.d:
-                raise ValueError("mixed quadratic fields")
-            return x
-        return QuadExt(Fraction(x), 0, self.d)
 
     def from_pair(self, a: Rational, b: Rational) -> QuadExt:
         return QuadExt(a, b, self.d)
@@ -274,12 +260,13 @@ _SQRT_RE = re.compile(
 def parse_scalar(s: str, field: Field = QQ) -> Scalar:
     """Parse an element of ``field``: "p/q", or "a+b*sqrt(d)" in Q(sqrt(d)).
 
-    Plain rationals coerce into a quadratic field when one is supplied; a
+    Plain rationals embed into a quadratic field when one is supplied; a
     sqrt literal is refused outside its own field.
     """
     s = s.strip().replace(" ", "")
     if _RAT_RE.match(s):
-        return field.coerce(Fraction(s))
+        q = Fraction(s)
+        return field.from_pair(q, 0) if isinstance(field, QuadraticField) else q
     m = _SQRT_RE.match(s)
     if not m:
         raise ValueError(f"cannot parse scalar literal {s!r}")
@@ -336,14 +323,7 @@ def clear_denominators(row: Sequence[Scalar]) -> tuple[list[Scalar], int]:
 
 def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     """Exact determinant of a square matrix given as rows."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    cleared, mults = zip(*map(clear_denominators, rows))
-    d = det_int(list(cleared))
-    return d if all(isinstance(x, int) for row in rows for x in row) else exact_div(d, prod(mults))
+    return Matrix(rows).det()
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ncols: int | None = None) -> int:
@@ -522,7 +502,7 @@ class Matrix:
         return isinstance(other, Matrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(tuple(tuple(Fraction(x) if isinstance(x, int) else x for x in r) for r in self.rows))
+        return hash(self.rows)
 
     def ratio_to(self, other: "Matrix") -> tuple[Scalar, Scalar] | None:
         """(x, y) with y * self == x * other, or None.

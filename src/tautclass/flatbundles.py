@@ -18,6 +18,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
+from ._kernels import minors_int
 from ._value import Value
 from .complexes import Chain, DeltaComplex, ProductComplex, boundary
 from .configs import GenericityError
@@ -28,7 +29,7 @@ from .exactmath import (
     QQ,
     QuadraticField,
     Scalar,
-    determinant,
+    clear_denominators,
     dot,
     sign,
     vec_add,
@@ -615,7 +616,7 @@ def _perturbation_step(
         else:  # every hyperplane spanned by all but one of them
             spans = [others[:i] + others[i + 1 :] for i in range(len(others))]
         for span in spans:
-            step = _step_into_span(span, base_val, w, n)
+            step = _step_into_span(span, base_val, w)
             if step is False:
                 return None  # w parallel to a bad subspace
             if step is not None:
@@ -629,7 +630,7 @@ def _least(xs):
     return min(xs, key=cmp_to_key(lambda x, y: sign(x - y)), default=None)
 
 
-def _step_into_span(span, base_val, w, n):
+def _step_into_span(span, base_val, w):
     """The unique beta with base_val + beta*w inside span(span), if any.
 
     ``span`` holds k < n linearly independent vectors, so x lies in their
@@ -637,18 +638,22 @@ def _step_into_span(span, base_val, w, n):
     that minor is a + beta*b, with a = det[span; base_val] and b =
     det[span; w] cut to the same columns.  Returns None when the line
     misses the subspace, False when it lies inside it (bad direction),
-    else the step beta.
+    else the step beta.  The minors are read on the cleared vectors, which
+    scales every a by mb and every b by mw, times one common positive
+    factor: beta = -(a mw) / (b mb).
     """
+    k = len(span)
+    span = [clear_denominators(v)[0] for v in span]
+    (base, mb), (w, mw) = clear_denominators(base_val), clear_denominators(w)
+    a_minors = minors_int(list(zip(*span, base)), k + 1)
+    b_minors = minors_int(list(zip(*span, w)), k + 1)
     beta = None
-    for cols in combinations(range(n), len(span) + 1):
-        rows = [[v[c] for c in cols] for v in span]
-        a = determinant(rows + [[base_val[c] for c in cols]])
-        b = determinant(rows + [[w[c] for c in cols]])
+    for a, b in zip(a_minors, b_minors):
         if not b:
             if a:
                 return None
             continue
-        step = exact_div(-a, b)
+        step = exact_div(-a * mw, b * mb)
         if beta is None:
             beta = step
         elif beta - step:

@@ -161,6 +161,15 @@ def test_product_strong_genericity_exhaustion_exit_code(capsys):
     )
 
 
+@pytest.mark.parametrize("repA, repB", [("g2_rank1.json", "g2_fuchs.json"), ("g2_fuchs.json", "g2_rank1.json")])
+def test_product_refuses_a_factor_whose_rank_is_not_its_cycle_dimension(capsys, repA, repB):
+    # the usage error eval gives for the same representation, before any sampling
+    assert main(["product", "--repA", rep_path(repA), "--repB", rep_path(repB)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: cycle dimension 2 != fiber dimension 1\n"
+
+
 def test_verify_rep_suite_reports_its_bundles_n_and_field(capsys):
     # a --rep suite reports its bundle's n and field, not --n, and no --samples
     code, out = _run(

@@ -393,7 +393,7 @@ def test_step_into_span_matches_the_nullspace_oracle():
                         "random": (vector(field, n), w),
                     }
                     for kind, (base_val, direction) in lines.items():
-                        step = _step_into_span(span, base_val, direction, n)
+                        step = _step_into_span(span, base_val, direction)
                         oracle = _step_oracle(span, base_val, direction, n)
                         outcome = "miss" if step is None else "inside" if step is False else "step"
                         outcomes.add(outcome)

@@ -1,4 +1,4 @@
-"""The integer kernels against a plain Fraction Gaussian-elimination oracle,
+"""The integer kernels against a plain Gaussian-elimination oracle over Q and Q(sqrt d),
 and the minors sweep against one ``det_int`` per subset."""
 
 import random
@@ -13,10 +13,14 @@ from tautclass.cli import main
 from tautclass.exactmath import QuadExt, clear_denominators
 
 
+def _field(x):
+    return x if isinstance(x, QuadExt) else Fraction(x)
+
+
 def _gauss_det(rows):
-    """Plain fraction-based Gaussian elimination, the independent oracle."""
+    """Plain Gaussian elimination over Q or Q(sqrt d), the independent oracle."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[_field(x) for x in row] for row in rows]
     det = Fraction(1)
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
@@ -34,7 +38,7 @@ def _gauss_det(rows):
 
 
 def _gauss_rank(rows, ncols):
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[_field(x) for x in row] for row in rows]
     rank = 0
     for col in range(ncols):
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
@@ -49,24 +53,39 @@ def _gauss_rank(rows, ncols):
     return rank
 
 
+def _entry(kind, rng, bound):
+    """An int, or an element of Z[sqrt d] for kind "quadD"."""
+    if kind == "int":
+        return rng.randint(-bound, bound)
+    return QuadExt(rng.randint(-bound, bound), rng.randint(-bound, bound), int(kind[4:]))
+
+
+KINDS = ("int", "quad2", "quad5")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
 def test_det_against_gauss_oracle(n):
-    rng = random.Random(n)
-    for _ in range(40):
-        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert det_int(m) == _gauss_det(m)
+    for kind in KINDS:
+        rng = random.Random(n)
+        for _ in range(40):
+            m = [[_entry(kind, rng, 9) for _ in range(n)] for _ in range(n)]
+            assert det_int(m) == _gauss_det(m), (kind, m)
 
 
 def test_rank_against_gauss_oracle():
-    rng = random.Random(1)
-    for _ in range(200):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        m = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        assert rank_int(m, nc) == _gauss_rank(m, nc)
+    for kind in KINDS:
+        rng = random.Random(1)
+        for _ in range(200):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            m = [[_entry(kind, rng, 3) for _ in range(nc)] for _ in range(nr)]
+            assert rank_int(m, nc) == _gauss_rank(m, nc), (kind, m)
 
 
 def test_singular_and_degenerate_ranks():
     m = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]
+    assert det_int(m) == 0
+    assert rank_int(m, 3) == 2
+    m = [[1, 2, 3], [2, 4, 7], [3, 6, 1]]  # column 1 has no pivot
     assert det_int(m) == 0
     assert rank_int(m, 3) == 2
     assert det_int([]) == 1
