@@ -5,7 +5,7 @@ relative fixture paths and compares the exit code and the exact stdout
 with ``golden/reports.json``.  Every ``eval`` selector is recorded on
 every fixture, including the combinations that exit non-zero, plus one
 genus-2 ``product``.  ``golden/products.json`` adds ``product`` reports
-of g2_fuchs with three genus-2 fixtures at two seeds each.
+of g2_fuchs with every genus-2 rank-2 fixture at two seeds each.
 
 Regenerate the goldens (only when a report is meant to change) with
 
@@ -21,6 +21,7 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
 PRODUCTS = GOLDEN.with_name("products.json")
 SELECTORS = ["eu0", "eu", "euk:1", "euplus", "witt"]
+GENUS2_RANK2 = ["g2_fuchs", "g2_swap", "g2_swap2"] + [f"g2_solved_{i}" for i in range(1, 9)]
 
 
 def _commands() -> list[list[str]]:
@@ -40,7 +41,7 @@ def _product_commands() -> list[list[str]]:
     return [
         ["product", "--repA", "fixtures/g2_fuchs.json", "--repB", f"fixtures/{b}.json"]
         + ["--seed", str(seed)]
-        for b in ("g2_fuchs", "g2_solved_3", "g2_swap2")
+        for b in GENUS2_RANK2
         for seed in (0, 7)
     ]
 
