@@ -15,7 +15,9 @@ returned chain has boundary zero, which tests verify.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from ._value import Value
@@ -51,6 +53,18 @@ class DeltaComplex:
         for d, level in enumerate(self.simplices[2:], 2):
             below = self.corner_edges[d - 1]
             self.corner_edges.append([below[s.faces[d]] + below[s.faces[1]][-1:] for s in level])
+        # front_faces[d][sid][k] keeps corners 0..k, back_faces[d][sid][k] the
+        # last k + 1 corners: face d is the front (d-1)-face, face 0 the back one
+        self.front_faces: list[list[tuple[int, ...]]] = []
+        self.back_faces: list[list[tuple[int, ...]]] = []
+        for d, level in enumerate(self.simplices):
+            if not d:
+                self.front_faces.append([(sid,) for sid in range(len(level))])
+                self.back_faces.append(self.front_faces[0])
+                continue
+            front, back = self.front_faces[d - 1], self.back_faces[d - 1]
+            self.front_faces.append([front[s.faces[d]] + (sid,) for sid, s in enumerate(level)])
+            self.back_faces.append([back[s.faces[0]] + (sid,) for sid, s in enumerate(level)])
 
     @property
     def num_vertices(self) -> int:
@@ -67,42 +81,62 @@ class DeltaComplex:
         return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices))
 
     def validate(self) -> None:
-        """Check face ids, vertex consistency of faces and the double-face identities."""
-        for d, level in enumerate(self.simplices):
-            below = self.simplices[d - 1] if d else ()
-            n_below = len(below)
-            # d_i d_j = d_{j-1} d_i for i < j, on the faces of faces
-            pairs = [(i, j) for j in range(d + 1) for i in range(j)] if d >= 2 else ()
-            for sid, s in enumerate(level):
-                vertices, faces = s.vertices, s.faces
-                if len(vertices) != d + 1:
-                    raise ValueError(f"simplex ({d},{sid}) has wrong vertex count")
-                if len(faces) != (d + 1 if d else 0):
-                    raise ValueError(f"simplex ({d},{sid}) has wrong face count")
-                for j, fid in enumerate(faces):
-                    if not 0 <= fid < n_below:
-                        raise ValueError(
-                            f"face {j} of simplex ({d},{sid}) has id {fid} out of range"
-                        )
-                    if below[fid].vertices != vertices[:j] + vertices[j + 1 :]:
-                        raise ValueError(
-                            f"face {j} of simplex ({d},{sid}) is not order-compatible"
-                        )
-                ff = [below[fid].faces for fid in faces]
-                for i, j in pairs:
-                    if ff[j][i] != ff[i][j - 1]:
-                        raise ValueError(
-                            f"double-face identity fails at ({d},{sid},i={i},j={j})"
-                        )
+        """Check face ids, vertex consistency of faces and the double-face identities.
 
-    def subsimplex(self, dim: int, sid: int, keep: Sequence[int]) -> tuple[int, int]:
-        """The iterated face on the given corner positions; returns (dim, id)."""
-        cur, d = sid, dim
-        for k in range(dim, -1, -1):  # drop corners from the last, so k stays a position
-            if k not in keep:
-                cur = self.simplices[d][cur].faces[k]
-                d -= 1
-        return d, cur
+        Each check compares whole columns of a level (face j of every
+        simplex, vertex k of every simplex or face) as tuples, in this
+        order: counts, face ids, vertices of faces, then d_i d_j = d_{j-1} d_i
+        for i < j.  A failing check is located at its first simplex.
+        """
+        for d, level in enumerate(self.simplices):
+            n_faces = d + 1 if d else 0
+            vertices = [s.vertices for s in level]
+            faces = [s.faces for s in level]
+            if set(map(len, vertices)) - {d + 1}:
+                sid = next(sid for sid, v in enumerate(vertices) if len(v) != d + 1)
+                raise ValueError(f"simplex ({d},{sid}) has wrong vertex count")
+            if set(map(len, faces)) - {n_faces}:
+                sid = next(sid for sid, f in enumerate(faces) if len(f) != n_faces)
+                raise ValueError(f"simplex ({d},{sid}) has wrong face count")
+            if not (d and level):
+                continue
+            below = self.simplices[d - 1]
+            columns = list(zip(*faces))  # columns[j][sid]: face j of simplex sid
+            if min(map(min, columns)) < 0 or max(map(max, columns)) >= len(below):
+                sid, j, fid = next(
+                    (sid, j, fid)
+                    for sid, f in enumerate(faces)
+                    for j, fid in enumerate(f)
+                    if not 0 <= fid < len(below)
+                )
+                raise ValueError(f"face {j} of simplex ({d},{sid}) has id {fid} out of range")
+            corners = list(zip(*vertices))
+            below_vertices = [b.vertices for b in below]
+            # face j keeps every corner but j: its vertex columns are the others
+            if any(
+                list(zip(*map(below_vertices.__getitem__, col))) != corners[:j] + corners[j + 1 :]
+                for j, col in enumerate(columns)
+            ):
+                sid, j = next(
+                    (sid, j)
+                    for sid, (v, f) in enumerate(zip(vertices, faces))
+                    for j in range(d + 1)
+                    if below_vertices[f[j]] != v[:j] + v[j + 1 :]
+                )
+                raise ValueError(f"face {j} of simplex ({d},{sid}) is not order-compatible")
+            if d < 2:
+                continue
+            below_faces = [b.faces for b in below]
+            ff = [list(zip(*map(below_faces.__getitem__, col))) for col in columns]
+            pairs = [(i, j) for j in range(d + 1) for i in range(j)]
+            if any(ff[j][i] != ff[i][j - 1] for i, j in pairs):
+                sid, i, j = next(
+                    (sid, i, j)
+                    for sid in range(len(level))
+                    for i, j in pairs
+                    if ff[j][i][sid] != ff[i][j - 1][sid]
+                )
+                raise ValueError(f"double-face identity fails at ({d},{sid},i={i},j={j})")
 
     def to_json(self) -> dict:
         return {
@@ -341,42 +375,72 @@ class ProductComplex(DeltaComplex):
 
     Simplices are triples (cell of X, cell of X', covering chain in the
     grid of the two cell dimensions); top simplices over a cell pair are
-    indexed by admissible paths.  A face lies over an earlier cell pair or
-    a shorter chain of the same one, so one pass in that order reads every
-    face id off the chain's template.
+    indexed by admissible paths.  The d-simplices are numbered block by
+    block, (p, q) ascending, and inside a block by (sid, sid2, chain):
+    id = start + (sid * N' + sid2) * k, where start is the block's offset
+    plus the chain's rank among the k chains of its length and N' the
+    number of q-cells of X'.  Face m of a chain's simplices is then
+    X_m[sid] + Y_m[sid2], read off the chain's template once per block,
+    and so are the vertex tuples.
     """
 
     def __init__(self, left: DeltaComplex, right: DeltaComplex):
         self.left, self.right = left, right
         dims = range(left.dimension + right.dimension + 1)
-        self._ids: dict[ProductKey, int] = {}
-        self._keys_by_dim: list[list[ProductKey]] = [[] for _ in dims]
-        levels: list[list[Simplex]] = [[] for _ in dims]
-        ids, nright = self._ids, right.num_vertices
+        # (p, q, chain) -> (d, start, k)
+        self._place: dict[tuple[int, int, GridChain], tuple[int, int, int]] = {}
+        counts = [0 for _ in dims]
         for p, level in enumerate(left.simplices):
             for q, level2 in enumerate(right.simplices):
                 templates = _chain_templates(p, q)
-                for sid, s in enumerate(level):
-                    for sid2, s2 in enumerate(level2):
-                        for chain, template in templates:
-                            faces = tuple(
-                                ids[p - r, s.faces[i] if r else sid,
-                                    q - c, s2.faces[j] if c else sid2, rest]
-                                for r, c, i, j, rest in template
-                            )
-                            key, d = (p, sid, q, sid2, chain), len(chain) - 1
-                            ids[key] = len(levels[d])
-                            self._keys_by_dim[d].append(key)
-                            verts = (s.vertices[i] * nright + s2.vertices[j] for i, j in chain)
-                            levels[d].append(Simplex(tuple(verts), faces))
+                k, rank = Counter(len(chain) - 1 for chain, _ in templates), Counter()
+                for chain, _ in templates:
+                    d = len(chain) - 1
+                    self._place[p, q, chain] = d, counts[d] + rank[d], k[d]
+                    rank[d] += 1
+                for d, kd in k.items():
+                    counts[d] += len(level) * len(level2) * kd
+        levels: list[list] = [[None] * count for count in counts]
+        self._keys_by_dim: list[list] = [[None] * count for count in counts]
+        nright = right.num_vertices
+        for p, level in enumerate(left.simplices):
+            for q, level2 in enumerate(right.simplices):
+                cells = [(sid, sid2) for sid in range(len(level)) for sid2 in range(len(level2))]
+                for chain, template in _chain_templates(p, q):
+                    d, start, k = self._place[p, q, chain]
+                    xs, ys = [], []
+                    for r, c, i, j, rest in template:
+                        _, at, kf = self._place[p - r, q - c, rest]
+                        stride = len(right.simplices[q - c]) * kf
+                        xs.append([at + (s.faces[i] if r else sid) * stride for sid, s in enumerate(level)])
+                        ys.append([(s2.faces[j] if c else sid2) * kf for sid2, s2 in enumerate(level2)])
+                    xs = list(zip(*xs)) or [()] * len(level)
+                    ys = list(zip(*ys)) or [()] * len(level2)
+                    vx = [tuple(s.vertices[i] * nright for i, _ in chain) for s in level]
+                    vy = [tuple(s2.vertices[j] for _, j in chain) for s2 in level2]
+                    block = slice(start, start + len(cells) * k, k)
+                    levels[d][block] = [
+                        _simplex(tuple(map(add, vx[sid], vy[sid2])), tuple(map(add, xs[sid], ys[sid2])))
+                        for sid, sid2 in cells
+                    ]
+                    self._keys_by_dim[d][block] = [(p, sid, q, sid2, chain) for sid, sid2 in cells]
         super().__init__(levels)
 
     def id_of(self, p: int, sid: int, q: int, sid2: int, chain: GridChain) -> int:
-        return self._ids[(p, sid, q, sid2, chain)]
+        _, start, k = self._place[p, q, chain]
+        return start + (sid * len(self.right.simplices[q]) + sid2) * k
 
     def cell_info(self, dim: int, sid: int) -> ProductKey:
         """(p, sid, q, sid2, chain) of a product simplex."""
         return self._keys_by_dim[dim][sid]
+
+
+def _simplex(vertices: tuple[int, ...], faces: tuple[int, ...]) -> Simplex:
+    """A Simplex without the keyword pass of ``Value._set``, for bulk construction."""
+    s = object.__new__(Simplex)
+    object.__setattr__(s, "vertices", vertices)
+    object.__setattr__(s, "faces", faces)
+    return s
 
 
 def product_complex(left: DeltaComplex, right: DeltaComplex) -> ProductComplex:
@@ -405,9 +469,5 @@ def cup_evaluate(cx: DeltaComplex, p: int, alpha, q: int, beta, z: Chain) -> int
     """
     if z.dim != p + q:
         raise ValueError("chain dimension must be p+q")
-    total = 0
-    for sid, c in z.coeffs.items():
-        _, front = cx.subsimplex(p + q, sid, range(p + 1))
-        _, back = cx.subsimplex(p + q, sid, range(p, p + q + 1))
-        total += c * alpha(front) * beta(back)
-    return total
+    front, back = cx.front_faces[p + q], cx.back_faces[p + q]
+    return sum(c * alpha(front[sid][p]) * beta(back[sid][q]) for sid, c in z.coeffs.items())

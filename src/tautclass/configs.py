@@ -179,22 +179,51 @@ def _generic_minors(points: Sequence[Point]) -> list[Scalar]:
     return minors
 
 
-def raw_symbol_from_minors(minors: Sequence[Scalar]) -> RawPlusSymbol:
-    """[s; s_1..s_n] from the nonzero maximal minors D_0..D_n.
+def _raw_signs(minors: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
+    """(s, (s_1..s_n)) of the raw symbol, from the nonzero maximal minors D_0..D_n.
 
     With v_n = sum a_i v_i, Cramer gives a_i = (-1)^(n-i+1) D_i / D_n,
     and s = sgn D_n.
     """
     n = len(minors) - 1
     lead = sign(minors[n])
-    tail = tuple((-1) ** (n - i + 1) * sign(minors[i]) * lead for i in range(n))
-    return RawPlusSymbol(lead, tail)
+    return lead, tuple((-1) ** (n - i + 1) * sign(minors[i]) * lead for i in range(n))
+
+
+def raw_symbol_from_minors(minors: Sequence[Scalar]) -> RawPlusSymbol:
+    """[s; s_1..s_n] from the nonzero maximal minors D_0..D_n (see ``_raw_signs``)."""
+    return RawPlusSymbol(*_raw_signs(minors))
+
+
+def _u_sign(minors: Sequence[Scalar]) -> int:
+    """sgn(det(v_0..v_{n-1}) * a_0 * ... * a_{n-1}) from the maximal minors."""
+    lead, tail = _raw_signs(minors)
+    return lead * prod(tail)
 
 
 def u_symbol_from_minors(minors: Sequence[Scalar]) -> USymbol:
-    """sgn(det(v_0..v_{n-1}) * a_0 * ... * a_{n-1}) from the maximal minors."""
-    raw = raw_symbol_from_minors(minors)
-    return USymbol(raw.n, raw.leading * prod(raw.tail))
+    return USymbol(len(minors) - 1, _u_sign(minors))
+
+
+def _canonical(n: int, a: int, lead: int) -> tuple[int, int]:
+    """(a', e): the raw symbol with leading sign ``lead`` and a plus signs is e * (a'+).
+
+    Rule order (the two relations commute, which tests assert): first
+    flip a negative leading sign via a- = -(a+), then fold a from above
+    the midpoint via a+ = -(n+1-a)+.  For odd n the midpoint class is
+    2-torsion and dies: e = 0.
+    """
+    if n % 2 and 2 * a == n + 1:
+        return 0, 0
+    if a > n // 2:
+        return n + 1 - a, -lead
+    return a, lead
+
+
+def _plus_class(minors: Sequence[Scalar]) -> tuple[int, int]:
+    """The canonical (a, e) of a generic tuple in P_+^{n-1}, from its maximal minors."""
+    lead, tail = _raw_signs(minors)
+    return _canonical(len(tail), tail.count(1), lead)
 
 
 def witt_symbol_from_minors(minors: Sequence[Scalar]) -> WittElement:
@@ -228,24 +257,9 @@ def uplus_raw_symbol(points: Sequence[Point]) -> RawPlusSymbol:
 
 
 def uplus_canonicalize(raw: RawPlusSymbol) -> UPlusSymbol:
-    """Write a raw symbol in the basis {a+}.
-
-    Rule order (the two relations commute, which tests assert): first
-    flip a negative leading sign via a- = -(a+), then fold a from above
-    the midpoint via a+ = -(n+1-a)+.  For odd n the midpoint class is
-    2-torsion and dies: the result is 0.
-    """
-    n = raw.n
-    a = sum(1 for s in raw.tail if s > 0)
-    coeff = 1
-    if raw.leading < 0:
-        coeff = -coeff
-    if n % 2 and 2 * a == n + 1:
-        return UPlusSymbol.zero(n)
-    if a > n // 2:
-        coeff = -coeff
-        a = n + 1 - a
-    return UPlusSymbol.basis(n, a, coeff)
+    """Write a raw symbol in the basis {a+} (the rules are ``_canonical``'s)."""
+    a, e = _canonical(raw.n, raw.tail.count(1), raw.leading)
+    return UPlusSymbol.basis(raw.n, a, e)
 
 
 def uplus_symbol(points: Sequence[Point]) -> UPlusSymbol:
@@ -262,15 +276,12 @@ def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
 
 Mode = Literal["P", "P+", "witt"]
 
-# per mode: the symbol of a generic tuple read from its maximal minors, and
-# the sum of (symbol, c) pairs in the symbol group for lifts in K^n
-SYMBOL_MODES = {
-    "P": (u_symbol_from_minors, lambda n, pairs: sum((t.scale(c) for t, c in pairs), USymbol(n, 0))),
-    "P+": (
-        lambda minors: uplus_canonicalize(raw_symbol_from_minors(minors)),
-        lambda n, pairs: sum((t.scale(c) for t, c in pairs), UPlusSymbol.zero(n)),
-    ),
-    "witt": (witt_symbol_from_minors, lambda n, pairs: WittElement.combination(pairs)),
+# per sign mode: the canonical (a, e) of a generic tuple read from its
+# maximal minors (its symbol is e times basis element a; a = 0 for "P"),
+# and the symbol with given integer coefficients on the basis
+SIGN_MODES = {
+    "P": (lambda minors: (0, _u_sign(minors)), lambda n, coeffs: USymbol(n, coeffs[0])),
+    "P+": (_plus_class, lambda n, coeffs: UPlusSymbol(n, tuple(coeffs))),
 }
 
 
@@ -282,17 +293,28 @@ def symbol_sum(
 ):
     """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
 
-    A USymbol (mode "P"), a UPlusSymbol ("P+") or a WittElement ("witt",
-    n = 2, summed in one pass).  ``texts``, when given, receives the text
-    of every symbol in order.
+    The minors are the nonzero maximal minors of lifts in K^n.  A USymbol
+    (mode "P") or a UPlusSymbol ("P+"): each term's canonical (a, e) is
+    folded into integer coefficients and one symbol is built.  A
+    WittElement ("witt", n = 2), summed in one pass.  ``texts``, when
+    given, receives the text of every term's symbol in order.
     """
-    if mode not in SYMBOL_MODES:
+    if mode == "witt":
+        pairs = [(witt_symbol_from_minors(minors), c) for minors, c in terms]
+        if texts is not None:
+            texts.extend(str(term) for term, _ in pairs)
+        return WittElement.combination(pairs)
+    if mode not in SIGN_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    symbol, total = SYMBOL_MODES[mode]
-    pairs = [(symbol(minors), c) for minors, c in terms]
+    read, symbol = SIGN_MODES[mode]
+    classes = [(read(minors), c) for minors, c in terms]
+    basis = range(n // 2 + 1)
     if texts is not None:
-        texts.extend(str(term) for term, _ in pairs)
-    return total(n, pairs)
+        texts.extend(str(symbol(n, [e * (i == a) for i in basis])) for (a, e), _ in classes)
+    coeffs = [0 for _ in basis]
+    for (a, e), c in classes:
+        coeffs[a] += e * c
+    return symbol(n, coeffs)
 
 
 def boundary_symbol_sum(points: Sequence[Point], mode: Mode):

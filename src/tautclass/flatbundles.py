@@ -83,14 +83,13 @@ def _check_tag_det(d: Scalar, tag: str) -> None:
 def _path_ratio(h12, h01, h02, ratios) -> tuple[Scalar, Scalar] | None:
     """(x, y) with h12 h01 == (x/y) h02, checked block by block, or None.
 
-    Each argument lists the blocks of one edge; every block must give the
-    same ratio.  Blocks are compared through their cleared forms a = m *
-    block, and ``ratios`` keeps a12 a01 : a02 per triple of block ids.
+    Each argument is the record of one edge: per block (id(block), a, m)
+    with a = m * block cleared.  Every block must give the same ratio, and
+    ``ratios`` keeps a12 a01 : a02 per triple of block ids.
     """
     out = None
-    for blocks in zip(h12, h01, h02):
-        (a, ma), (b, mb), (c, mc) = (block.cleared() for block in blocks)
-        key = tuple(map(id, blocks))
+    for (ka, a, ma), (kb, b, mb), (kc, c, mc) in zip(h12, h01, h02):
+        key = ka, kb, kc
         if key not in ratios:
             ratios[key] = (a @ b).ratio_to(c)
         r = ratios[key]
@@ -104,11 +103,33 @@ def _path_ratio(h12, h01, h02, ratios) -> tuple[Scalar, Scalar] | None:
     return out
 
 
+class _BlockSums(Mapping):
+    """Edge -> holonomy matrix: the block sum of the edge's blocks, built on first read."""
+
+    def __init__(self, blocks: Mapping[int, tuple[Matrix, ...]]):
+        self._blocks, self._sums = blocks, {}
+
+    def __getitem__(self, eid: int) -> Matrix:
+        blocks = self._blocks[eid]
+        if len(blocks) == 1:
+            return blocks[0]
+        if eid not in self._sums:
+            self._sums[eid] = Matrix.block_diag(*blocks)
+        return self._sums[eid]
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+
 class FlatBundle:
     """Edge-holonomy presentation of a flat bundle over a Delta-complex.
 
     A holonomy given as a tuple of square blocks is their block sum, and
-    is validated and inverted block by block.
+    is validated and inverted block by block; ``holonomy[e]`` builds the
+    sum only when read.
     """
 
     def __init__(
@@ -125,33 +146,32 @@ class FlatBundle:
         self.n = n
         self.tag = tag
         self.field = field
-        self.blocks, self.holonomy = {}, {}
-        for e, h in holonomy.items():
-            self.blocks[e] = h if isinstance(h, tuple) else (h,)
-            self.holonomy[e] = Matrix.block_diag(*h) if isinstance(h, tuple) else h
+        self.blocks = {e: h if isinstance(h, tuple) else (h,) for e, h in holonomy.items()}
+        self.holonomy = _BlockSums(self.blocks)
         self._transports: dict[int, tuple[Matrix, int]] = {}
         self.validate()
 
     def validate(self) -> None:
         """Shape and tag of every edge, the triangle condition on every 2-simplex."""
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        ratios = {}
+        ratios, records = {}, []
         sizes = [b.nrows for b in self.blocks.get(0, ())]
         for eid in range(n_edges):
-            if eid not in self.holonomy:
+            if eid not in self.blocks:
                 raise ValueError(f"edge {eid} has no holonomy")
-            m = self.holonomy[eid]
-            shape = [b.nrows for b in self.blocks[eid]]
-            if m.nrows != self.n or m.ncols != self.n or shape != sizes:
+            blocks = self.blocks[eid]
+            shape = [b.nrows for b in blocks]
+            if shape != sizes or sum(shape) != self.n or any(b.ncols != b.nrows for b in blocks):
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            _check_tag_det(prod(b.det() for b in self.blocks[eid]), self.tag)
+            _check_tag_det(prod(b.det() for b in blocks), self.tag)
+            records.append(tuple((id(b), *b.cleared()) for b in blocks))
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
-                faces = [self.blocks[f] for f in s.faces]
-                ratio = _path_ratio(faces[0], faces[2], faces[1], ratios)
+                f12, f02, f01 = s.faces
+                ratio = _path_ratio(records[f12], records[f01], records[f02], ratios)
                 if ratio is None or not _tag_allows(*ratio, self.tag):
-                    h01, h12, h02 = (self.holonomy[s.faces[i]] for i in (2, 0, 1))
+                    h01, h12, h02 = (self.holonomy[f] for f in (f01, f12, f02))
                     residual = h02.inverse() @ (h12 @ h01)
                     raise TriangleError(
                         f"triangle condition fails on 2-simplex {sid} "

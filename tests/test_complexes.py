@@ -179,21 +179,43 @@ def test_cup_kunneth_on_product_of_surfaces():
     assert lhs == eval_a * eval_b
 
 
-def test_cup_walks_two_faces_per_top_simplex(monkeypatch):
-    s1, z1 = surface_complex(1)
-    s2, z2 = surface_complex(2)
-    px = product_complex(s1, s2)
-    zz = product_chain(px, z1, z2)
-    walks = []
-    subsimplex = DeltaComplex.subsimplex
+def subsimplex(cx, dim: int, sid: int, keep) -> tuple[int, int]:
+    """The iterated face on the given corner positions, walked face by face; (dim, id).
 
-    def counted(self, *args):
-        walks.append(args)
-        return subsimplex(self, *args)
+    The oracle of the corner-edge and front/back face tables.
+    """
+    cur, d = sid, dim
+    for k in range(dim, -1, -1):  # drop corners from the last, so k stays a position
+        if k not in keep:
+            cur = cx.simplices[d][cur].faces[k]
+            d -= 1
+    return d, cur
 
-    monkeypatch.setattr(DeltaComplex, "subsimplex", counted)
-    cup_evaluate(px, 2, lambda pid: 1, 2, lambda pid: 1, zz)
-    assert len(walks) == 2 * len(zz.coeffs)
+
+TABLE_COMPLEXES = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: surface_complex(1)[0],
+        lambda: surface_complex(2)[0],
+        lambda: surface_complex(3)[0],
+        lambda: sphere_complex()[0],
+        lambda: standard_simplex_complex(4),
+        lambda: product_complex(surface_complex(2)[0], surface_complex(2)[0]),
+        lambda: product_complex(sphere_complex()[0], surface_complex(1)[0]),
+    ],
+    ids=["S1g", "S2g", "S3g", "sphere", "D4", "S2gxS2g", "sphere x T2"],
+)
+
+
+@TABLE_COMPLEXES
+def test_front_and_back_face_tables_match_subsimplex(make):
+    cx = make()
+    for d, level in enumerate(cx.simplices):
+        assert len(cx.front_faces[d]) == len(cx.back_faces[d]) == len(level)
+        for sid in range(len(level)):
+            for k in range(d + 1):
+                assert cx.front_faces[d][sid][k] == subsimplex(cx, d, sid, range(k + 1))[1]
+                assert cx.back_faces[d][sid][k] == subsimplex(cx, d, sid, range(d - k, d + 1))[1]
 
 
 def test_cup_missing_value_errors():
@@ -233,6 +255,66 @@ def test_validation_rejects_face_ids_outside_the_level_below(bad_id):
         DeltaComplex.from_json(data)
     with pytest.raises(ValueError, match=r"face 1 of simplex \(1,0\)"):
         DeltaComplex([vertices, [Simplex((0, 0), (0, bad_id))]])
+
+
+def _first_fault(levels) -> str | None:
+    """Simplex by simplex, the message of the first fault of DeltaComplex.validate."""
+    for d, level in enumerate(levels):
+        below = levels[d - 1] if d else ()
+        for sid, s in enumerate(level):
+            if len(s.vertices) != d + 1:
+                return f"simplex ({d},{sid}) has wrong vertex count"
+            if len(s.faces) != (d + 1 if d else 0):
+                return f"simplex ({d},{sid}) has wrong face count"
+        for sid, s in enumerate(level):
+            for j, fid in enumerate(s.faces):
+                if not 0 <= fid < len(below):
+                    return f"face {j} of simplex ({d},{sid}) has id {fid} out of range"
+        for sid, s in enumerate(level):
+            for j, fid in enumerate(s.faces):
+                if below[fid].vertices != s.vertices[:j] + s.vertices[j + 1 :]:
+                    return f"face {j} of simplex ({d},{sid}) is not order-compatible"
+        for sid, s in enumerate(level):
+            for j in range(d + 1 if d >= 2 else 0):
+                for i in range(j):
+                    if below[s.faces[j]].faces[i] != below[s.faces[i]].faces[j - 1]:
+                        return f"double-face identity fails at ({d},{sid},i={i},j={j})"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_validation_reports_the_first_fault_of_the_oracle(seed):
+    # one-vertex products pass every vertex check, so swapped or shifted
+    # face ids surface as double-face faults; vertex swaps as vertex faults
+    rng = random.Random(seed)
+    make = rng.choice([
+        lambda: product_complex(surface_complex(1)[0], surface_complex(1)[0]),
+        lambda: product_complex(sphere_complex()[0], standard_simplex_complex(1)),
+        lambda: standard_simplex_complex(4),
+    ])
+    levels = [list(level) for level in make().simplices]
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randrange(1, len(levels))
+        sid = rng.randrange(len(levels[d]))
+        v, f = list(levels[d][sid].vertices), list(levels[d][sid].faces)
+        kind = rng.choice(["swap faces"] * 3 + ["swap vertices", "shift face", "drop face"])
+        i, j = rng.sample(range(d + 1), 2)
+        if kind == "swap faces":
+            f[i], f[j] = f[j], f[i]
+        elif kind == "swap vertices":
+            v[i], v[j] = v[j], v[i]
+        elif kind == "shift face":
+            f[i] += rng.choice([-len(levels[d - 1]), -1, 1, len(levels[d - 1])])
+        else:
+            f.pop(i)
+        levels[d][sid] = Simplex(tuple(v), tuple(f))
+    expected = _first_fault(levels)
+    if expected is None:
+        DeltaComplex(levels)
+        return
+    with pytest.raises(ValueError) as err:
+        DeltaComplex(levels)
+    assert str(err.value) == expected
 
 
 def _oracle_product(left, right):
@@ -309,25 +391,13 @@ def test_product_complex_matches_face_key_oracle(make_left, make_right, counts):
 def test_subsimplex_extraction():
     cx = standard_simplex_complex(3)
     top = 0  # vertices (0,1,2,3)
-    d, sid = cx.subsimplex(3, top, (1, 3))
+    d, sid = subsimplex(cx, 3, top, (1, 3))
     assert d == 1
     assert cx.simplices[1][sid].vertices == (1, 3)
-    assert cx.corner_edges[3][top][1] == cx.subsimplex(3, top, (0, 2))[1]
+    assert cx.corner_edges[3][top][1] == subsimplex(cx, 3, top, (0, 2))[1]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: surface_complex(1)[0],
-        lambda: surface_complex(2)[0],
-        lambda: surface_complex(3)[0],
-        lambda: sphere_complex()[0],
-        lambda: standard_simplex_complex(4),
-        lambda: product_complex(surface_complex(2)[0], surface_complex(2)[0]),
-        lambda: product_complex(sphere_complex()[0], surface_complex(1)[0]),
-    ],
-    ids=["S1g", "S2g", "S3g", "sphere", "D4", "S2gxS2g", "sphere x T2"],
-)
+@TABLE_COMPLEXES
 def test_corner_edge_table_matches_subsimplex(make):
     cx = make()
     for d, level in enumerate(cx.simplices):
@@ -335,7 +405,7 @@ def test_corner_edge_table_matches_subsimplex(make):
         for sid in range(len(level)):
             assert len(cx.corner_edges[d][sid]) == d
             for c in range(1, d + 1):
-                assert cx.corner_edges[d][sid][c - 1] == cx.subsimplex(d, sid, (0, c))[1]
+                assert cx.corner_edges[d][sid][c - 1] == subsimplex(cx, d, sid, (0, c))[1]
 
 
 def test_value_types_compare_by_fields_and_are_immutable():

@@ -195,7 +195,8 @@ def test_oracle_functions_have_no_caller_in_the_package():
 # (tests/fixture_builders.py), nullspace (the rank and step oracle) and
 # methods whose callers were all tests (now helpers in those tests); and
 # second corner readers, deleted for the corner-edge table and
-# FlatBundle._corners
+# FlatBundle._corners, and the face walk the corner-edge and front/back
+# face tables replace (an oracle in test_complexes.py)
 TEST_ONLY = {
     "nullspace", "scalar_multiple_of_identity", "save_rep", "_m",
     "genus1_diagonal", "genus1_diagonal2", "genus1_parabolic", "genus2_swap",
@@ -203,7 +204,7 @@ TEST_ONLY = {
     "_admits_generic_section", "_sqrt_fraction", "BUILTIN_FIXTURES", "write_fixtures",
     "boundary_word", "diagonal_entries", "is_cycle", "boundary_classes",
     "psl_canonical", "sqrt_gen", "is_identity",
-    "edge_between_corners", "_to_base",
+    "edge_between_corners", "_to_base", "subsimplex",
 }
 
 

@@ -782,11 +782,10 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     }
     calls = Counter()
     _count_calls(monkeypatch, Matrix, "apply", calls)
-    _count_calls(monkeypatch, DeltaComplex, "subsimplex", calls)
     for text, (value, symbols) in expected.items():
         calls.clear()
         got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
-        assert calls == {"apply": 63}  # and no subsimplex walk: edges come from the table
+        assert calls == {"apply": 63}
         assert got == value
         assert detail == {sid: str(symbols[sid]) for sid in zz.coeffs}
 
@@ -795,11 +794,21 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
 def test_sampling_reads_corner_edges_from_the_table(monkeypatch, mode):
     rep = load_rep(rep_path("g2_fuchs.json"))
     bundle = bundle_from_surface_rep(surface_complex(2)[0], rep.matrices, rep.tag)
-    calls = Counter()
-    _count_calls(monkeypatch, DeltaComplex, "subsimplex", calls)
+    transported = set()
+    transport = FlatBundle.transport
+
+    def recorded(self, eid):
+        transported.add(eid)
+        return transport(self, eid)
+
+    monkeypatch.setattr(FlatBundle, "transport", recorded)
     s = random_generic_section(bundle, seed=3, mode=mode)
     assert is_generic_section(bundle, s, mode)
-    assert calls == {}
+    # the package has no face walk: the transported edges are the table's
+    # entries on the in-scope simplices (mode "strong" adds the edges)
+    table = bundle.base.corner_edges
+    dims = (2,) if mode == "basic" else (1, 2)
+    assert transported == {e for d in dims for edges in table[d] for e in edges}
 
 
 # left multiplication by the unit quaternions i and j: [L_i, L_j] = L_{-1} = -I
