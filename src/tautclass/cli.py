@@ -211,6 +211,21 @@ def _suite_alternation(args, rng):
     return failures
 
 
+def _oracle(rep) -> int | None:
+    """The rotation-number Euler number, or None when the float oracle cannot give it.
+
+    Building the bundle has already decided the relator exactly, so an
+    OracleError (a float residual or determinant out of tolerance, as
+    with entries of many digits) leaves the representation valid: the
+    oracle is reported unavailable, with the reason on stderr.
+    """
+    try:
+        return rotation_euler(rep.float_matrices())
+    except OracleError as exc:
+        sys.stderr.write(f"oracle unavailable: {exc}\n")
+        return None
+
+
 def _load_bundle(path: str):
     rep = load_rep(path)
     sc, z = surface_complex(rep.genus)
@@ -273,9 +288,9 @@ def _suite_comparison(args, rng):
         if not (bar == w):
             failures.append({"check": "bar-vs-bundle-witt"})
     if args.oracle:
-        val = rotation_euler(rep.float_matrices())
+        val = _oracle(rep)
         info["oracle"] = val
-        if val != eu0:
+        if val is not None and val != eu0:
             failures.append({"check": "oracle", "oracle": val, "eu0": eu0})
     return failures, info
 
@@ -343,10 +358,10 @@ def cmd_eval(args) -> int:
     else:
         report["value"] = value
     if args.oracle:
-        oracle_value = rotation_euler(rep.float_matrices())
+        oracle_value = _oracle(rep)
         report["oracle"] = oracle_value
         if selector.kind == "euk" and selector.k == 0:
-            report["agree"] = oracle_value == value
+            report["agree"] = None if oracle_value is None else oracle_value == value
     _emit(report, args.csv, t0)
     return EXIT_OK
 
@@ -476,9 +491,6 @@ def main(argv=None) -> int:
     except GenericityError as exc:
         sys.stderr.write(f"genericity exhausted: {exc}\n")
         return EXIT_RESAMPLING
-    except OracleError as exc:
-        sys.stderr.write(f"oracle failure: {exc}\n")
-        return EXIT_BAD_REP
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc}\n")
         return EXIT_USAGE

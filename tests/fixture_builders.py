@@ -219,6 +219,44 @@ def genus2_rank1(values=(2, 3, 5, 7)) -> SurfaceRep:
     return SurfaceRep(QQ, 2, "GL+", mats)
 
 
+def handle_moves(rep: SurfaceRep, word: str) -> SurfaceRep:
+    """The representation after a word of within-handle moves, left to right.
+
+    Letter ``a<i>`` is A_i -> A_i B_i and ``b<i>`` is B_i -> B_i A_i, on
+    handle i = 1..g.  Both keep the commutator [A_i, B_i], so the relator
+    still closes; they are Dehn twists of the surface, which change no
+    characteristic class.
+    """
+    mats = list(rep.matrices)
+    for letter in word.split():
+        i = 2 * (int(letter[1:]) - 1)
+        a, b = mats[i], mats[i + 1]
+        if letter[0] == "a":
+            mats[i] = a @ b
+        else:
+            mats[i + 1] = b @ a
+    return SurfaceRep(rep.field, rep.genus, rep.tag, mats)
+
+
+def random_move_word(rng: random.Random, genus: int, length: int) -> str:
+    return " ".join(f"{rng.choice('ab')}{rng.randint(1, genus)}" for _ in range(length))
+
+
+def conjugated(rep: SurfaceRep, g: Matrix) -> SurfaceRep:
+    """Every generator M replaced by g M g^-1; det g < 0 reverses the fiber's orientation."""
+    g_inv = g.inverse()
+    return SurfaceRep(rep.field, rep.genus, rep.tag, [g @ m @ g_inv for m in rep.matrices])
+
+
+# 16 within-handle moves that take g2_fuchs to entries of up to 26 digits:
+# exactly valid, but past the float relator tolerance of the oracle
+FUCHS_MOVES = "b2 b2 b1 b1 b2 a1 a2 b2 a2 a1 b1 a1 b2 b1 b2 b2"
+
+
+def genus2_fuchsian_moved() -> SurfaceRep:
+    return handle_moves(genus2_fuchsian(), FUCHS_MOVES)
+
+
 BUILTIN_FIXTURES = {
     "g1_diag.json": genus1_diagonal,
     "g1_diag2.json": genus1_diagonal2,

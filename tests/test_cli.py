@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 
 from conftest import rep_path
+from fixture_builders import genus2_fuchsian_moved, save_rep
 from tautclass import cli
 from tautclass.cli import main
+from tautclass.oracle import OracleError, rotation_euler
+from tautclass.reps import SurfaceRep, load_rep
 
 
 def _run(capsys, *argv):
@@ -86,6 +89,35 @@ def test_eval_reports_and_agreement(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["value"] == 0 and report["oracle"] == 0 and report["agree"]
+
+
+def test_oracle_out_of_float_range_is_unavailable_not_an_invalid_rep(capsys, tmp_path):
+    # exactly valid (the relator closes), but the float relator residual
+    # is far past the oracle's tolerance
+    path = str(tmp_path / "fuchs_moved.json")
+    save_rep(genus2_fuchsian_moved(), path)
+    with pytest.raises(OracleError, match="relator residual"):
+        rotation_euler(load_rep(path).float_matrices())
+    code, out = _run(capsys, "eval", "--rep", path, "--selector", "eu0")
+    assert code == 0 and json.loads(out)["value"] == -1
+    code = main(["eval", "--rep", path, "--selector", "eu0", "--oracle"])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 0
+    assert (report["value"], report["oracle"], report["agree"]) == (-1, None, None)
+    assert "oracle unavailable: relator residual" in err
+    # the same matrices tagged GL+, so that comparison runs no witt check
+    # (its square classes are past the factorization bound: exit 5)
+    moved = genus2_fuchsian_moved()
+    save_rep(SurfaceRep(moved.field, moved.genus, "GL+", moved.matrices), path)
+    code, out = _run(capsys, "verify", "comparison", "--rep", path, "--oracle")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["eu0"], report["oracle"], report["failures"]) == (-1, None, [])
+    # the exact result still sets the exit code: a selector the oracle
+    # does not compare reports no agreement at all
+    code, out = _run(capsys, "eval", "--rep", path, "--selector", "eu", "--oracle")
+    assert code == 0 and "agree" not in json.loads(out)
 
 
 def test_eval_euplus_notes_core(capsys):

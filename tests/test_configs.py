@@ -8,6 +8,7 @@ from tautclass.configs import (
     GenericityError,
     RawPlusSymbol,
     UPlusSymbol,
+    USymbol,
     boundary_symbol_sum,
     homological_core_check,
     is_generic_tuple,
@@ -342,3 +343,47 @@ def test_witt_symbol_sum_makes_no_element_addition(monkeypatch):
     monkeypatch.setattr(WittElement, "__add__", lambda a, b: calls.append(1) or add(a, b))
     total = symbol_sum("witt", 2, terms)
     assert calls == [] and total.dimension() > 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sign_mode_symbol_sums_are_the_term_by_term_fold(n):
+    # the oracle: each term's raw symbol by Cramer's rule on its points,
+    # one symbol object per term, scaled and added
+    rng = random.Random(n)
+    modes = ["P", "P+"] if n % 2 == 0 else ["P+"]
+    for count in (0, 1, 7, 60):
+        tuples = [_random_generic(rng, n, n + 1, bound=5) for _ in range(count)]
+        terms = [(maximal_minors(tup), rng.choice([-2, -1, 1, 3])) for tup in tuples]
+        raws = [RawPlusSymbol(*_cramer_raw(tup)) for tup in tuples]
+        for mode in modes:
+            if mode == "P":
+                symbols = [USymbol(n, raw.leading * prod(raw.tail)) for raw in raws]
+                fold = sum((t.scale(c) for t, (_, c) in zip(symbols, terms)), USymbol(n, 0))
+            else:
+                symbols = [uplus_canonicalize(raw) for raw in raws]
+                fold = sum((t.scale(c) for t, (_, c) in zip(symbols, terms)), UPlusSymbol.zero(n))
+            texts = []
+            assert symbol_sum(mode, n, terms, texts) == fold
+            assert symbol_sum(mode, n, terms) == fold
+            assert texts == [str(t) for t in symbols]
+
+
+def test_sign_mode_symbol_sum_builds_one_symbol(monkeypatch):
+    rng = random.Random(3)
+    terms = [(maximal_minors(_random_generic(rng, 4, 5, bound=5)), 1) for _ in range(50)]
+    built = []
+    for cls in (USymbol, UPlusSymbol):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=init: built.append(1) or _init(self, *a))
+    for mode in ("P", "P+"):
+        built.clear()
+        symbol_sum(mode, 4, terms)
+        assert built == [1]
+
+
+def test_sign_modes_refuse_odd_n_and_unknown_modes():
+    terms = [(maximal_minors([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]), 1)]
+    with pytest.raises(ValueError, match="zero for odd n"):
+        symbol_sum("P", 3, terms)
+    with pytest.raises(ValueError, match="unknown mode"):
+        symbol_sum("Q", 2, [])

@@ -45,6 +45,7 @@ from tautclass.flatbundles import (
     Section,
     Selector,
     TagError,
+    TriangleError,
     bundle_from_surface_rep,
     evaluate_class,
     is_generic_section,
@@ -594,6 +595,45 @@ def _first_triangle_failure(px, holonomy):
 def _over_two_factor_edges(px):
     """The last product edge over a pair of factor edges; its block objects are shared."""
     return max(e for e in range(len(px.simplices[1])) if px.cell_info(1, e)[:3:2] == (1, 1))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["L", "R"])
+def test_factor_tampered_after_its_validation_fails_the_product(side):
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    factor = (e_a, e_b)[side]
+    eid = len(factor.base.simplices[1]) - 1
+    (h,) = factor.blocks[eid]
+    factor.blocks[eid] = (h @ Matrix([[1, 1], [0, 1]]),)  # det kept
+    assert factor.holonomy[eid] is factor.blocks[eid][0]
+    i2 = Matrix.identity(2)
+    full = {}
+    for e in range(len(px.simplices[1])):
+        p, sid, q, sid2, _ = px.cell_info(1, e)
+        left = e_a.holonomy[sid] if p == 1 else i2
+        full[e] = Matrix.block_diag(left, e_b.holonomy[sid2] if q == 1 else i2)
+    expected = _first_triangle_failure(px, full)
+    assert expected is not None
+    with pytest.raises(TriangleError) as err:
+        product_bundle(px, e_a, e_b)
+    assert str(err.value) == expected
+
+
+def test_product_validation_checks_every_triangle(monkeypatch):
+    px, e_a, e_b = _fuchs_times("g2_fuchs")
+    checked = []
+    path_ratio = flatbundles._path_ratio
+
+    def counted(*args):
+        checked.append(args)
+        return path_ratio(*args)
+
+    monkeypatch.setattr(flatbundles, "_path_ratio", counted)
+    bundle = product_bundle(px, e_a, e_b)
+    assert len(checked) == len(px.simplices[2]) == 426
+    # and the block sums are built only when read
+    assert bundle.holonomy._sums == {}
+    assert bundle.holonomy[5] == Matrix.block_diag(*bundle.blocks[5])
+    assert list(bundle.holonomy._sums) == [5]
 
 
 def test_validation_treats_value_equal_block_copies_alike():
