@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from operator import add
+from itertools import repeat
 from typing import Sequence
 
 from ._value import Value
@@ -55,13 +55,11 @@ class DeltaComplex:
             self.corner_edges.append([below[s.faces[d]] + below[s.faces[1]][-1:] for s in level])
         # front_faces[d][sid][k] keeps corners 0..k, back_faces[d][sid][k] the
         # last k + 1 corners: face d is the front (d-1)-face, face 0 the back one
-        self.front_faces: list[list[tuple[int, ...]]] = []
-        self.back_faces: list[list[tuple[int, ...]]] = []
-        for d, level in enumerate(self.simplices):
-            if not d:
-                self.front_faces.append([(sid,) for sid in range(len(level))])
-                self.back_faces.append(self.front_faces[0])
-                continue
+        self.front_faces: list[list[tuple[int, ...]]] = [
+            [(sid,) for sid in range(len(level))] for level in self.simplices[:1]
+        ]
+        self.back_faces = list(self.front_faces)
+        for d, level in enumerate(self.simplices[1:], 1):
             front, back = self.front_faces[d - 1], self.back_faces[d - 1]
             self.front_faces.append([front[s.faces[d]] + (sid,) for sid, s in enumerate(level)])
             self.back_faces.append([back[s.faces[0]] + (sid,) for sid, s in enumerate(level)])
@@ -405,25 +403,29 @@ class ProductComplex(DeltaComplex):
         nright = right.num_vertices
         for p, level in enumerate(left.simplices):
             for q, level2 in enumerate(right.simplices):
-                cells = [(sid, sid2) for sid in range(len(level)) for sid2 in range(len(level2))]
+                n_cells = len(level) * len(level2)
                 for chain, template in _chain_templates(p, q):
                     d, start, k = self._place[p, q, chain]
-                    xs, ys = [], []
+                    # one column per face (then per vertex): its entry on every cell, in id order
+                    faces = []
                     for r, c, i, j, rest in template:
                         _, at, kf = self._place[p - r, q - c, rest]
                         stride = len(right.simplices[q - c]) * kf
-                        xs.append([at + (s.faces[i] if r else sid) * stride for sid, s in enumerate(level)])
-                        ys.append([(s2.faces[j] if c else sid2) * kf for sid2, s2 in enumerate(level2)])
-                    xs = list(zip(*xs)) or [()] * len(level)
-                    ys = list(zip(*ys)) or [()] * len(level2)
-                    vx = [tuple(s.vertices[i] * nright for i, _ in chain) for s in level]
-                    vy = [tuple(s2.vertices[j] for _, j in chain) for s2 in level2]
-                    block = slice(start, start + len(cells) * k, k)
-                    levels[d][block] = [
-                        _simplex(tuple(map(add, vx[sid], vy[sid2])), tuple(map(add, xs[sid], ys[sid2])))
-                        for sid, sid2 in cells
+                        xs = [at + (s.faces[i] if r else sid) * stride for sid, s in enumerate(level)]
+                        ys = [(s2.faces[j] if c else sid2) * kf for sid2, s2 in enumerate(level2)]
+                        faces.append([x + y for x in xs for y in ys])
+                    vertices = []
+                    for i, j in chain:
+                        xs = [s.vertices[i] * nright for s in level]
+                        ys = [s2.vertices[j] for s2 in level2]
+                        vertices.append([x + y for x in xs for y in ys])
+                    block = slice(start, start + n_cells * k, k)
+                    levels[d][block] = list(
+                        map(_simplex, zip(*vertices), zip(*faces) if faces else repeat((), n_cells))
+                    )
+                    self._keys_by_dim[d][block] = [
+                        (p, sid, q, sid2, chain) for sid in range(len(level)) for sid2 in range(len(level2))
                     ]
-                    self._keys_by_dim[d][block] = [(p, sid, q, sid2, chain) for sid, sid2 in cells]
         super().__init__(levels)
 
     def id_of(self, p: int, sid: int, q: int, sid2: int, chain: GridChain) -> int:
@@ -435,11 +437,14 @@ class ProductComplex(DeltaComplex):
         return self._keys_by_dim[dim][sid]
 
 
+_new, _set_vertices, _set_faces = object.__new__, Simplex.vertices.__set__, Simplex.faces.__set__
+
+
 def _simplex(vertices: tuple[int, ...], faces: tuple[int, ...]) -> Simplex:
-    """A Simplex without the keyword pass of ``Value._set``, for bulk construction."""
-    s = object.__new__(Simplex)
-    object.__setattr__(s, "vertices", vertices)
-    object.__setattr__(s, "faces", faces)
+    """A Simplex set through its slots, without the keyword pass of ``Value._set``."""
+    s = _new(Simplex)
+    _set_vertices(s, vertices)
+    _set_faces(s, faces)
     return s
 
 

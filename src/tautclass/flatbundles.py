@@ -154,7 +154,9 @@ class FlatBundle:
     def validate(self) -> None:
         """Shape and tag of every edge, the triangle condition on every 2-simplex."""
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        ratios, records = {}, []
+        # per edge, a record (id(block), cleared block, multiplier) for each block,
+        # made with its determinant once per distinct block
+        ratios, records, known = {}, [], {}
         sizes = [b.nrows for b in self.blocks.get(0, ())]
         for eid in range(n_edges):
             if eid not in self.blocks:
@@ -163,8 +165,13 @@ class FlatBundle:
             shape = [b.nrows for b in blocks]
             if shape != sizes or sum(shape) != self.n or any(b.ncols != b.nrows for b in blocks):
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            _check_tag_det(prod(b.det() for b in blocks), self.tag)
-            records.append(tuple((id(b), *b.cleared()) for b in blocks))
+            entries = []
+            for b in blocks:
+                if id(b) not in known:
+                    known[id(b)] = (id(b), *b.cleared()), b.det()
+                entries.append(known[id(b)])
+            _check_tag_det(prod(det for _, det in entries), self.tag)
+            records.append(tuple(record for record, _ in entries))
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
@@ -183,8 +190,9 @@ class FlatBundle:
         t = self._transports.get(eid)
         if t is None:
             parts = [b.scaled_inverse() for b in self.blocks[eid]]
-            lam = lcm(*(p[1] for p in parts))
-            t = Matrix.block_diag(*(m.scaled(lam // k) for m, k in parts)), lam
+            lam = lcm(*(k for _, k in parts))
+            scaled = [m if k == lam else m.scaled(lam // k) for m, k in parts]
+            t = (scaled[0] if len(scaled) == 1 else Matrix.block_diag(*scaled)), lam
             self._transports[eid] = t
         return t
 
