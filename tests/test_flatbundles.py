@@ -16,7 +16,6 @@ from fixture_builders import (
 
 from tautclass.complexes import (
     Chain,
-    DeltaComplex,
     boundary,
     product_chain,
     product_complex,
