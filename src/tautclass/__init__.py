@@ -55,7 +55,6 @@ from .flatbundles import (
     evaluate_class,
     is_generic_section,
     joint_scalar_sets,
-    make_positive_generic,
     product_bundle,
     random_generic_section,
 )

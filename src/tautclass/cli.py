@@ -403,7 +403,7 @@ def cmd_product(args) -> int:
     euA = evaluate_class(bundleA, sA, Selector("euk", 0), zA)
     euB = evaluate_class(bundleB, sB, Selector("euk", 0), zB)
     lhs = evaluate_class(bundleP, section, Selector("euk", 0), zz)
-    cup = _cup_product_check(px, bundleA, sA, bundleB, sB, zz)
+    cup = _cup_product_check(px, bundleA, sA, zA, bundleB, sB, zB, zz)
     report = {
         "repA": args.repA,
         "repB": args.repB,
@@ -422,23 +422,31 @@ def cmd_product(args) -> int:
     return EXIT_OK if report["cross_product_check"] and report["cup_check"] else EXIT_FAIL
 
 
-def _cup_product_check(px, bundleA, sA, bundleB, sB, zz) -> int:
-    """<pr1* T0 cup pr2* T0, z x z'> via front/back faces."""
+def _cup_product_check(px, bundleA, sA, zA, bundleB, sB, zB, zz) -> int:
+    """<pr1* T0 cup pr2* T0, z x z'> via front/back faces.
+
+    A front (back) face over a factor's top simplex lies over a simplex of
+    that factor's cycle, so T0 is taken once per simplex of supp(zA) and
+    supp(zB).
+    """
     from .complexes import cup_evaluate
 
+    def t0(bundle, s, z):
+        return {
+            sid: uplus_symbol(bundle.corner_lifts(s, bundle.n, sid)).coefficients[0]
+            for sid in z.coeffs
+        }
+
     nA, nB = bundleA.n, bundleB.n
+    t0A, t0B = t0(bundleA, sA, zA), t0(bundleB, sB, zB)
 
     def alpha(pid):
-        p, sid, q, sid2, _ = px.cell_info(nA, pid)
-        if p == nA and q == 0:
-            return uplus_symbol(bundleA.corner_lifts(sA, nA, sid)).coefficients[0]
-        return 0
+        p, sid, q, _, _ = px.cell_info(nA, pid)
+        return t0A[sid] if p == nA and q == 0 else 0
 
     def beta(pid):
-        p, sid, q, sid2, _ = px.cell_info(nB, pid)
-        if p == 0 and q == nB:
-            return uplus_symbol(bundleB.corner_lifts(sB, nB, sid2)).coefficients[0]
-        return 0
+        p, _, q, sid2, _ = px.cell_info(nB, pid)
+        return t0B[sid2] if p == 0 and q == nB else 0
 
     return cup_evaluate(px, nA, alpha, nB, beta, zz)
 

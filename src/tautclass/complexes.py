@@ -14,7 +14,6 @@ returned chain has boundary zero, which tests verify.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from functools import lru_cache
 from itertools import repeat
@@ -136,28 +135,6 @@ class DeltaComplex:
                 )
                 raise ValueError(f"double-face identity fails at ({d},{sid},i={i},j={j})")
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": self.num_vertices,
-            "simplices": [
-                [
-                    {"dim": d, "vertices": list(s.vertices), "faces": list(s.faces)}
-                    for s in level
-                ]
-                for d, level in enumerate(self.simplices)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "DeltaComplex":
-        if isinstance(data, str):
-            data = json.loads(data)
-        levels = [
-            [Simplex(tuple(s["vertices"]), tuple(s["faces"])) for s in level]
-            for level in data["simplices"]
-        ]
-        return cls(levels)
-
 
 class Chain(Value):
     """A finitely supported integer chain in a fixed dimension."""
@@ -189,15 +166,6 @@ class Chain(Value):
 
     def support_size(self) -> int:
         return len(self.coeffs)
-
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "entries": sorted(self.coeffs.items())}
-
-    @classmethod
-    def from_json(cls, data) -> "Chain":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(data["dim"], {int(s): int(c) for s, c in data["entries"]})
 
 
 def boundary(cx: DeltaComplex, chain: Chain) -> Chain:

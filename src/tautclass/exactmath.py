@@ -551,13 +551,5 @@ def _rescale(x: Scalar, num: int, den: int = 1) -> Scalar:
     return x.numerator * num // (x.denominator * den)
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    return tuple(c * x for x in v)
-
-
 def vec_is_zero(v: Sequence[Scalar]) -> bool:
     return all(not x for x in v)

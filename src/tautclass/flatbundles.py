@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
-from ._kernels import minors_int
 from ._value import Value
 from .complexes import Chain, DeltaComplex, ProductComplex, boundary
 from .configs import GenericityError
@@ -29,12 +27,8 @@ from .exactmath import (
     QQ,
     QuadraticField,
     Scalar,
-    clear_denominators,
-    dot,
     sign,
-    vec_add,
     vec_is_zero,
-    vec_scale,
 )
 
 TAGS = ("GL+", "SL", "PGL+", "P+GL+")
@@ -507,186 +501,11 @@ def joint_scalar_sets(
     s1: Section,
     e2: FlatBundle,
     s2: Section,
-    support1: Iterable[int] | None = None,
-    support2: Iterable[int] | None = None,
 ) -> tuple[set, set, bool]:
     """The two scalar collections and whether they are disjoint."""
-    a1 = scalar_set(e1, s1, support1)
-    a2 = scalar_set(e2, s2, support2)
+    a1 = scalar_set(e1, s1)
+    a2 = scalar_set(e2, s2)
     return a1, a2, not (a1 & a2)
-
-
-# ---------------------------------------------------------------------------
-# positive sections
-# ---------------------------------------------------------------------------
-
-
-class WitnessError(ValueError):
-    """A positivity witness fails on the given section."""
-
-
-def is_positive_section(
-    bundle: FlatBundle,
-    s: Section,
-    witnesses: Mapping[tuple[int, int], Sequence[Scalar]],
-) -> bool:
-    """phi_sigma positive on all transported corner values (read on lifts), per witness."""
-    for (d, sid), phi in witnesses.items():
-        for value in bundle.corner_lifts(s, d, sid):
-            if sign(dot(phi, value)) <= 0:
-                return False
-    return True
-
-
-def make_positive_generic(
-    bundle: FlatBundle,
-    s: Section,
-    witnesses: Mapping[tuple[int, int], Sequence[Scalar]],
-    support: Iterable[int] | None = None,
-    seed: int = 0,
-) -> Section:
-    """Perturb a positive section into a generic positive one.
-
-    Vertex by vertex the new value is v(alpha) = s(x) + alpha*w with
-    alpha = min(B, M)/4, where B is the smallest positive step that hits
-    a genericity-violating subspace and M the smallest that breaks a
-    positivity constraint.  When a vertex appears at several corners of
-    one simplex the violating sets are no longer affine in the value;
-    then alpha is halved from M/4 until genericity holds.
-    """
-    if not is_positive_section(bundle, s, witnesses):
-        raise WitnessError("input section is not positive for the witnesses")
-    n = bundle.n
-    rng = random.Random(seed)
-    order, star = _scope(bundle, "strong", support)
-    constraints: dict[int, list] = {}  # per vertex: the witnessed simplices at it
-    for (d, sid), phi in witnesses.items():
-        for u in dict.fromkeys(bundle.base.simplices[d][sid].vertices):
-            constraints.setdefault(u, []).append((d, sid, phi))
-    new_values = dict(s.values)
-    processed: set[int] = set()
-    for v in order or sorted(s.values):
-        simplices = []  # those at v whose other vertices are already decided
-        for d, sid in star.get(v, ()):
-            verts = bundle.base.simplices[d][sid].vertices
-            if all(u == v or u in processed for u in verts):
-                simplices.append((d, sid, verts))
-        repeated = any(verts.count(v) > 1 for _, _, verts in simplices)
-        base_val = new_values[v]
-        for _ in range(32):
-            w = _random_nonzero_vector(bundle.field, rng, n, 9)
-            alpha = _perturbation_step(
-                bundle, new_values, constraints, v, base_val, w, simplices, repeated
-            )
-            if alpha is None:
-                continue
-            candidate = vec_add(base_val, vec_scale(alpha, w))
-            if _generic_at(bundle, new_values, v, candidate, simplices):
-                new_values[v] = candidate
-                break
-        else:
-            raise GenericityError(f"could not perturb section at vertex {v}")
-        processed.add(v)
-    out = Section(new_values)
-    if not is_positive_section(bundle, out, witnesses):
-        raise WitnessError("perturbation broke positivity (internal error)")
-    return out
-
-
-def _generic_at(bundle, values, v, value, simplices) -> bool:
-    """Whether value is nonzero and keeps the (d, sid, _) simplices generic at v."""
-    trial = {**values, v: value}
-    return not vec_is_zero(value) and all(
-        _check_simplex_partial(bundle, trial, d, sid, "basic") for d, sid, _ in simplices
-    )
-
-
-def _perturbation_step(
-    bundle, values, constraints, v, base_val, w, simplices, repeated
-):
-    """The step size alpha, or None if this direction w is unusable.
-
-    Corner values are read as lifts M v (positive multiples of the true
-    transports): the step ratios and spans below do not change under
-    positive scaling.
-    """
-    n = bundle.n
-    pos_bounds = []
-    for d, sid, phi in constraints.get(v, ()):
-        # every corner at v; the lifts are linear in the value
-        for (a, _), (b, _) in zip(
-            bundle._corners({v: base_val}, d, sid), bundle._corners({v: w}, d, sid)
-        ):
-            a, b = dot(phi, a), dot(phi, b)
-            if sign(b) < 0:
-                pos_bounds.append(exact_div(a, -b))
-    m_bound = _least(pos_bounds)
-    if repeated:
-        # non-affine constraints: descend from M/4 until generic
-        alpha = exact_div(m_bound, 4) if m_bound is not None else Fraction(1)
-        for _ in range(64):
-            if _generic_at(bundle, values, v, vec_add(base_val, vec_scale(alpha, w)), simplices):
-                return alpha
-            alpha = exact_div(alpha, 2)
-        return None
-    bad_steps = []
-    for d, sid, verts in simplices:
-        corner = verts.index(v)
-        # the other corners' lifts, mapped from the corner-0 frame into v's
-        # frame by the holonomy h of the edge (0, corner): transport is h^-1
-        lifts = [lift for lift, _ in bundle._corners(values, d, sid)]
-        others = lifts[:corner] + lifts[corner + 1 :]
-        if corner:
-            h = bundle.holonomy[bundle.base.corner_edges[d][sid][corner - 1]]
-            others = [h.apply(o) for o in others]
-        if d < n:
-            spans = [others]
-        else:  # every hyperplane spanned by all but one of them
-            spans = [others[:i] + others[i + 1 :] for i in range(len(others))]
-        for span in spans:
-            step = _step_into_span(span, base_val, w)
-            if step is False:
-                return None  # w parallel to a bad subspace
-            if step is not None:
-                bad_steps.append(step)
-    cap = _least([x for x in bad_steps if sign(x) > 0] + pos_bounds)
-    return Fraction(1) if cap is None else exact_div(cap, 4)
-
-
-def _least(xs):
-    """The least of xs, or None; sign(x - y) orders Q and Q(sqrt(d)) alike."""
-    return min(xs, key=cmp_to_key(lambda x, y: sign(x - y)), default=None)
-
-
-def _step_into_span(span, base_val, w):
-    """The unique beta with base_val + beta*w inside span(span), if any.
-
-    ``span`` holds k < n linearly independent vectors, so x lies in their
-    span iff every (k+1)-column minor of [span; x] vanishes.  On the line
-    that minor is a + beta*b, with a = det[span; base_val] and b =
-    det[span; w] cut to the same columns.  Returns None when the line
-    misses the subspace, False when it lies inside it (bad direction),
-    else the step beta.  The minors are read on the cleared vectors, which
-    scales every a by mb and every b by mw, times one common positive
-    factor: beta = -(a mw) / (b mb).
-    """
-    k = len(span)
-    span = [clear_denominators(v)[0] for v in span]
-    (base, mb), (w, mw) = clear_denominators(base_val), clear_denominators(w)
-    a_minors = minors_int(list(zip(*span, base)), k + 1)
-    b_minors = minors_int(list(zip(*span, w)), k + 1)
-    beta = None
-    for a, b in zip(a_minors, b_minors):
-        if not b:
-            if a:
-                return None
-            continue
-        step = exact_div(-a * mw, b * mb)
-        if beta is None:
-            beta = step
-        elif beta - step:
-            return None
-    return False if beta is None else beta
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,6 @@ class BarChain2(Value):
     def __neg__(self) -> "BarChain2":
         return BarChain2([(-c, t) for c, t in self.terms])
 
-    def to_json(self) -> list:
-        return [
-            {"coeff": c, "triple": [g.to_json() for g in triple]}
-            for c, triple in self.terms
-        ]
-
 
 def evaluate_bar(cocycle: Cocycle, chain: BarChain2, u: Vector) -> WittElement:
     """Linear extension of a cocycle over a bar 2-chain."""

@@ -16,6 +16,8 @@ import math
 from typing import Sequence
 
 TWO_PI = 2.0 * math.pi
+# how far a translation number may lie from the nearest integer
+INTEGRALITY_TOL = 0.1
 
 
 class OracleError(ArithmeticError):
@@ -115,7 +117,6 @@ class _InverseLift:
 def rotation_euler(
     matrices: Sequence[Sequence[Sequence[float]]],
     relator_tol: float = 1e-9,
-    integrality_tol: float = 0.1,
 ) -> int:
     """Euler number of a flat plane bundle over a genus-g surface.
 
@@ -155,8 +156,8 @@ def rotation_euler(
         values.append((t - t0) / TWO_PI)
     m = round(values[0])
     for val in values:
-        if abs(val - m) > integrality_tol:
+        if abs(val - m) > INTEGRALITY_TOL:
             raise OracleError(
-                f"translation number {val} is not within {integrality_tol} of {m}"
+                f"translation number {val} is not within {INTEGRALITY_TOL} of {m}"
             )
     return m

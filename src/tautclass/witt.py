@@ -20,7 +20,6 @@ from the terms.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Union
@@ -292,12 +291,6 @@ class WittElement:
 
     def to_json(self) -> list[list[int]]:
         return [[r, m] for r, m in self._terms]
-
-    @classmethod
-    def from_json(cls, data) -> "WittElement":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls([(int(r), int(m)) for r, m in data])
 
     def __repr__(self):
         return f"WittElement({self.to_text()})"

@@ -7,8 +7,10 @@ compares the bytes.  Regenerate them from the repository root with
     PYTHONPATH=src python tests/fixture_builders.py fixtures
 
 ``nullspace`` (Gauss-Jordan over the field) solves the kernel equation
-of ``genus2_solved`` and is the tests' oracle for ``rank`` and for the
-perturbation step, which the package reads from minors.
+of ``genus2_solved`` and is the tests' oracle for ``rank``.
+``mixed_dimension_product`` and ``positive_generic_section`` give the
+mixed-dimension product Sigma x S^2 a generic section that is positive
+for its witnesses.
 """
 
 from __future__ import annotations
@@ -21,9 +23,23 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from tautclass.complexes import surface_complex
-from tautclass.exactmath import QQ, Matrix, Scalar, exact_div
-from tautclass.flatbundles import bundle_from_surface_rep, relator_product
+from tautclass.complexes import (
+    Chain,
+    product_chain,
+    product_complex,
+    sphere_complex,
+    surface_complex,
+)
+from tautclass.exactmath import QQ, Matrix, Scalar, dot, exact_div, rank, sign, solve_square
+from tautclass.flatbundles import (
+    FlatBundle,
+    Section,
+    bundle_from_surface_rep,
+    is_generic_section,
+    product_bundle,
+    random_generic_section,
+    relator_product,
+)
 from tautclass.reps import SurfaceRep
 
 
@@ -255,6 +271,65 @@ FUCHS_MOVES = "b2 b2 b1 b1 b2 a1 a2 b2 a2 a1 b1 a1 b2 b1 b2 b2"
 
 def genus2_fuchsian_moved() -> SurfaceRep:
     return handle_moves(genus2_fuchsian(), FUCHS_MOVES)
+
+
+def is_positive_section(bundle: FlatBundle, s: Section, witnesses) -> bool:
+    """Whether phi . x > 0 at every corner of every witnessed simplex (d, sid) -> phi."""
+    return all(
+        sign(dot(phi, lift)) > 0
+        for (d, sid), phi in witnesses.items()
+        for lift in bundle.corner_lifts(s, d, sid)
+    )
+
+
+def mixed_dimension_product(rep: SurfaceRep, seed: int = 0):
+    """Sigma x S^2 with the trivial line bundle on the sphere, and a positive section.
+
+    The cycle is the loop edge 0 of the surface times the sphere.  Returns
+    (bundle, cycle, s0, witnesses): s0 = (s(x0), 0) at every vertex for a
+    generic section s whose two corner values v0, v1 on edge 0 span the
+    fiber, and every top simplex of the cycle is witnessed by (f, 0) with
+    f . v0 = f . v1 = 1.
+    """
+    sc, _ = surface_complex(rep.genus)
+    ea = bundle_from_surface_rep(sc, rep.matrices, rep.tag, field=rep.field)
+    sph, z2 = sphere_complex()
+    eb = FlatBundle(sph, 1, "GL+", {e: Matrix([[1]]) for e in range(len(sph.simplices[1]))})
+    px = product_complex(sc, sph)
+    ep = product_bundle(px, ea, eb)
+    zz = product_chain(px, Chain(1, {0: 1}), z2)
+    for k in range(50):
+        s = random_generic_section(ea, seed=seed + k)
+        if rank(ea.corner_values(s, 1, 0), 2) == 2:
+            break
+    v0, v1 = ea.corner_values(s, 1, 0)
+    f = solve_square(list(zip(v0, v1)), (1, 1))
+    s0 = Section({v: (*s.values[0], 0) for v in range(px.num_vertices)})
+    return ep, zz, s0, {(3, sid): (*f, 0) for sid in zz.coeffs}
+
+
+def positive_generic_section(bundle, s0, witnesses, support, seed=0) -> Section:
+    """s0 + eps*w for eps = 1, 1/2, 1/4, ..., with a fresh random integer w each time.
+
+    Returns the first such section that is positive for every witness and
+    generic on the support.  Positivity is open, so it holds for small eps
+    when s0 is positive; genericity fails for finitely many eps on a line.
+    """
+    assert is_positive_section(bundle, s0, witnesses)
+    rng = random.Random(seed)
+    eps = Fraction(1)
+    for _ in range(64):
+        values = {
+            v: tuple(x + eps * rng.randint(-9, 9) for x in vec) for v, vec in s0.values.items()
+        }
+        if all(any(vec) for vec in values.values()):
+            s = Section(values)
+            if is_positive_section(bundle, s, witnesses) and is_generic_section(
+                bundle, s, support=support
+            ):
+                return s
+        eps /= 2
+    raise AssertionError("no positive generic section after 64 tries")
 
 
 BUILTIN_FIXTURES = {

@@ -532,3 +532,22 @@ def test_product_recovers_from_an_unlucky_a(capsys):
     assert report["resample_attempts"] == 11
     assert report["euler_product"] == 1
     assert report["cross_product_check"] and report["cup_check"]
+
+
+def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):
+    # 6 top simplices per genus-2 factor; the 216 product simplices reuse them
+    calls = []
+    real = cli.uplus_symbol
+
+    def counted(lifts):
+        calls.append(lifts)
+        return real(lifts)
+
+    monkeypatch.setattr(cli, "uplus_symbol", counted)
+    g2 = rep_path("g2_fuchs.json")
+    code, out = _run(capsys, "product", "--repA", g2, "--repB", g2)
+    assert code == 0
+    report = json.loads(out)
+    assert report["top_simplices"] == 216
+    assert report["cup_check"]
+    assert len(calls) == 12

@@ -192,11 +192,13 @@ def test_oracle_functions_have_no_caller_in_the_package():
 
 
 # code that only tests run: the fixture builders and their helpers
-# (tests/fixture_builders.py), nullspace (the rank and step oracle) and
+# (tests/fixture_builders.py), nullspace (the rank oracle) and
 # methods whose callers were all tests (now helpers in those tests); and
 # second corner readers, deleted for the corner-edge table and
 # FlatBundle._corners, and the face walk the corner-edge and front/back
-# face tables replace (an oracle in test_complexes.py)
+# face tables replace (an oracle in test_complexes.py); and the
+# positive-section construction with its vector helpers, replaced by the
+# mixed-dimension helpers of fixture_builders.py
 TEST_ONLY = {
     "nullspace", "scalar_multiple_of_identity", "save_rep", "_m",
     "genus1_diagonal", "genus1_diagonal2", "genus1_parabolic", "genus2_swap",
@@ -205,6 +207,9 @@ TEST_ONLY = {
     "boundary_word", "diagonal_entries", "is_cycle", "boundary_classes",
     "psl_canonical", "sqrt_gen", "is_identity",
     "edge_between_corners", "_to_base", "subsimplex",
+    "WitnessError", "is_positive_section", "make_positive_generic", "_generic_at",
+    "_perturbation_step", "_least", "_step_into_span", "vec_add", "vec_scale",
+    "mixed_dimension_product", "positive_generic_section",
 }
 
 

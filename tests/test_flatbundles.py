@@ -10,7 +10,9 @@ from fixture_builders import (
     genus2_rank1,
     genus2_solved,
     genus2_swap,
-    nullspace,
+    is_positive_section,
+    mixed_dimension_product,
+    positive_generic_section,
     scalar_multiple_of_identity,
 )
 
@@ -19,7 +21,6 @@ from tautclass.complexes import (
     boundary,
     product_chain,
     product_complex,
-    sphere_complex,
     standard_simplex_complex,
     surface_complex,
 )
@@ -29,13 +30,8 @@ from tautclass.exactmath import (
     Matrix,
     QuadExt,
     QuadraticField,
-    dot,
-    exact_div,
     rank,
     sign,
-    solve_square,
-    vec_add,
-    vec_scale,
 )
 from tautclass.flatbundles import (
     TAGS,
@@ -48,9 +44,7 @@ from tautclass.flatbundles import (
     bundle_from_surface_rep,
     evaluate_class,
     is_generic_section,
-    is_positive_section,
     joint_scalar_sets,
-    make_positive_generic,
     product_bundle,
     random_generic_section,
     relator_product,
@@ -298,116 +292,6 @@ def test_strong_mode_rejects_zero_sum():
     assert not is_generic_section(bundle, s, "strong")
     with pytest.raises(GenericityError):
         scalar_set(bundle, s)
-
-
-def test_make_positive_generic_on_simplex():
-    bundle = _trivial_bundle_over_simplex()
-    witnesses = {(2, 0): (1, 0)}
-    s = Section({0: (1, 0), 1: (1, 0), 2: (1, 0)})  # constant e1, positive, degenerate
-    assert is_positive_section(bundle, s, witnesses)
-    out = make_positive_generic(bundle, s, witnesses)
-    assert is_generic_section(bundle, out)
-    assert is_positive_section(bundle, out, witnesses)
-    assert out.to_json() == {"0": ["4", "4"], "1": ["3/4", "-1/32"], "2": ["8", "6"]}
-
-
-def test_make_positive_generic_keeps_generic_input():
-    bundle = _trivial_bundle_over_simplex()
-    witnesses = {(2, 0): (1, 1)}
-    s = Section({0: (1, 0), 1: (0, 1), 2: (1, 1)})
-    assert is_generic_section(bundle, s)
-    out = make_positive_generic(bundle, s, witnesses)
-    assert is_generic_section(bundle, out)
-    assert is_positive_section(bundle, out, witnesses)
-    assert out.to_json() == {"0": ["4", "4"], "1": ["-2/9", "35/36"], "2": ["8", "7"]}
-
-
-def test_make_positive_generic_witness_failure():
-    bundle = _trivial_bundle_over_simplex()
-    s = Section({0: (1, 0), 1: (-1, 0), 2: (1, 1)})
-    from tautclass.flatbundles import WitnessError
-
-    with pytest.raises(WitnessError):
-        make_positive_generic(bundle, s, {(2, 0): (1, 0)})
-
-
-def _step_oracle(span, base_val, w, n):
-    """The perturbation step by Gauss-Jordan: functionals f vanishing on the span."""
-    functionals = nullspace(list(span), n)
-    candidate = None
-    for f in functionals:
-        a, b = dot(f, base_val), dot(f, w)
-        if not b:
-            if a:
-                return None
-            continue
-        beta = exact_div(-a, b)
-        if candidate is None:
-            candidate = beta
-        elif candidate - beta:
-            return None
-    if candidate is None:
-        return False if functionals else None
-    return candidate
-
-
-def test_step_into_span_matches_the_nullspace_oracle():
-    from tautclass.flatbundles import _step_into_span
-
-    rng = random.Random(17)
-
-    def scalar(field):
-        if field == QQ:  # ints and Fractions mixed
-            x = rng.randint(-6, 6)
-            return x if rng.random() < 0.5 else Fraction(x, rng.randint(1, 5))
-        return field.from_pair(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4))
-
-    def vector(field, n):
-        return tuple(scalar(field) for _ in range(n))
-
-    def combination(field, vectors):
-        out = tuple(0 for _ in vectors[0])
-        for v in vectors:
-            out = vec_add(out, vec_scale(scalar(field), v))
-        return out
-
-    outcomes = set()
-    for field in (QQ, QuadraticField(2)):
-        for n in (3, 4):
-            for k in range(1, n):
-                done = 0
-                while done < 6:
-                    span = [vector(field, n) for _ in range(k)]
-                    w = vector(field, n)
-                    if rank(span, n) < k or rank(span + [w], n) == k:
-                        continue
-                    inside = combination(field, span)
-                    beta0 = scalar(field)
-                    lines = {
-                        # base + beta0 * w lies in the span, and w does not
-                        "hit": (vec_add(inside, vec_scale(-beta0, w)), w),
-                        # the whole line lies in the span
-                        "inside": (inside, combination(field, span)),
-                        # parallel to the span, off it
-                        "parallel": (vec_add(inside, w), combination(field, span)),
-                        "random": (vector(field, n), w),
-                    }
-                    for kind, (base_val, direction) in lines.items():
-                        step = _step_into_span(span, base_val, direction)
-                        oracle = _step_oracle(span, base_val, direction, n)
-                        outcome = "miss" if step is None else "inside" if step is False else "step"
-                        outcomes.add(outcome)
-                        assert (oracle is None, oracle is False) == (
-                            outcome == "miss", outcome == "inside"
-                        ), (kind, span, base_val, direction)
-                        if outcome == "step":
-                            assert step == oracle, (kind, span, base_val, direction)
-                        expected = {"hit": "step", "inside": "inside", "parallel": "miss"}
-                        assert outcome == expected.get(kind, outcome), (kind, span)
-                        if kind == "hit":
-                            assert step == beta0
-                    done += 1
-    assert outcomes == {"step", "miss", "inside"}
 
 
 def test_evaluate_class_validations():
@@ -1004,59 +888,30 @@ def test_product_bundle_rejects_mismatches():
         product_bundle(px, EA, EB_quad)
 
 
-# make_positive_generic's output in the mixed-dimension construction;
-# indexing or rescaling inside the perturbation must not move it
-MIXED_POSITIVE_SECTION = {
-    "0": ["6", "8", "-8"],
-    "1": ["2", "11", "6"],
-    "2": ["6", "4", "6"],
-    "3": ["5", "13", "-3"],
-}
+RANK2_FIXTURES = [
+    p.name for p in sorted(FIXTURES.glob("*.json")) if load_rep(str(p)).matrices[0].nrows == 2
+]
 
 
-def test_mixed_dimension_positive_vanishing():
-    repA = genus2_fuchsian()
-    scA, _ = surface_complex(2)
-    EA = bundle_from_surface_rep(scA, repA.matrices, repA.tag)
-    z1 = Chain(1, {0: 1})
-    assert boundary(scA, z1).is_zero()
-    sph, z2 = sphere_complex()
-    EB = FlatBundle(
-        sph, 1, "GL+", {e: Matrix([[1]]) for e in range(len(sph.simplices[1]))}
-    )
-    px = product_complex(scA, sph)
-    EP = product_bundle(px, EA, EB)
-    zz = product_chain(px, z1, z2)
-    assert boundary(px, zz).is_zero()
+def test_the_rank2_fixtures_are_the_fourteen_surfaces():
+    assert len(RANK2_FIXTURES) == 14
 
-    # random generic sections evaluate to zero
-    s_rand = random_generic_section(EP, seed=3, support=list(zz.coeffs))
-    assert evaluate_class(EP, s_rand, Selector.parse("eu0"), zz) == 0
 
-    # the positive-section construction: S = (s, 0) perturbed
-    for seed in range(50):
-        sA = random_generic_section(EA, seed=seed)
-        if rank(EA.corner_values(sA, 1, 0), 2) == 2:
-            break
-    v0, v1 = EA.corner_values(sA, 1, 0)
-    f = solve_square(list(zip(v0, v1)), (1, 1))
-    S0 = Section(
-        {v: tuple(sA.values[0]) + (0,) for v in range(px.num_vertices)}
-    )
-    witnesses = {(3, sid): tuple(f) + (0,) for sid in zz.coeffs}
-    assert is_positive_section(EP, S0, witnesses)
-    SP = make_positive_generic(EP, S0, witnesses, support=list(zz.coeffs))
-    assert is_generic_section(EP, SP, support=list(zz.coeffs))
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", RANK2_FIXTURES)
+def test_mixed_dimension_positive_vanishing(name, seed):
+    EP, zz, S0, witnesses = mixed_dimension_product(load_rep(rep_path(name)), seed)
+    assert boundary(EP.base, zz).is_zero()
+    support = list(zz.coeffs)
+    SP = positive_generic_section(EP, S0, witnesses, support, seed=seed)
     assert is_positive_section(EP, SP, witnesses)
-    assert SP.to_json() == MIXED_POSITIVE_SECTION
-    value = evaluate_class(EP, SP, Selector.parse("eu0"), zz)
-    assert value == 0
+    assert is_generic_section(EP, SP, support=support)
+    assert evaluate_class(EP, SP, Selector.parse("eu0"), zz) == 0
     # positivity forces the vanishing termwise, not by cancellation
-    from tautclass.configs import uplus_symbol
-
     for sid in zz.coeffs:
-        symbol = uplus_symbol(EP.corner_values(SP, 3, sid))
-        assert symbol.coefficients[0] == 0
+        assert uplus_symbol(EP.corner_values(SP, 3, sid)).coefficients[0] == 0
+    s_rand = random_generic_section(EP, seed=seed, support=support)
+    assert evaluate_class(EP, s_rand, Selector.parse("eu0"), zz) == 0
 
 
 def test_rank1_bundle():

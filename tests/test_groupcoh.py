@@ -171,11 +171,3 @@ def test_psl_helpers():
     assert psl_equal(m, -m)
     assert psl_canonical(-m) == m
     assert psl_canonical(Matrix([[0, -1], [2, 0]])) == Matrix([[0, 1], [-2, 0]])
-
-
-def test_bar_chain_json():
-    rep = genus1_diagonal()
-    chain = surface_cycle_from_rep(1, rep.matrices)
-    data = chain.to_json()
-    assert len(data) == 2
-    assert all(set(entry) == {"coeff", "triple"} for entry in data)

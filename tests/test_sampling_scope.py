@@ -19,8 +19,6 @@ from tautclass.flatbundles import (
     FlatBundle,
     Section,
     is_generic_section,
-    is_positive_section,
-    make_positive_generic,
     random_generic_section,
 )
 
@@ -33,12 +31,6 @@ def _sl2(rng):
         m = Matrix([[a, b], [c, (1 + b * c) / a]])
         if b or c or a != 1:
             return m
-
-
-def _upper(rng):
-    """An upper-triangular element of SL(2, Q) with positive diagonal."""
-    a = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-    return Matrix([[a, Fraction(rng.randint(-3, 3), rng.randint(1, 2))], [0, 1 / a]])
 
 
 def strip_bundle(triangles, gen, seed=0):
@@ -177,31 +169,3 @@ def test_a_partial_read_is_the_full_read_at_the_assigned_corners(name):
             assigned = {v: x for v, x in s.values.items() if rng.random() < 0.5}
             expected = [c for c, v in zip(full, simplex.vertices) if v in assigned]
             assert bundle._corners(assigned, d, sid) == expected
-
-
-def test_make_positive_generic_on_a_strip_is_pinned():
-    # upper-triangular holonomies with positive diagonal keep the second
-    # coordinate positive, so (0, 1) is a degenerate positive section
-    bundle = strip_bundle(30, _upper, seed=1)
-    s = Section({v: (0, 1) for v in range(bundle.base.num_vertices)})
-    witnesses = {(2, sid): (0, 1) for sid in range(len(bundle.base.simplices[2]))}
-    assert is_positive_section(bundle, s, witnesses)
-    assert not is_generic_section(bundle, s)
-    out = make_positive_generic(bundle, s, witnesses, seed=3)
-    assert is_generic_section(bundle, out)
-    assert is_positive_section(bundle, out, witnesses)
-    # pinned: indexing or rescaling inside the perturbation must not move it
-    assert out.to_json() == {
-        "0": ["-2", "10"], "1": ["86/395", "273/316"], "2": ["2", "7"],
-        "3": ["72/791", "105/113"], "4": ["-471/1768", "1041/884"],
-        "5": ["-1", "9"], "6": ["-1/6", "3/4"], "7": ["6", "9"],
-        "8": ["13/285", "393/380"], "9": ["3/20", "3/4"], "10": ["-7/160", "57/64"],
-        "11": ["7", "4"], "12": ["-134847/835054", "730173/835054"],
-        "13": ["-4", "10"], "14": ["-26303/1460346", "1"],
-        "15": ["-819/29524", "29433/29524"], "16": ["6", "4"], "17": ["4", "4"],
-        "18": ["9", "6"], "19": ["-5", "3"], "20": ["-5/28", "16/21"],
-        "21": ["-5", "7"], "22": ["-3/4", "3/4"], "23": ["71/14", "1"],
-        "24": ["4", "8"], "25": ["3", "10"], "26": ["2", "9"], "27": ["9", "5"],
-        "28": ["153/271", "237/271"], "29": ["91/3396", "859/1132"],
-        "30": ["-1/16", "3/4"], "31": ["1", "9"],
-    }
