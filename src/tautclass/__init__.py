@@ -25,14 +25,11 @@ from .complexes import (
 )
 from .configs import (
     GenericityError,
-    RawPlusSymbol,
     UPlusSymbol,
     USymbol,
     boundary_symbol_sum,
     homological_core_check,
     u_symbol,
-    uplus_canonicalize,
-    uplus_raw_symbol,
     uplus_symbol,
     witt_triple_symbol,
 )

@@ -22,7 +22,7 @@ import traceback
 from fractions import Fraction
 from math import comb
 
-from .complexes import product_chain, product_complex, surface_complex
+from .complexes import cup_evaluate, product_chain, product_complex, surface_complex
 from .configs import (
     GenericityError,
     boundary_symbol_sum,
@@ -41,10 +41,10 @@ from .flatbundles import (
     UsageError,
     bundle_from_surface_rep,
     evaluate_class,
-    joint_scalar_sets,
     product_bundle,
     random_generic_section,
     random_vector,
+    scalar_set,
 )
 from .groupcoh import (
     cocycle_identity_residual,
@@ -383,11 +383,12 @@ def cmd_product(args) -> int:
             sA = random_generic_section(
                 bundleA, seed=rng.randint(0, 10**6), mode="strong"
             )
+            setA = scalar_set(bundleA, sA)
         attempts += 1
         sB = random_generic_section(
             bundleB, seed=rng.randint(0, 10**6), mode="strong"
         )
-        setA, setB, disjoint = joint_scalar_sets(bundleA, sA, bundleB, sB)
+        disjoint = not (setA & scalar_set(bundleB, sB))
     if not disjoint:
         sys.stderr.write("could not reach disjoint scalar sets\n")
         return EXIT_RESAMPLING
@@ -429,11 +430,10 @@ def _cup_product_check(px, bundleA, sA, zA, bundleB, sB, zB, zz) -> int:
     that factor's cycle, so T0 is taken once per simplex of supp(zA) and
     supp(zB).
     """
-    from .complexes import cup_evaluate
 
     def t0(bundle, s, z):
         return {
-            sid: uplus_symbol(bundle.corner_lifts(s, bundle.n, sid)).coefficients[0]
+            sid: uplus_symbol(bundle.corner_values(s, bundle.n, sid)).coefficients[0]
             for sid in z.coeffs
         }
 

@@ -46,14 +46,6 @@ class USymbol(Value):
             raise ValueError("the coefficient group is zero for odd n")
         self._set(n=n, coefficient=coefficient)
 
-    def __add__(self, other: "USymbol") -> "USymbol":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return USymbol(self.n, self.coefficient + other.coefficient)
-
-    def scale(self, m: int) -> "USymbol":
-        return USymbol(self.n, m * self.coefficient)
-
     def __str__(self):
         c = self.coefficient
         if c == 0:
@@ -63,26 +55,6 @@ class USymbol(Value):
         if c == -1:
             return "-[+]"
         return f"{c}*[+]"
-
-
-class RawPlusSymbol(Value):
-    """Uncanonicalized symbol [s; s_1 ... s_n] of a positive-space tuple."""
-
-    __slots__ = ("leading", "tail")
-
-    def __init__(self, leading: int, tail: tuple[int, ...]):
-        if leading not in (-1, 1) or any(s not in (-1, 1) for s in tail):
-            raise ValueError("signs must be +-1")
-        self._set(leading=leading, tail=tail)
-
-    @property
-    def n(self) -> int:
-        return len(self.tail)
-
-    def __str__(self):
-        lead = "+" if self.leading > 0 else "-"
-        tail = "".join("+" if s > 0 else "-" for s in self.tail)
-        return f"[{lead};{tail}]"
 
 
 class UPlusSymbol(Value):
@@ -95,25 +67,12 @@ class UPlusSymbol(Value):
             raise ValueError("coefficient vector has wrong length")
         self._set(n=n, coefficients=coefficients)
 
-    @classmethod
-    def zero(cls, n: int) -> "UPlusSymbol":
-        return cls(n, (0,) * (n // 2 + 1))
-
-    @classmethod
-    def basis(cls, n: int, a: int, coeff: int = 1) -> "UPlusSymbol":
-        v = [0] * (n // 2 + 1)
-        v[a] = coeff
-        return cls(n, tuple(v))
-
     def __add__(self, other: "UPlusSymbol") -> "UPlusSymbol":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         return UPlusSymbol(
             self.n, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
         )
-
-    def scale(self, m: int) -> "UPlusSymbol":
-        return UPlusSymbol(self.n, tuple(m * a for a in self.coefficients))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coefficients)
@@ -190,19 +149,10 @@ def _raw_signs(minors: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     return lead, tuple((-1) ** (n - i + 1) * sign(minors[i]) * lead for i in range(n))
 
 
-def raw_symbol_from_minors(minors: Sequence[Scalar]) -> RawPlusSymbol:
-    """[s; s_1..s_n] from the nonzero maximal minors D_0..D_n (see ``_raw_signs``)."""
-    return RawPlusSymbol(*_raw_signs(minors))
-
-
 def _u_sign(minors: Sequence[Scalar]) -> int:
     """sgn(det(v_0..v_{n-1}) * a_0 * ... * a_{n-1}) from the maximal minors."""
     lead, tail = _raw_signs(minors)
     return lead * prod(tail)
-
-
-def u_symbol_from_minors(minors: Sequence[Scalar]) -> USymbol:
-    return USymbol(len(minors) - 1, _u_sign(minors))
 
 
 def _canonical(n: int, a: int, lead: int) -> tuple[int, int]:
@@ -235,43 +185,30 @@ def u_symbol(points: Sequence[Point]) -> USymbol:
     """Orbit symbol of a generic (n+1)-tuple in P^{n-1}, n even.
 
     Equals sgn(det(v_1,...,v_n) * a_1 * ... * a_n) on the generator [+],
-    where v_{n+1} = sum a_i v_i.
+    where v_{n+1} = sum a_i v_i: the one-term ``symbol_sum``.
     """
     n = len(points) - 1
     if n % 2:
         raise ValueError("u_symbol needs even n")
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P^{n - 1}")
-    return u_symbol_from_minors(_generic_minors(points))
+    return symbol_sum("P", n, [(_generic_minors(points), 1)])
 
 
-def uplus_raw_symbol(points: Sequence[Point]) -> RawPlusSymbol:
-    """Symbol [s; s_1..s_n] of a generic (n+1)-tuple in P_+^{n-1}.
+def uplus_symbol(points: Sequence[Point]) -> UPlusSymbol:
+    """Canonical symbol of a generic (n+1)-tuple in P_+^{n-1}: the one-term ``symbol_sum``.
 
     Independent of the choice of positive-scalar lifts.
     """
     n = len(points) - 1
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P_+^{n - 1}")
-    return raw_symbol_from_minors(_generic_minors(points))
-
-
-def uplus_canonicalize(raw: RawPlusSymbol) -> UPlusSymbol:
-    """Write a raw symbol in the basis {a+} (the rules are ``_canonical``'s)."""
-    a, e = _canonical(raw.n, raw.tail.count(1), raw.leading)
-    return UPlusSymbol.basis(raw.n, a, e)
-
-
-def uplus_symbol(points: Sequence[Point]) -> UPlusSymbol:
-    return uplus_canonicalize(uplus_raw_symbol(points))
+    return symbol_sum("P+", n, [(_generic_minors(points), 1)])
 
 
 def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
     """<det(u,v) det(v,w) det(w,u)> for pairwise independent u,v,w in Q^2."""
-    minors = maximal_minors([u, v, w])
-    if not all(minors):
-        raise GenericityError("triple contains a linearly dependent pair")
-    return witt_symbol_from_minors(minors)
+    return witt_symbol_from_minors(_generic_minors([u, v, w]))
 
 
 Mode = Literal["P", "P+", "witt"]

@@ -204,14 +204,6 @@ class FlatBundle:
             for lift, lam in self._corners(s.values, dim, sid)
         ]
 
-    def corner_lifts(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
-        """M v at every corner: positive multiples of ``corner_values``.
-
-        They have the same minor signs and ranks, and are integral for an
-        integral section over Q.
-        """
-        return [lift for lift, _ in self._corners(s.values, dim, sid)]
-
     def _corners(self, values: Mapping, dim: int, sid: int, memo=None) -> list[tuple[tuple, int]]:
         """(M v, lam) for each corner whose vertex has a value: the true value is M v / lam.
 

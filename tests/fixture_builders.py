@@ -278,7 +278,7 @@ def is_positive_section(bundle: FlatBundle, s: Section, witnesses) -> bool:
     return all(
         sign(dot(phi, lift)) > 0
         for (d, sid), phi in witnesses.items()
-        for lift in bundle.corner_lifts(s, d, sid)
+        for lift, _ in bundle._corners(s.values, d, sid)
     )
 
 

@@ -476,18 +476,23 @@ def test_verify_rejects_out_of_range_sizes(capsys, argv):
     assert "must be an integer >= 1" in captured.err
 
 
-def _colliding_joint_scalar_sets(monkeypatch, collide):
-    """Wrap joint_scalar_sets; ``collide(k)`` forces a collision on the k-th A seen."""
-    seen = []
-    real = cli.joint_scalar_sets
+def _colliding_scalar_sets(monkeypatch, collide):
+    """Wrap scalar_set; ``collide(k)`` makes every B draw collide with the k-th A seen.
 
-    def fake(e1, s1, e2, s2):
-        if not any(s1 is s for s in seen):
-            seen.append(s1)
-        a1, a2, disjoint = real(e1, s1, e2, s2)
-        return a1, a2, disjoint and not collide(len(seen) - 1)
+    The first call is on bundle A; its sections are collected in draw order.
+    """
+    seen, a_sets = [], []
+    real = cli.scalar_set
 
-    monkeypatch.setattr(cli, "joint_scalar_sets", fake)
+    def fake(bundle, s):
+        out = real(bundle, s)
+        if not a_sets or bundle is a_sets[0][0]:
+            seen.append(s)
+            a_sets.append((bundle, out))
+            return out
+        return out | a_sets[-1][1] if collide(len(seen) - 1) else out
+
+    monkeypatch.setattr(cli, "scalar_set", fake)
     return seen
 
 
@@ -503,7 +508,7 @@ PRODUCT_ARGV = [
 
 
 def test_product_draws_a_fresh_a_after_ten_collisions(capsys, monkeypatch):
-    seen = _colliding_joint_scalar_sets(monkeypatch, lambda k: k == 0)
+    seen = _colliding_scalar_sets(monkeypatch, lambda k: k == 0)
     code, out = _run(capsys, *PRODUCT_ARGV)
     assert code == 0
     report = json.loads(out)
@@ -515,7 +520,7 @@ def test_product_draws_a_fresh_a_after_ten_collisions(capsys, monkeypatch):
 
 
 def test_product_exits_4_when_every_a_collides(capsys, monkeypatch):
-    seen = _colliding_joint_scalar_sets(monkeypatch, lambda k: True)
+    seen = _colliding_scalar_sets(monkeypatch, lambda k: True)
     assert main(PRODUCT_ARGV) == cli.EXIT_RESAMPLING
     assert len(seen) == 3
     captured = capsys.readouterr()
@@ -532,6 +537,19 @@ def test_product_recovers_from_an_unlucky_a(capsys):
     assert report["resample_attempts"] == 11
     assert report["euler_product"] == 1
     assert report["cross_product_check"] and report["cup_check"]
+
+
+def test_product_computes_each_sections_scalar_set_once(capsys, monkeypatch):
+    # 11 attempts draw 2 sections A and 11 sections B: 13 scalar sets, not 22
+    calls = []
+    real = cli.scalar_set
+    monkeypatch.setattr(cli, "scalar_set", lambda bundle, s: calls.append(s) or real(bundle, s))
+    g2 = rep_path("g2_fuchs.json")
+    code, out = _run(capsys, "product", "--repA", g2, "--repB", g2, "--seed", "30843")
+    assert code == 0
+    assert json.loads(out)["resample_attempts"] == 11
+    assert len(calls) == 13
+    assert len({id(s) for s in calls}) == 13
 
 
 def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):

@@ -4,9 +4,9 @@ from math import prod
 
 import pytest
 
+from tautclass import configs
 from tautclass.configs import (
     GenericityError,
-    RawPlusSymbol,
     UPlusSymbol,
     USymbol,
     boundary_symbol_sum,
@@ -15,8 +15,6 @@ from tautclass.configs import (
     maximal_minors,
     symbol_sum,
     u_symbol,
-    uplus_canonicalize,
-    uplus_raw_symbol,
     uplus_symbol,
     witt_symbol_from_minors,
     witt_triple_symbol,
@@ -61,57 +59,73 @@ def test_u_symbol_errors():
         u_symbol([(1, 0), (2, 0), (1, 1)])
 
 
+def _canonical_oracle(n, lead, tail):
+    """Coefficients on the basis {a+} of the raw symbol [lead; tail], rules applied fold first.
+
+    a+ = -(n+1-a)+ folds a from above the midpoint (for odd n the midpoint
+    class is 2-torsion and dies), then a- = -(a+) flips a negative lead.
+    """
+    coeffs = [0] * (n // 2 + 1)
+    a = tail.count(1)
+    if n % 2 and 2 * a == n + 1:
+        return tuple(coeffs)
+    coeff = 1
+    if a > n // 2:
+        coeff, a = -coeff, n + 1 - a
+    if lead < 0:
+        coeff = -coeff
+    coeffs[a] = coeff
+    return tuple(coeffs)
+
+
+def _canonical_coefficients(n, lead, tail):
+    """``configs._canonical``'s (a, e) for [lead; tail], as coefficients on {a+}."""
+    a, e = configs._canonical(n, tail.count(1), lead)
+    return tuple(e * (i == a) for i in range(n // 2 + 1))
+
+
 def test_uplus_raw_examples():
-    raw = uplus_raw_symbol([(1, 0), (0, 1), (1, 1)])
-    assert (raw.leading, raw.tail) == (1, (1, 1))
-    raw = uplus_raw_symbol([(1, 0), (0, -1), (1, -1)])
-    assert (raw.leading, raw.tail) == (-1, (1, 1))
+    assert _minors_raw([(1, 0), (0, 1), (1, 1)]) == (1, (1, 1))
+    assert _minors_raw([(1, 0), (0, -1), (1, -1)]) == (-1, (1, 1))
 
 
 def test_uplus_raw_positive_rescaling_invariance():
     rng = random.Random(0)
     for _ in range(40):
         tup = _random_generic(rng, 3, 4)
-        raw = uplus_raw_symbol(tup)
+        raw = _minors_raw(tup)
         scaled = []
         for v in tup:
             lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             scaled.append(tuple(lam * x for x in v))
-        assert uplus_raw_symbol(scaled) == raw
+        assert _minors_raw(scaled) == raw
 
 
-def test_uplus_canonicalize_rules():
+@pytest.mark.parametrize("canonical", [_canonical_coefficients, _canonical_oracle])
+def test_uplus_canonicalize_rules(canonical):
     # n = 2: 2+ folds to -(1+)
-    assert uplus_canonicalize(RawPlusSymbol(1, (1, 1))).coefficients == (0, -1)
+    assert canonical(2, 1, (1, 1)) == (0, -1)
     # n = 2: 0- flips to -(0+)
-    assert uplus_canonicalize(RawPlusSymbol(-1, (-1, -1))).coefficients == (-1, 0)
+    assert canonical(2, -1, (-1, -1)) == (-1, 0)
     # n = 3 midpoint class dies
-    assert uplus_canonicalize(RawPlusSymbol(1, (1, 1, -1))).is_zero()
-    assert uplus_canonicalize(RawPlusSymbol(-1, (1, 1, -1))).is_zero()
+    assert canonical(3, 1, (1, 1, -1)) == (0, 0)
+    assert canonical(3, -1, (1, 1, -1)) == (0, 0)
+    # n = 1: the midpoint 1+ dies, 0- flips
+    assert canonical(1, 1, (1,)) == (0,)
+    assert canonical(1, -1, (-1,)) == (-1,)
     # already canonical
-    assert uplus_canonicalize(RawPlusSymbol(1, (1, -1))).coefficients == (0, 1)
+    assert canonical(2, 1, (1, -1)) == (0, 1)
 
 
 def test_uplus_canonicalize_rules_commute():
-    # applying fold before flip gives the same answer on every sign pattern
+    # the package flips before it folds; the oracle folds first: both agree
+    # on every sign pattern
     from itertools import product
 
-    for n in (2, 3, 4):
+    for n in range(1, 7):
         for lead in (1, -1):
             for tail in product((1, -1), repeat=n):
-                raw = RawPlusSymbol(lead, tail)
-                a = sum(1 for s in tail if s > 0)
-                via_fold_first = None
-                coeff, aa = 1, a
-                if n % 2 == 0 or 2 * aa != n + 1:
-                    if aa > n // 2:
-                        coeff, aa = -coeff, n + 1 - aa
-                    if lead < 0:
-                        coeff = -coeff
-                    via_fold_first = UPlusSymbol.basis(n, aa, coeff)
-                else:
-                    via_fold_first = UPlusSymbol.zero(n)
-                assert uplus_canonicalize(raw) == via_fold_first
+                assert _canonical_coefficients(n, lead, tail) == _canonical_oracle(n, lead, tail)
 
 
 def test_alternation_100_random_tuples():
@@ -123,7 +137,8 @@ def test_alternation_100_random_tuples():
             swapped = list(tup)
             swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
             assert u_symbol(swapped).coefficient == -u_symbol(tup).coefficient
-            assert uplus_symbol(swapped) == uplus_symbol(tup).scale(-1)
+            negated = tuple(-c for c in uplus_symbol(tup).coefficients)
+            assert uplus_symbol(swapped).coefficients == negated
 
 
 def test_gl_equivariance():
@@ -133,8 +148,8 @@ def test_gl_equivariance():
         tup = _random_generic(rng, 2, 3, bound=5)
         image = [flip.apply(v) for v in tup]
         assert u_symbol(image).coefficient == -u_symbol(tup).coefficient
-        raw, raw2 = uplus_raw_symbol(tup), uplus_raw_symbol(image)
-        assert raw2.leading == -raw.leading and raw2.tail == raw.tail
+        (lead, tail), (lead2, tail2) = _minors_raw(tup), _minors_raw(image)
+        assert lead2 == -lead and tail2 == tail
 
 
 def test_witt_triple_symbol_examples():
@@ -235,8 +250,7 @@ def _random_tuple(rng, kind, n):
 
 
 def _minors_raw(points):
-    raw = uplus_raw_symbol(points)
-    return raw.leading, raw.tail
+    return configs._raw_signs(configs._generic_minors(points))
 
 
 def _outcome(fn, points):
@@ -268,6 +282,28 @@ def test_minors_symbols_match_cramer_oracle(kind, n):
         if n % 2 == 0:
             lead, tail = expected
             assert u_symbol(tup).coefficient == lead * prod(tail)
+    assert generic >= 5
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_single_tuple_symbols_match_the_cramer_oracle(kind, n):
+    # uplus_symbol and u_symbol against Cramer's rule plus the fold-first rules
+    rng = random.Random(f"single-{kind}-{n}")
+    generic = 0
+    for _ in range(40 if kind != "quad" or n < 5 else 12):
+        tup = _random_tuple(rng, kind, n)
+        raw = _outcome(_cramer_raw, tup)
+        if raw[0] == "GenericityError":
+            assert _outcome(uplus_symbol, tup) == raw
+            if n % 2 == 0:
+                assert _outcome(u_symbol, tup) == raw
+            continue
+        generic += 1
+        lead, tail = raw
+        assert uplus_symbol(tup).coefficients == _canonical_oracle(n, lead, tail), tup
+        if n % 2 == 0:
+            assert u_symbol(tup).coefficient == lead * prod(tail), tup
     assert generic >= 5
 
 
@@ -348,24 +384,29 @@ def test_witt_symbol_sum_makes_no_element_addition(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sign_mode_symbol_sums_are_the_term_by_term_fold(n):
     # the oracle: each term's raw symbol by Cramer's rule on its points,
-    # one symbol object per term, scaled and added
+    # written on the basis by the fold-first rules, scaled and added as
+    # integer tuples
     rng = random.Random(n)
     modes = ["P", "P+"] if n % 2 == 0 else ["P+"]
     for count in (0, 1, 7, 60):
         tuples = [_random_generic(rng, n, n + 1, bound=5) for _ in range(count)]
         terms = [(maximal_minors(tup), rng.choice([-2, -1, 1, 3])) for tup in tuples]
-        raws = [RawPlusSymbol(*_cramer_raw(tup)) for tup in tuples]
+        raws = [_cramer_raw(tup) for tup in tuples]
         for mode in modes:
             if mode == "P":
-                symbols = [USymbol(n, raw.leading * prod(raw.tail)) for raw in raws]
-                fold = sum((t.scale(c) for t, (_, c) in zip(symbols, terms)), USymbol(n, 0))
+                columns = [(lead * prod(tail),) for lead, tail in raws]
+                symbol = lambda col: USymbol(n, col[0])
             else:
-                symbols = [uplus_canonicalize(raw) for raw in raws]
-                fold = sum((t.scale(c) for t, (_, c) in zip(symbols, terms)), UPlusSymbol.zero(n))
+                columns = [_canonical_oracle(n, lead, tail) for lead, tail in raws]
+                symbol = lambda col: UPlusSymbol(n, col)
+            width = 1 if mode == "P" else n // 2 + 1
+            fold = symbol(
+                tuple(sum(c * col[a] for col, (_, c) in zip(columns, terms)) for a in range(width))
+            )
             texts = []
             assert symbol_sum(mode, n, terms, texts) == fold
             assert symbol_sum(mode, n, terms) == fold
-            assert texts == [str(t) for t in symbols]
+            assert texts == [str(symbol(col)) for col in columns]
 
 
 def test_sign_mode_symbol_sum_builds_one_symbol(monkeypatch):

@@ -210,6 +210,8 @@ TEST_ONLY = {
     "WitnessError", "is_positive_section", "make_positive_generic", "_generic_at",
     "_perturbation_step", "_least", "_step_into_span", "vec_add", "vec_scale",
     "mixed_dimension_product", "positive_generic_section",
+    "RawPlusSymbol", "uplus_raw_symbol", "uplus_canonicalize", "raw_symbol_from_minors",
+    "u_symbol_from_minors", "corner_lifts",
 }
 
 

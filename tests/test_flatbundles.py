@@ -391,7 +391,7 @@ def test_product_lifts_are_integral_with_the_true_minor_signs():
     assert all(len(b) == 2 for b in EP.blocks.values())
     S = Section({0: (3, -1, 2, 5)})
     for sid in product_chain(px, zA, zB).coeffs:
-        lifts = EP.corner_lifts(S, 4, sid)
+        lifts = [lift for lift, _ in EP._corners(S.values, 4, sid)]
         assert all(type(x) is int for v in lifts for x in v)
         true_minors = maximal_minors(EP.corner_values(S, 4, sid))
         assert [sign(d) for d in maximal_minors(lifts)] == [sign(d) for d in true_minors]
@@ -697,7 +697,9 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     values = {sid: bundle.corner_values(s, 4, sid) for sid in zz.coeffs}
     plus = {sid: uplus_symbol(v) for sid, v in values.items()}
     plain = {sid: u_symbol(v) for sid, v in values.items()}
-    total = sum((plus[sid].scale(c) for sid, c in zz.coeffs.items()), UPlusSymbol.zero(4))
+    total = UPlusSymbol(
+        4, tuple(sum(c * plus[sid].coefficients[a] for sid, c in zz.coeffs.items()) for a in range(3))
+    )
     expected = {
         "eu0": (total.coefficients[0], plus),
         "euplus": (total, plus),
