@@ -346,7 +346,7 @@ def cmd_eval(args) -> int:
         "selector": str(selector),
         "seed": args.seed,
         "section": s.to_json(),
-        "per_simplex": {str(k): v for k, v in sorted(per_simplex.items())},
+        "per_simplex": {str(k): str(v) for k, v in sorted(per_simplex.items())},
     }
     if selector.kind == "witt":
         report["value"] = value.to_json()
@@ -401,10 +401,10 @@ def cmd_product(args) -> int:
             for v in range(px.num_vertices)
         }
     )
-    euA = evaluate_class(bundleA, sA, Selector("euk", 0), zA)
-    euB = evaluate_class(bundleB, sB, Selector("euk", 0), zB)
+    euA, symbolsA = evaluate_class(bundleA, sA, Selector("euk", 0), zA, detail=True)
+    euB, symbolsB = evaluate_class(bundleB, sB, Selector("euk", 0), zB, detail=True)
     lhs = evaluate_class(bundleP, section, Selector("euk", 0), zz)
-    cup = _cup_product_check(px, bundleA, sA, zA, bundleB, sB, zB, zz)
+    cup = _cup_product_check(px, bundleA.n, symbolsA, bundleB.n, symbolsB, zz)
     report = {
         "repA": args.repA,
         "repB": args.repB,
@@ -423,30 +423,21 @@ def cmd_product(args) -> int:
     return EXIT_OK if report["cross_product_check"] and report["cup_check"] else EXIT_FAIL
 
 
-def _cup_product_check(px, bundleA, sA, zA, bundleB, sB, zB, zz) -> int:
+def _cup_product_check(px, nA, symbolsA, nB, symbolsB, zz) -> int:
     """<pr1* T0 cup pr2* T0, z x z'> via front/back faces.
 
     A front (back) face over a factor's top simplex lies over a simplex of
-    that factor's cycle, so T0 is taken once per simplex of supp(zA) and
-    supp(zB).
+    that factor's cycle, so T0 is read from the symbols the factor's own
+    eu0 evaluation gave, one per simplex of supp(zA) and supp(zB).
     """
-
-    def t0(bundle, s, z):
-        return {
-            sid: uplus_symbol(bundle.corner_values(s, bundle.n, sid)).coefficients[0]
-            for sid in z.coeffs
-        }
-
-    nA, nB = bundleA.n, bundleB.n
-    t0A, t0B = t0(bundleA, sA, zA), t0(bundleB, sB, zB)
 
     def alpha(pid):
         p, sid, q, _, _ = px.cell_info(nA, pid)
-        return t0A[sid] if p == nA and q == 0 else 0
+        return symbolsA[sid].coefficients[0] if p == nA and q == 0 else 0
 
     def beta(pid):
         p, _, q, sid2, _ = px.cell_info(nB, pid)
-        return t0B[sid2] if p == 0 and q == nB else 0
+        return symbolsB[sid2].coefficients[0] if p == 0 and q == nB else 0
 
     return cup_evaluate(px, nA, alpha, nB, beta, zz)
 

@@ -28,11 +28,16 @@ class Simplex(Value):
     __slots__ = ("vertices", "faces")
 
     def __init__(self, vertices: tuple[int, ...], faces: tuple[int, ...]):
-        self._set(vertices=vertices, faces=faces)
+        # through the slot descriptors: product complexes make thousands
+        _set_vertices(self, vertices)
+        _set_faces(self, faces)
 
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
+
+
+_set_vertices, _set_faces = Simplex.vertices.__set__, Simplex.faces.__set__
 
 
 class DeltaComplex:
@@ -178,43 +183,6 @@ def boundary(cx: DeltaComplex, chain: Chain) -> Chain:
         for j, fid in enumerate(faces):
             out[fid] = out.get(fid, 0) + (c if j % 2 == 0 else -c)
     return Chain(chain.dim - 1, out)
-
-
-def standard_simplex_complex(n: int) -> DeltaComplex:
-    """The full n-simplex with all of its faces, vertices 0..n."""
-    from itertools import combinations
-
-    ids: dict[tuple[int, ...], int] = {}
-    levels: list[list[Simplex]] = []
-    for d in range(n + 1):
-        level = []
-        for verts in combinations(range(n + 1), d + 1):
-            ids[verts] = len(level)
-            faces = tuple(
-                ids[verts[:j] + verts[j + 1 :]] for j in range(d + 1) if d > 0
-            )
-            level.append(Simplex(verts, faces))
-        levels.append(level)
-    return DeltaComplex(levels)
-
-
-def sphere_complex() -> tuple[DeltaComplex, Chain]:
-    """The boundary of a 3-simplex and its fundamental 2-cycle.
-
-    Four distinct vertices: the multi-vertex companion to the one-vertex
-    surface models, needed when a product evaluation requires generic
-    values along cells that repeat a factor vertex.
-    """
-    cx = standard_simplex_complex(3)
-    cx = DeltaComplex(cx.simplices[:3])
-    coeffs = {}
-    from itertools import combinations
-
-    triples = list(combinations(range(4), 3))
-    for sid, verts in enumerate(triples):
-        omitted = next(v for v in range(4) if v not in verts)
-        coeffs[sid] = 1 if omitted % 2 == 0 else -1
-    return cx, Chain(2, coeffs)
 
 
 class SurfaceComplex(DeltaComplex):
@@ -389,7 +357,7 @@ class ProductComplex(DeltaComplex):
                         vertices.append([x + y for x in xs for y in ys])
                     block = slice(start, start + n_cells * k, k)
                     levels[d][block] = list(
-                        map(_simplex, zip(*vertices), zip(*faces) if faces else repeat((), n_cells))
+                        map(Simplex, zip(*vertices), zip(*faces) if faces else repeat((), n_cells))
                     )
                     self._keys_by_dim[d][block] = [
                         (p, sid, q, sid2, chain) for sid in range(len(level)) for sid2 in range(len(level2))
@@ -403,17 +371,6 @@ class ProductComplex(DeltaComplex):
     def cell_info(self, dim: int, sid: int) -> ProductKey:
         """(p, sid, q, sid2, chain) of a product simplex."""
         return self._keys_by_dim[dim][sid]
-
-
-_new, _set_vertices, _set_faces = object.__new__, Simplex.vertices.__set__, Simplex.faces.__set__
-
-
-def _simplex(vertices: tuple[int, ...], faces: tuple[int, ...]) -> Simplex:
-    """A Simplex set through its slots, without the keyword pass of ``Value._set``."""
-    s = _new(Simplex)
-    _set_vertices(s, vertices)
-    _set_faces(s, faces)
-    return s
 
 
 def product_complex(left: DeltaComplex, right: DeltaComplex) -> ProductComplex:

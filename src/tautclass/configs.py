@@ -226,30 +226,22 @@ def symbol_sum(
     mode: Mode,
     n: int,
     terms: Iterable[tuple[Sequence[Scalar], int]],
-    texts: list[str] | None = None,
 ):
     """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
 
     The minors are the nonzero maximal minors of lifts in K^n.  A USymbol
     (mode "P") or a UPlusSymbol ("P+"): each term's canonical (a, e) is
     folded into integer coefficients and one symbol is built.  A
-    WittElement ("witt", n = 2), summed in one pass.  ``texts``, when
-    given, receives the text of every term's symbol in order.
+    WittElement ("witt", n = 2), summed in one pass.
     """
     if mode == "witt":
-        pairs = [(witt_symbol_from_minors(minors), c) for minors, c in terms]
-        if texts is not None:
-            texts.extend(str(term) for term, _ in pairs)
-        return WittElement.combination(pairs)
+        return WittElement.combination((witt_symbol_from_minors(minors), c) for minors, c in terms)
     if mode not in SIGN_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     read, symbol = SIGN_MODES[mode]
-    classes = [(read(minors), c) for minors, c in terms]
-    basis = range(n // 2 + 1)
-    if texts is not None:
-        texts.extend(str(symbol(n, [e * (i == a) for i in basis])) for (a, e), _ in classes)
-    coeffs = [0 for _ in basis]
-    for (a, e), c in classes:
+    coeffs = [0] * (n // 2 + 1)
+    for minors, c in terms:
+        a, e = read(minors)
         coeffs[a] += e * c
     return symbol(n, coeffs)
 

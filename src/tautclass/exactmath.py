@@ -198,9 +198,6 @@ class RationalField:
 
     name = "Q"
 
-    def to_json(self):
-        return "Q"
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -222,9 +219,6 @@ class QuadraticField:
 
     def from_pair(self, a: Rational, b: Rational) -> QuadExt:
         return QuadExt(a, b, self.d)
-
-    def to_json(self):
-        return {"quad": self.d}
 
     def __eq__(self, other):
         return isinstance(other, QuadraticField) and other.d == self.d
@@ -526,10 +520,6 @@ class Matrix:
             " ".join(render_scalar(x) for x in row) for row in self.rows
         )
         return f"Matrix[{body}]"
-
-    def to_json(self) -> list[list[str]]:
-        return [[render_scalar(x) for x in row] for row in self.rows]
-
 
 def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     acc = u[0] * v[0]

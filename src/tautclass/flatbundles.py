@@ -97,33 +97,12 @@ def _path_ratio(h12, h01, h02, ratios) -> tuple[Scalar, Scalar] | None:
     return out
 
 
-class _BlockSums(Mapping):
-    """Edge -> holonomy matrix: the block sum of the edge's blocks, built on first read."""
-
-    def __init__(self, blocks: Mapping[int, tuple[Matrix, ...]]):
-        self._blocks, self._sums = blocks, {}
-
-    def __getitem__(self, eid: int) -> Matrix:
-        blocks = self._blocks[eid]
-        if len(blocks) == 1:
-            return blocks[0]
-        if eid not in self._sums:
-            self._sums[eid] = Matrix.block_diag(*blocks)
-        return self._sums[eid]
-
-    def __iter__(self):
-        return iter(self._blocks)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-
 class FlatBundle:
     """Edge-holonomy presentation of a flat bundle over a Delta-complex.
 
     A holonomy given as a tuple of square blocks is their block sum, and
-    is validated and inverted block by block; ``holonomy[e]`` builds the
-    sum only when read.
+    is validated and inverted block by block: ``blocks[e]`` holds the
+    blocks of edge e, and the sum itself is built only for an error text.
     """
 
     def __init__(
@@ -141,7 +120,6 @@ class FlatBundle:
         self.tag = tag
         self.field = field
         self.blocks = {e: h if isinstance(h, tuple) else (h,) for e, h in holonomy.items()}
-        self.holonomy = _BlockSums(self.blocks)
         self._transports: dict[int, tuple[Matrix, int]] = {}
         self.validate()
 
@@ -172,7 +150,7 @@ class FlatBundle:
                 f12, f02, f01 = s.faces
                 ratio = _path_ratio(records[f12], records[f01], records[f02], ratios)
                 if ratio is None or not _tag_allows(*ratio, self.tag):
-                    h01, h12, h02 = (self.holonomy[f] for f in (f01, f12, f02))
+                    h01, h12, h02 = (Matrix.block_diag(*self.blocks[f]) for f in (f01, f12, f02))
                     residual = h02.inverse() @ (h12 @ h01)
                     raise TriangleError(
                         f"triangle condition fails on 2-simplex {sid} "
@@ -325,14 +303,15 @@ def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBu
     if px.left is not e1.base or px.right is not e2.base:
         raise ValueError("product complex does not match the bundle bases")
     tag = "SL" if (e1.tag, e2.tag) == ("SL", "SL") else "GL+"
-    i1 = Matrix.identity(e1.n)
-    i2 = Matrix.identity(e2.n)
+    # identities shaped like each factor's blocks, so a product factor keeps its blocks
+    i1, i2 = (
+        tuple(Matrix.identity(b.nrows) for b in e.blocks.get(0, (Matrix.identity(e.n),)))
+        for e in (e1, e2)
+    )
     holonomy = {}
     for eid in range(len(px.simplices[1])):
         p, sid, q, sid2, _ = px.cell_info(1, eid)
-        left = e1.holonomy[sid] if p == 1 else i1
-        right = e2.holonomy[sid2] if q == 1 else i2
-        holonomy[eid] = (left, right)
+        holonomy[eid] = (e1.blocks[sid] if p == 1 else i1) + (e2.blocks[sid2] if q == 1 else i2)
     return FlatBundle(px, e1.n + e2.n, tag, holonomy, field=e1.field)
 
 
@@ -515,7 +494,8 @@ def evaluate_class(
     """<class, z> as an integer, coefficient vector, or Witt element.
 
     The cycle dimension must equal the fiber dimension; the section must
-    be generic on the support of z.
+    be generic on the support of z.  With ``detail``, also each top
+    simplex's symbol: the one-term ``symbol_sum`` of its minors, by id.
     """
     n = bundle.n
     if z.dim != n:
@@ -541,9 +521,8 @@ def evaluate_class(
         if not all(minors):
             raise GenericityError("section is not generic on the support of z")
         terms.append((minors, c))
-    texts = [] if detail else None
     mode = {"eu": "P", "witt": "witt"}.get(selector.kind, "P+")
-    total = configs.symbol_sum(mode, n, terms, texts)
+    total = configs.symbol_sum(mode, n, terms)
     if selector.kind == "eu":
         acc = total.coefficient
     elif selector.kind == "euk":
@@ -551,5 +530,6 @@ def evaluate_class(
     else:
         acc = total
     if detail:
-        return acc, dict(zip(z.coeffs, texts))
+        symbols = [configs.symbol_sum(mode, n, [(minors, 1)]) for minors, _ in terms]
+        return acc, dict(zip(z.coeffs, symbols))
     return acc

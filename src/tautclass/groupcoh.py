@@ -52,11 +52,6 @@ def cocycle_identity_residual(gs: Sequence[Matrix], u: Vector) -> WittElement:
     return WittElement.combination((witt_cocycle(*face, u), (-1) ** i) for i, face in enumerate(faces))
 
 
-def psl_equal(a: Matrix, b: Matrix) -> bool:
-    """Equality in PSL(2, Q): equal up to sign."""
-    return a == b or a == -b
-
-
 class BarChain2(Value):
     """An integer combination of homogeneous triples of PSL(2,Q) matrices."""
 
@@ -75,15 +70,6 @@ class BarChain2(Value):
 def evaluate_bar(cocycle: Cocycle, chain: BarChain2, u: Vector) -> WittElement:
     """Linear extension of a cocycle over a bar 2-chain."""
     return WittElement.combination((cocycle(*triple, u), c) for c, triple in chain.terms)
-
-
-def commuting_pair_cycle(g: Matrix, h: Matrix) -> BarChain2:
-    """The bar 2-cycle (1, g, gh) - (1, h, hg) of a commuting pair."""
-    gh = g @ h
-    if not psl_equal(gh, h @ g):
-        raise ValueError("matrices do not commute in PSL(2, Q)")
-    one = Matrix.identity(g.nrows)
-    return BarChain2([(1, (one, g, gh)), (-1, (one, h, h @ g))])
 
 
 def surface_cycle_from_rep(genus: int, matrices: Sequence[Matrix]) -> BarChain2:

@@ -35,14 +35,6 @@ class SurfaceRep(Value):
     def __init__(self, field: Field, genus: int, tag: str, matrices: list[Matrix]):
         self._set(field=field, genus=genus, tag=tag, matrices=matrices)
 
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "genus": self.genus,
-            "tag": self.tag,
-            "matrices": [m.to_json() for m in self.matrices],
-        }
-
     def float_matrices(self) -> list[list[list[float]]]:
         return [[[float(x) for x in row] for row in m.rows] for m in self.matrices]
 

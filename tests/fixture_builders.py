@@ -6,8 +6,13 @@ compares the bytes.  Regenerate them from the repository root with
 
     PYTHONPATH=src python tests/fixture_builders.py fixtures
 
-``nullspace`` (Gauss-Jordan over the field) solves the kernel equation
-of ``genus2_solved`` and is the tests' oracle for ``rank``.
+``rep_to_json`` writes a representation in the file format that
+``tautclass.reps`` reads.  ``nullspace`` (Gauss-Jordan over the field)
+solves the kernel equation of ``genus2_solved`` and is the tests' oracle
+for ``rank``.  ``standard_simplex_complex`` and ``sphere_complex`` are
+multi-vertex complexes, ``psl_equal`` and ``commuting_pair_cycle`` bar
+chains of commuting pairs, and ``holonomy``/``holonomies`` the block
+sums of a bundle's edge holonomies.
 ``mixed_dimension_product`` and ``positive_generic_section`` give the
 mixed-dimension product Sigma x S^2 a generic section that is positive
 for its witnesses.
@@ -21,16 +26,28 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from tautclass.complexes import (
     Chain,
+    DeltaComplex,
+    Simplex,
     product_chain,
     product_complex,
-    sphere_complex,
     surface_complex,
 )
-from tautclass.exactmath import QQ, Matrix, Scalar, dot, exact_div, rank, sign, solve_square
+from tautclass.exactmath import (
+    QQ,
+    Matrix,
+    Scalar,
+    dot,
+    exact_div,
+    rank,
+    render_scalar,
+    sign,
+    solve_square,
+)
 from tautclass.flatbundles import (
     FlatBundle,
     Section,
@@ -40,6 +57,7 @@ from tautclass.flatbundles import (
     random_generic_section,
     relator_product,
 )
+from tautclass.groupcoh import BarChain2
 from tautclass.reps import SurfaceRep
 
 
@@ -84,10 +102,74 @@ def scalar_multiple_of_identity(m: Matrix) -> Scalar | None:
     return None if r is None else r[0]
 
 
+def rep_to_json(rep: SurfaceRep) -> dict:
+    """The JSON object of a representation file: every entry rendered exactly."""
+    return {
+        "field": "Q" if rep.field == QQ else {"quad": rep.field.d},
+        "genus": rep.genus,
+        "tag": rep.tag,
+        "matrices": [[[render_scalar(x) for x in row] for row in m.rows] for m in rep.matrices],
+    }
+
+
 def save_rep(rep: SurfaceRep, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(rep.to_json(), fh, indent=1)
+        json.dump(rep_to_json(rep), fh, indent=1)
         fh.write("\n")
+
+
+def standard_simplex_complex(n: int) -> DeltaComplex:
+    """The full n-simplex with all of its faces, vertices 0..n."""
+    ids: dict[tuple[int, ...], int] = {}
+    levels: list[list[Simplex]] = []
+    for d in range(n + 1):
+        level = []
+        for verts in combinations(range(n + 1), d + 1):
+            ids[verts] = len(level)
+            faces = tuple(ids[verts[:j] + verts[j + 1 :]] for j in range(d + 1) if d > 0)
+            level.append(Simplex(verts, faces))
+        levels.append(level)
+    return DeltaComplex(levels)
+
+
+def sphere_complex() -> tuple[DeltaComplex, Chain]:
+    """The boundary of a 3-simplex and its fundamental 2-cycle.
+
+    Four distinct vertices: the multi-vertex companion to the one-vertex
+    surface models, needed when a product evaluation requires generic
+    values along cells that repeat a factor vertex.
+    """
+    cx = DeltaComplex(standard_simplex_complex(3).simplices[:3])
+    coeffs = {}
+    for sid, verts in enumerate(combinations(range(4), 3)):
+        omitted = next(v for v in range(4) if v not in verts)
+        coeffs[sid] = 1 if omitted % 2 == 0 else -1
+    return cx, Chain(2, coeffs)
+
+
+def psl_equal(a: Matrix, b: Matrix) -> bool:
+    """Equality in PSL(2, Q): equal up to sign."""
+    return a == b or a == -b
+
+
+def commuting_pair_cycle(g: Matrix, h: Matrix) -> BarChain2:
+    """The bar 2-cycle (1, g, gh) - (1, h, hg) of a commuting pair."""
+    gh = g @ h
+    if not psl_equal(gh, h @ g):
+        raise ValueError("matrices do not commute in PSL(2, Q)")
+    one = Matrix.identity(g.nrows)
+    return BarChain2([(1, (one, g, gh)), (-1, (one, h, h @ g))])
+
+
+def holonomy(bundle: FlatBundle, eid: int) -> Matrix:
+    """The holonomy matrix of an edge: the block sum of its blocks."""
+    blocks = bundle.blocks[eid]
+    return blocks[0] if len(blocks) == 1 else Matrix.block_diag(*blocks)
+
+
+def holonomies(bundle: FlatBundle) -> dict[int, Matrix]:
+    """Edge -> holonomy matrix, for every edge of the bundle."""
+    return {eid: holonomy(bundle, eid) for eid in bundle.blocks}
 
 
 def _m(rows) -> Matrix:

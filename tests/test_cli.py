@@ -553,19 +553,22 @@ def test_product_computes_each_sections_scalar_set_once(capsys, monkeypatch):
 
 
 def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):
-    # 6 top simplices per genus-2 factor; the 216 product simplices reuse them
-    calls = []
-    real = cli.uplus_symbol
+    # 6 top simplices per genus-2 factor; the 216 product simplices reuse the
+    # symbols the factors' own eu0 evaluations give, and no other is read
+    supports, symbols = [], []
+    real = cli.evaluate_class
 
-    def counted(lifts):
-        calls.append(lifts)
-        return real(lifts)
+    def counted(bundle, s, selector, z, detail=False):
+        supports.append(z.support_size())
+        return real(bundle, s, selector, z, detail)
 
-    monkeypatch.setattr(cli, "uplus_symbol", counted)
+    monkeypatch.setattr(cli, "evaluate_class", counted)
+    monkeypatch.setattr(cli, "uplus_symbol", lambda lifts: symbols.append(lifts))
     g2 = rep_path("g2_fuchs.json")
     code, out = _run(capsys, "product", "--repA", g2, "--repB", g2)
     assert code == 0
     report = json.loads(out)
     assert report["top_simplices"] == 216
     assert report["cup_check"]
-    assert len(calls) == 12
+    assert supports == [6, 6, 216]
+    assert symbols == []

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fixture_builders import sphere_complex, standard_simplex_complex
 from tautclass.complexes import (
     Chain,
     DeltaComplex,
@@ -13,8 +14,6 @@ from tautclass.complexes import (
     path_sign,
     product_chain,
     product_complex,
-    sphere_complex,
-    standard_simplex_complex,
     surface_complex,
 )
 

@@ -363,11 +363,12 @@ def test_witt_symbol_sum_is_the_term_by_term_fold():
         fold = WittElement.zero()
         for minors, c in terms:
             fold = fold + witt_symbol_from_minors(minors).scale(c)
-        texts = []
-        total = symbol_sum("witt", 2, terms, texts)
-        assert total.terms == fold.terms
         assert symbol_sum("witt", 2, terms).terms == fold.terms
-        assert texts == [str(witt_symbol_from_minors(minors)) for minors, _ in terms]
+        # a one-term fold is the term's own symbol
+        singles = [symbol_sum("witt", 2, [(minors, 1)]) for minors, _ in terms]
+        assert [w.terms for w in singles] == [
+            witt_symbol_from_minors(minors).terms for minors, _ in terms
+        ]
     cancelled = terms + [(minors, -c) for minors, c in terms]
     assert symbol_sum("witt", 2, cancelled).terms == ()
 
@@ -403,10 +404,9 @@ def test_sign_mode_symbol_sums_are_the_term_by_term_fold(n):
             fold = symbol(
                 tuple(sum(c * col[a] for col, (_, c) in zip(columns, terms)) for a in range(width))
             )
-            texts = []
-            assert symbol_sum(mode, n, terms, texts) == fold
             assert symbol_sum(mode, n, terms) == fold
-            assert texts == [str(symbol(col)) for col in columns]
+            singles = [symbol_sum(mode, n, [(minors, 1)]) for minors, _ in terms]
+            assert singles == [symbol(col) for col in columns]
 
 
 def test_sign_mode_symbol_sum_builds_one_symbol(monkeypatch):

@@ -10,10 +10,13 @@ from fixture_builders import (
     genus2_rank1,
     genus2_solved,
     genus2_swap,
+    holonomies,
+    holonomy,
     is_positive_section,
     mixed_dimension_product,
     positive_generic_section,
     scalar_multiple_of_identity,
+    standard_simplex_complex,
 )
 
 from tautclass.complexes import (
@@ -21,7 +24,6 @@ from tautclass.complexes import (
     boundary,
     product_chain,
     product_complex,
-    standard_simplex_complex,
     surface_complex,
 )
 from tautclass.configs import GenericityError, UPlusSymbol, maximal_minors, u_symbol, uplus_symbol
@@ -102,7 +104,7 @@ def test_quotient_tags_accept_scalar_triangle_residuals():
     sc, _ = surface_complex(1)
     rep = genus1_diagonal()
     bundle = bundle_from_surface_rep(sc, rep.matrices, "SL")
-    hol = dict(bundle.holonomy)
+    hol = holonomies(bundle)
     hol[0] = Matrix([[4, 0], [0, 4]]) @ hol[0]
     FlatBundle(sc, 2, "P+GL+", hol).validate()
     FlatBundle(sc, 2, "PGL+", hol).validate()
@@ -111,14 +113,14 @@ def test_quotient_tags_accept_scalar_triangle_residuals():
     with pytest.raises(ValueError):
         FlatBundle(sc, 2, "GL+", hol)
     # a negative scalar residual needs the full projective tag
-    hol2 = dict(bundle.holonomy)
+    hol2 = holonomies(bundle)
     hol2[0] = Matrix([[-1, 0], [0, -1]]) @ hol2[0]
     FlatBundle(sc, 2, "PGL+", hol2).validate()
     with pytest.raises(ValueError):
         FlatBundle(sc, 2, "P+GL+", hol2)
     with pytest.raises(TagError):
         # det -1 representative violates every tag here
-        bad = dict(bundle.holonomy)
+        bad = holonomies(bundle)
         bad[0] = _diag(1, -1) @ bad[0]
         FlatBundle(sc, 2, "PGL+", bad)
 
@@ -151,7 +153,7 @@ def _triangle_residual_oracle(bundle_base, hol, tag):
 def test_triangle_condition_up_to_tag_scalar(tag, c, accepted):
     sc, _ = surface_complex(1)
     bundle = bundle_from_surface_rep(sc, genus1_diagonal().matrices, "SL")
-    hol = dict(bundle.holonomy)
+    hol = holonomies(bundle)
     hol[1] = Matrix([[c, 0], [0, c]]) @ hol[1]
     expected = _triangle_residual_oracle(sc, hol, tag)
     assert (expected is None) == accepted
@@ -167,7 +169,7 @@ def test_triangle_failure_message_for_non_scalar_residual():
     sc, _ = surface_complex(2)
     rep = genus2_fuchsian()
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
-    hol = dict(bundle.holonomy)
+    hol = holonomies(bundle)
     hol[5] = Matrix([[1, Fraction(1, 2)], [0, 1]]) @ hol[5]
     expected = _triangle_residual_oracle(sc, hol, "SL")
     assert expected is not None and "residual Matrix[" in expected
@@ -184,7 +186,7 @@ def test_transport_identity_and_path_independence():
         assert bundle.transport_to_base(2, sid, 0) == Matrix.identity(2)
         s = sc.simplices[2][sid]
         via_edges = (
-            bundle.holonomy[s.faces[0]] @ bundle.holonomy[s.faces[2]]
+            holonomy(bundle, s.faces[0]) @ holonomy(bundle, s.faces[2])
         ).inverse()
         assert bundle.transport_to_base(2, sid, 2) == via_edges
 
@@ -487,13 +489,12 @@ def test_factor_tampered_after_its_validation_fails_the_product(side):
     eid = len(factor.base.simplices[1]) - 1
     (h,) = factor.blocks[eid]
     factor.blocks[eid] = (h @ Matrix([[1, 1], [0, 1]]),)  # det kept
-    assert factor.holonomy[eid] is factor.blocks[eid][0]
     i2 = Matrix.identity(2)
     full = {}
     for e in range(len(px.simplices[1])):
         p, sid, q, sid2, _ = px.cell_info(1, e)
-        left = e_a.holonomy[sid] if p == 1 else i2
-        full[e] = Matrix.block_diag(left, e_b.holonomy[sid2] if q == 1 else i2)
+        left = holonomy(e_a, sid) if p == 1 else i2
+        full[e] = Matrix.block_diag(left, holonomy(e_b, sid2) if q == 1 else i2)
     expected = _first_triangle_failure(px, full)
     assert expected is not None
     with pytest.raises(TriangleError) as err:
@@ -511,12 +512,8 @@ def test_product_validation_checks_every_triangle(monkeypatch):
         return path_ratio(*args)
 
     monkeypatch.setattr(flatbundles, "_path_ratio", counted)
-    bundle = product_bundle(px, e_a, e_b)
+    product_bundle(px, e_a, e_b)
     assert len(checked) == len(px.simplices[2]) == 426
-    # and the block sums are built only when read
-    assert bundle.holonomy._sums == {}
-    assert bundle.holonomy[5] == Matrix.block_diag(*bundle.blocks[5])
-    assert list(bundle.holonomy._sums) == [5]
 
 
 def test_validation_treats_value_equal_block_copies_alike():
@@ -625,12 +622,12 @@ def test_product_transports_invert_each_block_object_once(monkeypatch):
     assert (len(transports), len(blocks)) == (99, 20)
     assert calls == {"_scaled_inverse": 12}
     for eid, (m, lam) in transports.items():
-        assert bundle.holonomy[eid] @ m == Matrix.identity(4).scaled(lam)
+        assert holonomy(bundle, eid) @ m == Matrix.identity(4).scaled(lam)
     # the factor bundles read the inverses their blocks carry: no new one
     for factor in (e_a, e_b):
         for eid in range(len(factor.base.simplices[1])):
             m, lam = factor.transport(eid)
-            assert factor.holonomy[eid] @ m == Matrix.identity(2).scaled(lam)
+            assert holonomy(factor, eid) @ m == Matrix.identity(2).scaled(lam)
     assert calls == {"_scaled_inverse": 12}
 
 
@@ -643,7 +640,7 @@ def test_edge_transports_equal_a_fresh_scaled_inverse(name):
     rep = load_rep(rep_path(f"{name}.json"))
     sc, _ = surface_complex(rep.genus)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
-    for eid, h in bundle.holonomy.items():
+    for eid, h in holonomies(bundle).items():
         assert bundle.transport(eid) == h._scaled_inverse()
 
 
@@ -712,7 +709,7 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
         got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
         assert calls == {"apply": 63}
         assert got == value
-        assert detail == {sid: str(symbols[sid]) for sid in zz.coeffs}
+        assert detail == {sid: symbols[sid] for sid in zz.coeffs}
 
 
 @pytest.mark.parametrize("mode", ["basic", "strong"])
@@ -874,7 +871,25 @@ def test_trivial_product_bundle_and_tags():
     px = product_complex(scA, scB)
     EP = product_bundle(px, trivA, trivB)
     assert EP.n == 3 and EP.tag == "GL+"
-    assert all(m == Matrix.identity(3) for m in EP.holonomy.values())
+    assert all(m == Matrix.identity(3) for m in holonomies(EP).values())
+
+
+def test_a_product_factor_keeps_its_blocks():
+    # g1_diag x g1_diag x g1_diag: the left factor is itself a product bundle
+    sc, _ = surface_complex(1)
+    e = bundle_from_surface_rep(sc, genus1_diagonal().matrices, "SL")
+    e2 = product_bundle(product_complex(sc, sc), e, e)
+    px = product_complex(e2.base, sc)
+    bundle = product_bundle(px, e2, e)
+    assert (bundle.n, bundle.tag) == (6, "SL")
+    assert len(bundle.blocks) == len(px.simplices[1])
+    assert {tuple(b.nrows for b in bs) for bs in bundle.blocks.values()} == {(2, 2, 2)}
+    for eid in range(len(px.simplices[1])):
+        p, sid, q, sid2, _ = px.cell_info(1, eid)
+        left = holonomy(e2, sid) if p == 1 else Matrix.identity(4)
+        right = holonomy(e, sid2) if q == 1 else Matrix.identity(2)
+        assert holonomy(bundle, eid) == Matrix.block_diag(left, right)
+    bundle.validate()
 
 
 def test_product_bundle_rejects_mismatches():

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from fixture_builders import genus1_diagonal, genus2_fuchsian, genus2_swap
+from fixture_builders import (
+    commuting_pair_cycle,
+    genus1_diagonal,
+    genus2_fuchsian,
+    genus2_swap,
+    psl_equal,
+)
 from tautclass.exactmath import Matrix, sign
 from tautclass.groupcoh import (
     BarChain2,
     cocycle_identity_residual,
-    commuting_pair_cycle,
     evaluate_bar,
-    psl_equal,
     surface_cycle_from_rep,
     witt_cocycle,
 )

@@ -16,9 +16,10 @@ from itertools import combinations
 import pytest
 
 from conftest import rep_path
+from fixture_builders import holonomy, sphere_complex, standard_simplex_complex
 from test_sampling_scope import sphere_bundle, strip_bundle, _sl2
 from tautclass.cli import _load_bundle
-from tautclass.complexes import product_complex, sphere_complex, standard_simplex_complex
+from tautclass.complexes import product_complex
 from tautclass.configs import GenericityError
 from tautclass.exactmath import (
     LinearGenericityError,
@@ -111,7 +112,7 @@ def _planted_values(bundle, rng):
     small = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
     values = {0: rng.choice(small)}
     for v in range(1, bundle.base.num_vertices):
-        values[v] = bundle.holonomy[edges[0, v]].apply(rng.choice(small))
+        values[v] = holonomy(bundle, edges[0, v]).apply(rng.choice(small))
     return values
 
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from fixture_builders import sphere_complex
 from tautclass import flatbundles
-from tautclass.complexes import DeltaComplex, Simplex, sphere_complex
+from tautclass.complexes import DeltaComplex, Simplex
 from tautclass.exactmath import Matrix, is_linearly_generic, unique_relation
 from tautclass.flatbundles import (
     FlatBundle,
