@@ -4,7 +4,9 @@ Each case runs ``cli.main`` in-process from the repository root with
 relative fixture paths and compares the exit code and the exact stdout
 with ``golden/reports.json``.  Every ``eval`` selector is recorded on
 every fixture, including the combinations that exit non-zero, plus one
-genus-2 ``product``.  ``golden/products.json`` adds ``product`` reports
+genus-2 ``product`` and the ``verify`` suites that sample tuples or
+read a class several ways (``VERIFY``, at two seeds each).
+``golden/products.json`` adds ``product`` reports
 of g2_fuchs with every genus-2 rank-2 fixture at two seeds each.
 
 Regenerate the goldens (only when a report is meant to change) with
@@ -22,6 +24,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
 PRODUCTS = GOLDEN.with_name("products.json")
 SELECTORS = ["eu0", "eu", "euk:1", "euplus", "witt"]
 GENUS2_RANK2 = ["g2_fuchs", "g2_swap", "g2_swap2"] + [f"g2_solved_{i}" for i in range(1, 9)]
+VERIFY = [
+    ["euler-boundary", "--n", "2", "--samples", "20"],
+    ["euler-boundary", "--n", "3", "--samples", "20"],
+    ["euler-boundary", "--n", "4", "--samples", "10"],
+    ["euler-boundary", "--n", "4", "--field", "quad:2", "--samples", "10"],
+    ["alternation", "--n", "2", "--samples", "20"],
+    ["alternation", "--n", "3", "--samples", "20"],
+    ["alternation", "--n", "2", "--field", "quad:2", "--samples", "20"],
+    ["smillie", "--rep", "fixtures/g2_swap.json"],
+    ["comparison", "--rep", "fixtures/g2_fuchs.json", "--oracle"],
+]
 
 
 def _commands() -> list[list[str]]:
@@ -34,6 +47,7 @@ def _commands() -> list[list[str]]:
     cmds.append(
         ["product", "--repA", "fixtures/g2_fuchs.json", "--repB", "fixtures/g2_swap.json"]
     )
+    cmds += [["verify", *suite, "--seed", str(seed)] for suite in VERIFY for seed in (0, 7)]
     return cmds
 
 
