@@ -163,9 +163,6 @@ class Chain(Value):
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-other)
 
-    def scale(self, m: int) -> "Chain":
-        return Chain(self.dim, {s: m * c for s, c in self.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -124,8 +124,8 @@ def relation_coefficients(points: Sequence[Point], scales: Sequence[int]) -> lis
     return [(-1) ** i * scales[i] * mults[i] * d for i, d in enumerate(minors)]
 
 
-def _face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:
-    """The maximal minors of the sub-tuple ``face`` (ascending indices)."""
+def face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:
+    """The maximal minors of the sub-tuple ``face`` (ascending indices), from ``subset_minors``."""
     return [minors[face[:j] + face[j + 1 :]] for j in range(len(face))]
 
 
@@ -252,7 +252,8 @@ def boundary_symbol_sum(points: Sequence[Point], mode: Mode):
     Returns an integer coefficient (mode "P"), a UPlusSymbol (mode
     "P+"), or a WittElement (mode "witt", n = 2).  The boundary
     relations are trivial, so the result is always zero; computing it
-    lets tests assert exactly that.
+    lets tests assert exactly that.  One ``subset_minors`` sweep, then
+    ``boundary_sum_from_minors``.
     """
     n = len(points) - 2
     if any(len(p) != n for p in points):
@@ -260,11 +261,16 @@ def boundary_symbol_sum(points: Sequence[Point], mode: Mode):
     minors = subset_minors(points, n)
     if not all(minors.values()):
         raise GenericityError("tuple is not generic")
+    return boundary_sum_from_minors(minors, n, mode)
+
+
+def boundary_sum_from_minors(minors: dict, n: int, mode: Mode):
+    """``boundary_symbol_sum`` of an (n+2)-tuple read from its nonzero ``subset_minors``."""
     if mode == "witt" and n != 2:
         raise ValueError("witt mode needs 2-dimensional lifts")
     everything = tuple(range(n + 2))
     faces = (
-        (_face_minors(minors, everything[:j] + everything[j + 1 :]), (-1) ** j)
+        (face_minors(minors, everything[:j] + everything[j + 1 :]), (-1) ** j)
         for j in everything
     )
     total = symbol_sum(mode, n, faces)

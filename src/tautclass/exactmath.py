@@ -489,9 +489,6 @@ class Matrix:
     def scaled(self, c: Scalar) -> "Matrix":
         return Matrix([[c * x for x in row] for row in self.rows])
 
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.rows])
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.rows == other.rows
 

@@ -60,12 +60,6 @@ class BarChain2(Value):
     def __init__(self, terms: list[tuple[int, tuple[Matrix, Matrix, Matrix]]]):
         self._set(terms=terms)
 
-    def __add__(self, other: "BarChain2") -> "BarChain2":
-        return BarChain2(self.terms + other.terms)
-
-    def __neg__(self) -> "BarChain2":
-        return BarChain2([(-c, t) for c, t in self.terms])
-
 
 def evaluate_bar(cocycle: Cocycle, chain: BarChain2, u: Vector) -> WittElement:
     """Linear extension of a cocycle over a bar 2-chain."""

@@ -196,11 +196,6 @@ class WittElement:
     def __sub__(self, other: "WittElement") -> "WittElement":
         return self + (-other)
 
-    def scale(self, m: int) -> "WittElement":
-        if m == 0:
-            return WittElement.zero()
-        return WittElement._canonical(tuple((r, k * m) for r, k in self._terms))
-
     def __eq__(self, other):
         if not isinstance(other, WittElement):
             return NotImplemented

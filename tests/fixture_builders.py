@@ -149,7 +149,7 @@ def sphere_complex() -> tuple[DeltaComplex, Chain]:
 
 def psl_equal(a: Matrix, b: Matrix) -> bool:
     """Equality in PSL(2, Q): equal up to sign."""
-    return a == b or a == -b
+    return a == b or a == b.scaled(-1)
 
 
 def commuting_pair_cycle(g: Matrix, h: Matrix) -> BarChain2:

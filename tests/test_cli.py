@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rep_path
 from fixture_builders import genus2_fuchsian_moved, save_rep
-from tautclass import cli
+from tautclass import cli, configs
 from tautclass.cli import main
 from tautclass.oracle import OracleError, rotation_euler
 from tautclass.reps import SurfaceRep, load_rep
@@ -563,7 +563,7 @@ def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):
         return real(bundle, s, selector, z, detail)
 
     monkeypatch.setattr(cli, "evaluate_class", counted)
-    monkeypatch.setattr(cli, "uplus_symbol", lambda lifts: symbols.append(lifts))
+    monkeypatch.setattr(configs, "uplus_symbol", lambda lifts: symbols.append(lifts))
     g2 = rep_path("g2_fuchs.json")
     code, out = _run(capsys, "product", "--repA", g2, "--repB", g2)
     assert code == 0
@@ -572,3 +572,63 @@ def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):
     assert report["cup_check"]
     assert supports == [6, 6, 216]
     assert symbols == []
+
+
+def _count_sweeps(monkeypatch):
+    """Count the subset-minor sweeps of ``configs`` and the vectors ``verify`` draws."""
+    sweeps, vectors = [], []
+    real_minors, real_vector = configs.minors_int, cli.random_vector
+    monkeypatch.setattr(
+        configs, "minors_int", lambda rows, n: sweeps.append(n) or real_minors(rows, n)
+    )
+    monkeypatch.setattr(
+        cli, "random_vector", lambda *a: vectors.append(a) or real_vector(*a)
+    )
+    return sweeps, vectors
+
+
+@pytest.mark.parametrize(
+    "argv, per_draw, draws",
+    [
+        # P and P+ folded from the one sweep that decided genericity
+        (["euler-boundary", "--n", "4", "--field", "quad:2"], 6, 10),
+        # P, P+ and witt: 2 of the 12 draws are rejected
+        (["euler-boundary", "--n", "2"], 4, 12),
+    ],
+)
+def test_euler_boundary_sweeps_each_draw_once(capsys, monkeypatch, argv, per_draw, draws):
+    sweeps, vectors = _count_sweeps(monkeypatch)
+    code, out = _run(capsys, "verify", *argv, "--samples", "10", "--seed", "0")
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert len(vectors) == per_draw * draws
+    assert len(sweeps) == draws
+
+
+def test_alternation_sweeps_the_draw_and_its_swap_once_each(capsys, monkeypatch):
+    # 11 draws of 3 vectors, 1 rejected: one sweep per draw, one per swapped tuple
+    sweeps, vectors = _count_sweeps(monkeypatch)
+    code, out = _run(capsys, "verify", "alternation", "--n", "2", "--samples", "10", "--seed", "0")
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert len(vectors) == 3 * 11
+    assert len(sweeps) == 11 + 10
+
+
+@pytest.mark.parametrize(
+    "suite, rep, selectors",
+    [
+        ("smillie", "g2_swap.json", ["euplus"]),
+        ("comparison", "g2_fuchs.json", ["eu", "euplus", "witt"]),
+    ],
+)
+def test_class_suites_evaluate_each_class_once(capsys, monkeypatch, suite, rep, selectors):
+    # every eu_k is a coefficient of the one euplus evaluation
+    kinds = []
+    real = cli.evaluate_class
+    monkeypatch.setattr(
+        cli,
+        "evaluate_class",
+        lambda bundle, s, selector, z: kinds.append(str(selector)) or real(bundle, s, selector, z),
+    )
+    code, _ = _run(capsys, "verify", suite, "--rep", rep_path(rep))
+    assert code == 0
+    assert sorted(kinds) == selectors

@@ -132,9 +132,11 @@ def test_product_leibniz_rule():
                 {i: rng.randint(-2, 2) for i in range(len(right.simplices[rdim]))},
             )
             lhs = boundary(px, product_chain(px, z, zp))
-            rhs = product_chain(px, boundary(left, z), zp) + product_chain(
-                px, z, boundary(right, zp)
-            ).scale((-1) ** ldim)
+            right_term = product_chain(px, z, boundary(right, zp))
+            sign = (-1) ** ldim
+            rhs = product_chain(px, boundary(left, z), zp) + Chain(
+                right_term.dim, {s: sign * c for s, c in right_term.coeffs.items()}
+            )
             assert (lhs - rhs).is_zero()
 
 

@@ -362,7 +362,8 @@ def test_witt_symbol_sum_is_the_term_by_term_fold():
         terms = _witt_terms(rng, count)
         fold = WittElement.zero()
         for minors, c in terms:
-            fold = fold + witt_symbol_from_minors(minors).scale(c)
+            symbol = witt_symbol_from_minors(minors)
+            fold = fold + WittElement([(r, c * m) for r, m in symbol.terms])
         assert symbol_sum("witt", 2, terms).terms == fold.terms
         # a one-term fold is the term's own symbol
         singles = [symbol_sum("witt", 2, [(minors, 1)]) for minors, _ in terms]

@@ -27,7 +27,7 @@ def psl_canonical(m: Matrix) -> Matrix:
         for x in row:
             s = sign(x)
             if s < 0:
-                return -m
+                return m.scaled(-1)
             if s > 0:
                 return m
     return m
@@ -75,9 +75,9 @@ def test_witt_cocycle_lift_invariance():
         g0, g1, g2 = (_rand_sl2(rng) for _ in range(3))
         u = (rng.randint(-5, 5) or 1, rng.randint(-5, 5))
         base = witt_cocycle(g0, g1, g2, u)
-        assert witt_cocycle(-g0, g1, g2, u) == base
-        assert witt_cocycle(g0, -g1, g2, u) == base
-        assert witt_cocycle(g0, g1, -g2, u) == base
+        assert witt_cocycle(g0.scaled(-1), g1, g2, u) == base
+        assert witt_cocycle(g0, g1.scaled(-1), g2, u) == base
+        assert witt_cocycle(g0, g1, g2.scaled(-1), u) == base
 
 
 def test_cocycle_identity_random_and_degenerate():
@@ -124,7 +124,7 @@ def test_bar_chain_algebra_and_zero_cases():
     g = Matrix([[2, 0], [0, Fraction(1, 2)]])
     h = Matrix([[3, 0], [0, Fraction(1, 3)]])
     chain = commuting_pair_cycle(g, h)
-    zero = chain + (-chain)
+    zero = BarChain2(chain.terms + [(-c, t) for c, t in chain.terms])
     assert evaluate_bar(witt_cocycle, zero, (1, 0)).is_zero()
     assert evaluate_bar(witt_cocycle, BarChain2([]), (1, 0)).is_zero()
 
@@ -172,6 +172,6 @@ def test_euler_witt_comparison():
 
 def test_psl_helpers():
     m = Matrix([[1, 2], [3, 4]])
-    assert psl_equal(m, -m)
-    assert psl_canonical(-m) == m
+    assert psl_equal(m, m.scaled(-1))
+    assert psl_canonical(m.scaled(-1)) == m
     assert psl_canonical(Matrix([[0, -1], [2, 0]])) == Matrix([[0, 1], [-2, 0]])

@@ -105,7 +105,7 @@ def _random_element(rng) -> WittElement:
     if rng.random() < 0.5:
         a, b = _random_rep(rng), _random_rep(rng)
         if a + b:
-            w = w + _four_term(a, b).scale(rng.randint(-5, 5))
+            w = w + WittElement.combination([(_four_term(a, b), rng.randint(-5, 5))])
     return w
 
 
@@ -205,7 +205,7 @@ def test_witt_group_operations():
     assert (five + five).terms == ((5, 2),)
     assert (five - five).terms == ()
     w = WittElement.symbol(2) + WittElement.symbol(3)
-    assert w.scale(-2).terms == ((2, -2), (3, -2))
+    assert WittElement.combination([(w, -2)]).terms == ((2, -2), (3, -2))
 
 
 def test_witt_is_zero_examples():
@@ -305,7 +305,7 @@ def test_residue_decision_agrees_with_hasse_oracle():
     "element, zero",
     [
         (HASSE_ONLY, False),
-        (HASSE_ONLY.scale(2), True),  # Z/4 at p = 3: twice it vanishes
+        (WittElement.combination([(HASSE_ONLY, 2)]), True),  # Z/4 at p = 3: twice it vanishes
         (WittElement([(2, 1), (1, -1)]), False),  # residue at 2 only
         (WittElement([(2, 2), (1, -2)]), True),  # W(F_2) = Z/2
         (WittElement([(5, 1), (1, -1)]), False),  # residue <1> at 5, rank odd
@@ -326,7 +326,7 @@ def _relation_sum(scale: int) -> WittElement:
     """Four scaled four-term relations on sixteen distinct square classes."""
     w = WittElement.zero()
     for a, b in ((1, 22), (3, 7), (5, -13), (-11, 17)):
-        w = w + _four_term(a, b).scale(scale)
+        w = w + WittElement.combination([(_four_term(a, b), scale)])
     assert len(w.terms) == 16
     return w
 
@@ -374,6 +374,6 @@ def test_arithmetic_terms_are_canonical():
         assert (w1 + w2).terms == WittElement(t1 + t2).terms
         assert (w1 - w2).terms == WittElement(t1 + [(r, -m) for r, m in t2]).terms
         assert (-w1).terms == WittElement([(r, -m) for r, m in t1]).terms
-        assert w1.scale(k).terms == WittElement([(r, k * m) for r, m in t1]).terms
+        assert WittElement.combination([(w1, k)]).terms == WittElement([(r, k * m) for r, m in t1]).terms
     for q in reps:
         assert WittElement.symbol(q).terms == WittElement([(q, 1)]).terms
