@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence
 
 from ._kernels import minors_int
 from ._value import Value
-from .exactmath import Scalar, clear_denominators, rank, sign
+from .exactmath import Scalar, clear_denominators, sign
 from .witt import WittElement
 
 Point = Sequence[Scalar]
@@ -25,15 +25,6 @@ Point = Sequence[Scalar]
 
 class GenericityError(ValueError):
     """A point tuple failed the genericity required by a symbol."""
-
-
-def is_generic_tuple(points: Sequence[Point], n: int) -> bool:
-    """Every subsequence of lifts of length <= n linearly independent."""
-    if any(len(p) != n for p in points):
-        raise ValueError("ambient dimension mismatch")
-    if len(points) < n:
-        return rank(points, n) == len(points)
-    return all(subset_minors(points, n).values())
 
 
 class USymbol(Value):
@@ -109,19 +100,6 @@ def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
     the positive rescaling of the lifts), the sweep's minors in reverse.
     """
     return minors_int([clear_denominators(p)[0] for p in points], len(points) - 1)[::-1]
-
-
-def relation_coefficients(points: Sequence[Point], scales: Sequence[int]) -> list[Scalar]:
-    """c_0..c_n with sum c_i (points[i] / scales[i]) = 0, up to one positive factor.
-
-    c_i = (-1)^i mu_i D_i, with D_i the maximal minors of the integral
-    lifts and mu_i = scales[i] times the factor that made lift i
-    integral: the true minors are mu_i D_i / prod(mu), and prod(mu) > 0
-    changes no zero, no zero sum and no sum-normalized value.
-    """
-    lifts, mults = zip(*map(clear_denominators, points))
-    minors = minors_int(lifts, len(lifts) - 1)[::-1]
-    return [(-1) ** i * scales[i] * mults[i] * d for i, d in enumerate(minors)]
 
 
 def face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:

@@ -172,7 +172,7 @@ def sign(x: Scalar) -> int:
     the exact comparison of a**2 with b**2 * d.
     """
     if isinstance(x, (int, Fraction)):
-        return _sign_rational(x)
+        return (x > 0) - (x < 0)
     a, b = x.a, x.b
     if b == 0:
         return _sign_rational(a)
@@ -355,7 +355,7 @@ def unique_relation(vectors: Sequence[Sequence[Scalar]]) -> tuple[list[Scalar], 
 
     Raises LinearGenericityError unless every n of the vectors are
     linearly independent.  A test oracle: the package reads relations
-    from integer minors (``configs.relation_coefficients``).
+    from integer minors (``flatbundles._relation_coefficients``).
     """
     n = len(vectors) - 1
     if n < 1 or any(len(v) != n for v in vectors):
@@ -420,7 +420,7 @@ class Matrix:
         return cls(rows)
 
     def det(self) -> Scalar:
-        _, m, d = self._record()
+        _, m, d = self.cleared()
         return d if m == 1 else exact_div(d, m**self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -434,8 +434,8 @@ class Matrix:
             raise ValueError("shape mismatch")
         return tuple(dot(row, vec) for row in self.rows)
 
-    def _record(self) -> tuple["Matrix", int, Scalar]:
-        """(a, m, det(a)): a = m * self integral, m the least positive integer."""
+    def cleared(self) -> tuple["Matrix", int, Scalar]:
+        """(a, m, det(a)) for a square matrix: a = m * self integral, m the least positive integer."""
         if self._integral is None:
             if self.nrows != self.ncols:
                 raise ValueError("non-square matrix")
@@ -444,10 +444,6 @@ class Matrix:
             a = [[next(it) for _ in row] for row in self.rows]
             object.__setattr__(self, "_integral", (Matrix(a), m, det_int(a)))
         return self._integral
-
-    def cleared(self) -> tuple["Matrix", int]:
-        """(m * self, m) for a square matrix, m the least positive integer making it integral."""
-        return self._record()[:2]
 
     def scaled_inverse(self) -> tuple["Matrix", int]:
         """(M, lam): M = lam * self^-1 integral, lam a positive integer.
@@ -462,7 +458,7 @@ class Matrix:
 
     def _scaled_inverse(self) -> tuple["Matrix", int]:
         n = self.nrows
-        a, m, d = self._record()
+        a, m, d = self.cleared()
         if not d:
             raise ValueError("singular matrix")
         c, norm = 1, d
@@ -480,10 +476,10 @@ class Matrix:
         return Matrix([[_rescale(x, 1, g) for x in row] for row in adj]), lam // g
 
     def inverse(self) -> "Matrix":
-        """self^-1, carrying its scaled inverse self.cleared() (the least integral multiple of self)."""
+        """self^-1, carrying its scaled inverse (the least integral multiple of self)."""
         m, lam = self.scaled_inverse()
         inv = m.scaled(Fraction(1, lam))
-        object.__setattr__(inv, "_inverse", self.cleared())
+        object.__setattr__(inv, "_inverse", self.cleared()[:2])
         return inv
 
     def scaled(self, c: Scalar) -> "Matrix":

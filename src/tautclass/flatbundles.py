@@ -17,11 +17,13 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
+from ._kernels import minors_int, rank_int
 from ._value import Value
 from .complexes import Chain, DeltaComplex, ProductComplex, boundary
 from .configs import GenericityError
 from .exactmath import (
     Field,
+    clear_denominators,
     exact_div,
     Matrix,
     QQ,
@@ -64,12 +66,13 @@ def _tag_allows(x: Scalar, y: Scalar, tag: str) -> bool:
     return sign(x) * sign(y) > 0  # P+GL+
 
 
-def _check_tag_det(d: Scalar, tag: str) -> None:
+def _check_tag_det(d: Scalar, den: int, tag: str) -> None:
+    """Raise TagError unless det = d / den, den a positive integer, fits the tag."""
     if not d:
         raise TagError("holonomy matrix is singular")
     if tag == "SL":
-        if d - 1:
-            raise TagError(f"tag SL needs det 1, got det {d}")
+        if d - den:
+            raise TagError(f"tag SL needs det 1, got det {exact_div(d, den)}")
     elif sign(d) <= 0:
         raise TagError(f"tag {tag} needs a positive-determinant representative")
 
@@ -140,10 +143,12 @@ class FlatBundle:
             entries = []
             for b in blocks:
                 if id(b) not in known:
-                    known[id(b)] = (id(b), *b.cleared()), b.det()
+                    a, m, d = b.cleared()
+                    known[id(b)] = (id(b), a, m), d, m**b.nrows
                 entries.append(known[id(b)])
-            _check_tag_det(prod(det for _, det in entries), self.tag)
-            records.append(tuple(record for record, _ in entries))
+            # det h = prod(d) / prod(m^k), as det(a) = m^k det(b) for a k x k block
+            _check_tag_det(prod(d for _, d, _ in entries), prod(k for _, _, k in entries), self.tag)
+            records.append(tuple(record for record, _, _ in entries))
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
@@ -157,14 +162,16 @@ class FlatBundle:
                         f"(residual {residual!r})"
                     )
 
-    def transport(self, eid: int) -> tuple[Matrix, int]:
-        """(M, lam) with M = lam * h^-1 integral and lam > 0, for edge eid."""
+    def transport(self, eid: int) -> tuple[tuple[Matrix, ...], int]:
+        """(blocks, lam) for edge eid: blocks[i] = lam * (its block i)^-1, integral, lam > 0.
+
+        The transport lam * h^-1 is the block sum of ``blocks``; it is not built.
+        """
         t = self._transports.get(eid)
         if t is None:
             parts = [b.scaled_inverse() for b in self.blocks[eid]]
             lam = lcm(*(k for _, k in parts))
-            scaled = [m if k == lam else m.scaled(lam // k) for m, k in parts]
-            t = (scaled[0] if len(scaled) == 1 else Matrix.block_diag(*scaled)), lam
+            t = tuple(m if k == lam else m.scaled(lam // k) for m, k in parts), lam
             self._transports[eid] = t
         return t
 
@@ -172,33 +179,53 @@ class FlatBundle:
         """Parallel transport from a corner to corner 0 along the edge (0, corner)."""
         if corner == 0:
             return Matrix.identity(self.n)
-        m, lam = self.transport(self.base.corner_edges[dim][sid][corner - 1])
-        return m.scaled(Fraction(1, lam))
+        blocks, lam = self.transport(self.base.corner_edges[dim][sid][corner - 1])
+        return Matrix.block_diag(*blocks).scaled(Fraction(1, lam))
 
     def corner_values(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
         return [
-            lift if lam == 1 else tuple(exact_div(x, lam) for x in lift)
-            for lift, lam in self._corners(s.values, dim, sid)
+            lift if scale == 1 else tuple(exact_div(x, scale) for x in lift)
+            for lift, scale in self._corners(s.values, dim, sid)
         ]
 
     def _corners(self, values: Mapping, dim: int, sid: int, memo=None) -> list[tuple[tuple, int]]:
-        """(M v, lam) for each corner whose vertex has a value: the true value is M v / lam.
+        """(lift, scale) for each corner whose vertex has a value.
 
+        The corner's value in the corner-0 frame is lift / scale: the lift is
+        integral (``clear_denominators``) and the scale a positive integer,
+        the transport's lam times the multiplier that cleared the lift.
         ``values`` maps vertices to vectors: a section's values or a partial
-        assignment.  ``memo`` keeps (edge id, vertex) -> (M v, lam) for one
-        fixed ``values`` across simplices.
+        assignment.  ``memo`` keeps (edge id, vertex) -> (lift, scale), edge
+        id None at corner 0, for one fixed ``values`` across simplices.
         """
         memo = {} if memo is None else memo
         vertices = self.base.simplices[dim][sid].vertices
-        out = [(tuple(values[vertices[0]]), 1)] if vertices[0] in values else []
-        for eid, v in zip(self.base.corner_edges[dim][sid], vertices[1:]):
+        out = []
+        for eid, v in zip((None, *self.base.corner_edges[dim][sid]), vertices):
             if v in values:
-                if (eid, v) not in memo:
-                    m, lam = self.transport(eid)
-                    memo[eid, v] = m.apply(values[v]), lam
-                out.append(memo[eid, v])
+                corner = memo.get((eid, v))
+                if corner is None:
+                    corner = memo[eid, v] = self._lift(eid, values[v])
+                out.append(corner)
         return out
+
+    def _lift(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
+        """(lift, scale) of vec transported along edge eid, not transported for None.
+
+        Each block of the transport acts on its own slice of vec.
+        """
+        if eid is None:
+            image, lam = vec, 1
+        else:
+            blocks, lam = self.transport(eid)
+            image, at = [], 0
+            for b in blocks:
+                k = len(b.rows)
+                image += b.apply(vec[at : at + k])
+                at += k
+        lift, mult = clear_denominators(image)
+        return tuple(lift), lam * mult
 
 
 class Section(Value):
@@ -279,7 +306,8 @@ def bundle_from_surface_rep(
     for m in matrices:
         if m.nrows != n or m.ncols != n:
             raise ValueError("matrices must be square of equal size")
-        _check_tag_det(m.det(), tag)
+        _, mult, d = m.cleared()
+        _check_tag_det(d, mult**n, tag)
     inv = [m.inverse() for m in matrices]
     holonomy: dict[int, Matrix] = dict(enumerate(inv))  # the a_j and b_j edges
     # traversal holonomy of side k in polygon direction
@@ -434,15 +462,26 @@ def _check_simplex_partial(bundle, values: Mapping[int, tuple], d, sid, mode) ->
     be linearly independent, and n+1 corners must have a unique relation
     with all coefficients nonzero (all maximal minors nonzero) and, in
     mode "strong", a nonzero coefficient sum.  Everything is read from
-    the lifts M v; only that sum needs their scales.
+    the integral lifts; only that sum needs their scales.
     """
     n = bundle.n
     corners = bundle._corners(values, d, sid)
-    lifts = [lift for lift, _ in corners]
-    if mode == "strong" and len(lifts) > n:
-        coeffs = configs.relation_coefficients(lifts, [lam for _, lam in corners])
-        return all(coeffs) and bool(sum(coeffs))
-    return configs.is_generic_tuple(lifts, n)
+    if len(corners) <= n:
+        return rank_int([lift for lift, _ in corners], n) == len(corners)
+    coeffs = _relation_coefficients(corners)
+    return all(coeffs) and (mode != "strong" or bool(sum(coeffs)))
+
+
+def _relation_coefficients(corners: Sequence[tuple[tuple, int]]) -> list[Scalar]:
+    """c_0..c_n with sum c_i (lift_i / scale_i) = 0, up to one positive factor, for n+1 corners.
+
+    c_i = (-1)^i scale_i D_i, with D_i the maximal minors of the integral
+    lifts: the true minors are scale_i D_i / prod(scales), and prod(scales)
+    > 0 changes no zero, no zero sum and no sum-normalized value.
+    """
+    lifts, scales = zip(*corners)
+    minors = minors_int(lifts, len(lifts) - 1)[::-1]
+    return [(-1) ** i * k * d for i, (k, d) in enumerate(zip(scales, minors))]
 
 
 def scalar_set(
@@ -454,8 +493,7 @@ def scalar_set(
     sids = set(range(len(cx.simplices[n])) if support is None else support)
     out, memo = set(), {}
     for sid in sids:
-        lifts, scales = zip(*bundle._corners(s.values, n, sid, memo))
-        coeffs = configs.relation_coefficients(lifts, scales)
+        coeffs = _relation_coefficients(bundle._corners(s.values, n, sid, memo))
         total = sum(coeffs)
         if not (total and all(coeffs)):
             raise GenericityError(
@@ -513,11 +551,10 @@ def evaluate_class(
             raise UsageError("the witt selector needs an SL(2, Q) bundle")
     # one pass per top simplex: the maximal minors of the lifts decide
     # genericity and give the symbol (see ``configs.subset_minors``)
-    terms, lifts = [], {}
+    terms, memo = [], {}
     for sid, c in z.coeffs.items():
-        minors = configs.maximal_minors(
-            [lift for lift, _ in bundle._corners(s.values, n, sid, lifts)]
-        )
+        lifts = [lift for lift, _ in bundle._corners(s.values, n, sid, memo)]
+        minors = minors_int(lifts, n)[::-1]  # D_j drops lift j, as in ``configs.maximal_minors``
         if not all(minors):
             raise GenericityError("section is not generic on the support of z")
         terms.append((minors, c))

@@ -124,7 +124,12 @@ def rotation_euler(
     product of commutators must be the identity after determinant
     normalization.  Fails loudly when the relator residual or the
     distance of the translation number from an integer exceeds the
-    tolerances.
+    tolerances.  The rounding error of the relator product grows with
+    prod |M_i| |M_i^-1| = prod |M_i|^2 over the normalized generators, so
+    ``relator_tol`` bounds the residual divided by prod |M_i|_F^2 / 2, a
+    scale that is at least 1 for a determinant-1 matrix; a residual past
+    ``INTEGRALITY_TOL`` fails whatever the scale, as no float relator that
+    far from the identity says anything about its translation number.
     """
     if len(matrices) % 2 or not matrices:
         raise ValueError("need matrices A1, B1, ..., Ag, Bg")
@@ -137,8 +142,9 @@ def rotation_euler(
     residual = max(
         abs(relator[0] - 1), abs(relator[1]), abs(relator[2]), abs(relator[3] - 1)
     )
-    if residual > relator_tol:
-        raise OracleError(f"relator residual {residual:.3e} exceeds {relator_tol:.1e}")
+    tol = min(relator_tol * math.prod(sum(x * x for x in m) / 2 for m in norm), INTEGRALITY_TOL)
+    if residual > tol:
+        raise OracleError(f"relator residual {residual:.3e} exceeds {tol:.1e}")
     lifts = {}
     for j in range(g):
         for idx in (2 * j, 2 * j + 1):

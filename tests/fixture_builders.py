@@ -40,6 +40,7 @@ from tautclass.complexes import (
 from tautclass.exactmath import (
     QQ,
     Matrix,
+    QuadraticField,
     Scalar,
     dot,
     exact_div,
@@ -344,6 +345,16 @@ def conjugated(rep: SurfaceRep, g: Matrix) -> SurfaceRep:
     """Every generator M replaced by g M g^-1; det g < 0 reverses the fiber's orientation."""
     g_inv = g.inverse()
     return SurfaceRep(rep.field, rep.genus, rep.tag, [g @ m @ g_inv for m in rep.matrices])
+
+
+def sqrt2_conjugated(rep: SurfaceRep) -> SurfaceRep:
+    """rep over Q(sqrt(2)), conjugated by g = [[1+sqrt2, 1], [1, -2+2sqrt2]] in SL(2, Z[sqrt(2)]).
+
+    det g = 1, so no class changes; the entries become irrational.
+    """
+    field = QuadraticField(2)
+    g = Matrix([[field.from_pair(1, 1), 1], [1, field.from_pair(-2, 2)]])
+    return SurfaceRep(field, rep.genus, rep.tag, conjugated(rep, g).matrices)
 
 
 # 16 within-handle moves that take g2_fuchs to entries of up to 26 digits:

@@ -16,12 +16,8 @@ import pytest
 from conftest import rep_path
 from fixture_builders import is_positive_section, mixed_dimension_product, positive_generic_section
 from tautclass.complexes import product_chain, product_complex, surface_complex
-from tautclass.configs import (
-    boundary_symbol_sum,
-    homological_core_check,
-    is_generic_tuple,
-)
-from tautclass.exactmath import Matrix
+from tautclass.configs import boundary_symbol_sum, homological_core_check
+from tautclass.exactmath import Matrix, is_linearly_generic
 from tautclass.flatbundles import (
     Section,
     Selector,
@@ -144,7 +140,7 @@ def test_criterion_03_boundary_relation_triviality():
                 tup = [
                     tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n + 2)
                 ]
-                if is_generic_tuple(tup, n):
+                if is_linearly_generic(tup, n):
                     break
             assert boundary_symbol_sum(tup, "P") == 0
             assert boundary_symbol_sum(tup, "P+").is_zero()

@@ -11,7 +11,6 @@ from tautclass.configs import (
     USymbol,
     boundary_symbol_sum,
     homological_core_check,
-    is_generic_tuple,
     maximal_minors,
     symbol_sum,
     u_symbol,
@@ -19,7 +18,14 @@ from tautclass.configs import (
     witt_symbol_from_minors,
     witt_triple_symbol,
 )
-from tautclass.exactmath import Matrix, QuadraticField, determinant, sign, solve_square
+from tautclass.exactmath import (
+    Matrix,
+    QuadraticField,
+    determinant,
+    is_linearly_generic,
+    sign,
+    solve_square,
+)
 from tautclass.witt import WittElement, square_class
 
 
@@ -33,7 +39,7 @@ def _random_generic(rng, n, count, bound=9):
             tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(count)
         ]
         try:
-            if is_generic_tuple(vecs, n):
+            if is_linearly_generic(vecs, n):
                 return vecs
         except ValueError:
             continue
@@ -332,7 +338,7 @@ def test_boundary_sums_vanish_over_fractions_and_quad():
                 tup = _random_tuple(rng, kind, n) + [
                     tuple(_SCALARS[kind](rng) for _ in range(n))
                 ]
-                if not is_generic_tuple(tup, n):
+                if not is_linearly_generic(tup, n):
                     with pytest.raises(GenericityError):
                         boundary_symbol_sum(tup, "P")
                     continue

@@ -16,12 +16,14 @@ from fixture_builders import (
     mixed_dimension_product,
     positive_generic_section,
     scalar_multiple_of_identity,
+    sqrt2_conjugated,
     standard_simplex_complex,
 )
 
 from tautclass.complexes import (
     Chain,
     boundary,
+    cup_evaluate,
     product_chain,
     product_complex,
     surface_complex,
@@ -52,7 +54,7 @@ from tautclass.flatbundles import (
     relator_product,
     scalar_set,
 )
-from tautclass import flatbundles
+from tautclass import configs, exactmath, flatbundles
 from tautclass.reps import load_rep
 
 
@@ -575,13 +577,13 @@ def _count_calls(monkeypatch, cls, name, calls):
 
 def _count_records(monkeypatch, calls):
     """Count the integral records a Matrix fills, not the reads of a filled one."""
-    record = Matrix._record
+    record = Matrix.cleared
 
     def counted(self):
         calls["cleared"] += self._integral is None
         return record(self)
 
-    monkeypatch.setattr(Matrix, "_record", counted)
+    monkeypatch.setattr(Matrix, "cleared", counted)
 
 
 def test_product_validation_works_once_per_block_and_block_triangle(monkeypatch):
@@ -621,12 +623,13 @@ def test_product_transports_invert_each_block_object_once(monkeypatch):
     # generator edges hold inverses, which carry their own scaled inverse
     assert (len(transports), len(blocks)) == (99, 20)
     assert calls == {"_scaled_inverse": 12}
-    for eid, (m, lam) in transports.items():
-        assert holonomy(bundle, eid) @ m == Matrix.identity(4).scaled(lam)
+    # block by block, under the edge's one lam
+    for eid, (ms, lam) in transports.items():
+        assert [b @ m for b, m in zip(bundle.blocks[eid], ms)] == [Matrix.identity(2).scaled(lam)] * 2
     # the factor bundles read the inverses their blocks carry: no new one
     for factor in (e_a, e_b):
         for eid in range(len(factor.base.simplices[1])):
-            m, lam = factor.transport(eid)
+            (m,), lam = factor.transport(eid)
             assert holonomy(factor, eid) @ m == Matrix.identity(2).scaled(lam)
     assert calls == {"_scaled_inverse": 12}
 
@@ -641,7 +644,8 @@ def test_edge_transports_equal_a_fresh_scaled_inverse(name):
     sc, _ = surface_complex(rep.genus)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
     for eid, h in holonomies(bundle).items():
-        assert bundle.transport(eid) == h._scaled_inverse()
+        m, lam = h._scaled_inverse()
+        assert bundle.transport(eid) == ((m,), lam)
 
 
 @pytest.mark.parametrize("field", [QQ, QuadraticField(2)])
@@ -702,14 +706,130 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
         "euplus": (total, plus),
         "eu": (sum(plain[sid].coefficient * c for sid, c in zz.coeffs.items()), plain),
     }
-    calls = Counter()
+    calls, lifted_now = Counter(), Counter()
     _count_calls(monkeypatch, Matrix, "apply", calls)
+    lift = FlatBundle._lift
+
+    def recorded(self, eid, vec):
+        lifted_now[eid] += 1
+        return lift(self, eid, vec)
+
+    monkeypatch.setattr(FlatBundle, "_lift", recorded)
     for text, (value, symbols) in expected.items():
         calls.clear()
+        lifted_now.clear()
         got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
-        assert calls == {"apply": 63}
+        # one lift per distinct (edge, vertex) and one of the corner-0 value
+        # (edge None); the two 2 x 2 blocks of a transport each apply once
+        assert lifted_now == Counter({None: 1, **{eid: 1 for eid, _ in lifted}})
+        assert calls == {"apply": 2 * 63}
         assert got == value
         assert detail == {sid: symbols[sid] for sid in zz.coeffs}
+
+
+def test_product_evaluation_builds_no_block_sum_and_clears_each_lift_once(monkeypatch):
+    bundle, s, zz = _product_with_generic_section("g2_solved_3")
+    calls = Counter()
+    block_diag = Matrix.block_diag
+
+    def counted_block_diag(cls, *blocks):
+        calls["block_diag"] += 1
+        return block_diag(*blocks)
+
+    monkeypatch.setattr(Matrix, "block_diag", classmethod(counted_block_diag))
+    for module in (exactmath, configs, flatbundles):
+        def counted_clear(row, clear=module.clear_denominators):
+            calls["clear_denominators"] += 1
+            return clear(row)
+
+        monkeypatch.setattr(module, "clear_denominators", counted_clear)
+    for text in ("eu0", "eu", "euplus"):
+        calls.clear()
+        evaluate_class(bundle, s, Selector.parse(text), zz)
+        # 216 simplices of 5 corners: 63 distinct transported lifts and one vertex value
+        assert calls["block_diag"] == 0
+        assert calls["clear_denominators"] <= 64
+
+
+def _rescaled(s, factor):
+    """The section with every value multiplied by the positive rational factor, as Fractions."""
+    return Section({v: tuple(Fraction(factor) * x for x in vec) for v, vec in s.values.items()})
+
+
+def test_rescaled_product_section_gives_the_same_values_and_symbols():
+    """A positive rescaling of the corner values changes no symbol (``configs.subset_minors``),
+    so Fraction vertex values, cleared once per lift, read as the integral ones."""
+    bundle, s, zz = _product_with_generic_section("g2_solved_3")
+    rescaled = _rescaled(s, Fraction(5, 12))
+    assert all(type(x) is Fraction for vec in rescaled.values.values() for x in vec)
+    for text in ("eu0", "eu", "euplus"):
+        selector = Selector.parse(text)
+        expected = evaluate_class(bundle, s, selector, zz, detail=True)
+        assert evaluate_class(bundle, rescaled, selector, zz, detail=True) == expected
+
+
+@pytest.mark.parametrize("name", ["g2_fuchs", "g2_swap", "g2_swap2"])
+def test_rescaled_section_gives_the_same_witt_values_and_symbols(name):
+    rep = load_rep(rep_path(f"{name}.json"))
+    sc, z = surface_complex(2)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    witt = Selector.parse("witt")
+    for seed, factor in ((0, Fraction(7, 3)), (1, Fraction(1, 10)), (2, 6)):
+        s = random_generic_section(bundle, seed=seed, mode="strong")
+        rescaled = _rescaled(s, factor)
+        expected = evaluate_class(bundle, s, witt, z, detail=True)
+        assert evaluate_class(bundle, rescaled, witt, z, detail=True) == expected
+        # the relations read the scales too: a lift's own multiplier is part of its scale
+        assert scalar_set(bundle, rescaled) == scalar_set(bundle, s)
+
+
+# euplus of each Q fixture; its Q(sqrt(2)) conjugate must give the same
+SQRT2_EUPLUS = {"g2_fuchs": (-1, 3), "g1_diag": (0, 0), "g2_swap": (0, 0)}
+
+
+@pytest.mark.parametrize("name", sorted(SQRT2_EUPLUS))
+def test_sqrt2_conjugate_bundle_keeps_euplus(name):
+    rep = load_rep(rep_path(f"{name}.json"))
+    conj = sqrt2_conjugated(rep)
+    assert all(any(isinstance(x, QuadExt) and x.b for r in m.rows for x in r) for m in conj.matrices)
+    sc, z = surface_complex(rep.genus)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    conj_bundle = bundle_from_surface_rep(sc, conj.matrices, conj.tag, conj.field)
+    euplus = Selector.parse("euplus")
+    for seed in range(5):
+        expected = evaluate_class(bundle, random_generic_section(bundle, seed), euplus, z)
+        got = evaluate_class(conj_bundle, random_generic_section(conj_bundle, seed), euplus, z)
+        assert got == expected and got.coefficients == SQRT2_EUPLUS[name]
+
+
+def test_sqrt2_product_cross_equals_cup_and_the_factor_product():
+    conj = sqrt2_conjugated(load_rep(rep_path("g2_fuchs.json")))
+    (sc_a, z_a), (sc_b, z_b) = surface_complex(2), surface_complex(2)
+    e_a, e_b = (bundle_from_surface_rep(sc, conj.matrices, conj.tag, conj.field) for sc in (sc_a, sc_b))
+    px = product_complex(sc_a, sc_b)
+    bundle, zz = product_bundle(px, e_a, e_b), product_chain(px, z_a, z_b)
+    s_a = random_generic_section(e_a, seed=1, mode="strong")
+    for seed in range(2, 30):
+        s_b = random_generic_section(e_b, seed, "strong")
+        if joint_scalar_sets(e_a, s_a, e_b, s_b)[2]:
+            break
+    eu0 = Selector.parse("eu0")
+    eu_a, eu_b = evaluate_class(e_a, s_a, eu0, z_a), evaluate_class(e_b, s_b, eu0, z_b)
+    cross = evaluate_class(bundle, Section({0: s_a.values[0] + s_b.values[0]}), eu0, zz)
+
+    def factor_eu0(e, s, d, sid):
+        return uplus_symbol(e.corner_values(s, d, sid)).coefficients[0] if d == 2 else 0
+
+    def alpha(pid):
+        p, sid, q, _, _ = px.cell_info(2, pid)
+        return factor_eu0(e_a, s_a, p, sid) if q == 0 else 0
+
+    def beta(pid):
+        p, _, q, sid2, _ = px.cell_info(2, pid)
+        return factor_eu0(e_b, s_b, q, sid2) if p == 0 else 0
+
+    cup = cup_evaluate(px, 2, alpha, 2, beta, zz)
+    assert cross == cup == eu_a * eu_b == 1
 
 
 @pytest.mark.parametrize("mode", ["basic", "strong"])

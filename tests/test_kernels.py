@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from tautclass import configs
+from tautclass import configs, flatbundles
 from tautclass._kernels import SWEEP_MAX_N, _sweep_plan, det_int, minors_int, rank_int
 from tautclass.cli import main
 from tautclass.exactmath import QuadExt, clear_denominators
@@ -151,7 +151,8 @@ def test_maximal_minors_order_and_relation_coefficients():
             assert configs.maximal_minors(points) == dropped
             scales = [rng.randint(1, 5) for _ in points]
             expected = [(-1) ** i * scales[i] * cleared[i][1] * dropped[i] for i in range(n + 1)]
-            assert configs.relation_coefficients(points, scales) == expected
+            corners = [(tuple(lift), k * mult) for (lift, mult), k in zip(cleared, scales)]
+            assert flatbundles._relation_coefficients(corners) == expected
 
 
 def test_no_sweep_plan_above_the_cut(capsys):

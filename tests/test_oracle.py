@@ -4,11 +4,13 @@ import random
 import pytest
 
 from fixture_builders import (
+    conjugated,
     genus1_diagonal,
     genus2_fuchsian,
     genus2_solved,
     genus2_swap,
 )
+from tautclass.exactmath import Matrix
 from tautclass.oracle import OracleError, rotation_euler
 
 
@@ -70,6 +72,25 @@ def test_conjugation_invariance():
         found += 1
         conj = [_mm(_mm(g, m), _inv(g)) for m in mats]
         assert rotation_euler(conj, relator_tol=1e-5) == base
+
+
+@pytest.mark.parametrize("g", [((4, 29), (3, 22)), ((7, 22), (6, 19))])
+def test_large_entry_conjugates_agree_with_the_exact_value(g):
+    """Entries up to 1232/3, relator residuals 2.2e-9 and 1.1e-8: the tolerance
+    grows with the generators, so the oracle still answers."""
+    from tautclass.complexes import surface_complex
+    from tautclass.flatbundles import (
+        Selector,
+        bundle_from_surface_rep,
+        evaluate_class,
+        random_generic_section,
+    )
+
+    rep = conjugated(genus1_diagonal(), Matrix(g))
+    sc, z = surface_complex(1)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    exact = evaluate_class(bundle, random_generic_section(bundle, seed=0), Selector.parse("eu0"), z)
+    assert rotation_euler(rep.float_matrices()) == exact == 0
 
 
 def test_inverse_word_negates():
