@@ -153,7 +153,7 @@ def _suite_witt_relations(args, rng):
         lam = _random_rational(rng)
         if not (WittElement.symbol(lam) + WittElement.symbol(-lam)).is_zero():
             failures.append({"sample": i, "lambda": str(lam)})
-    return failures
+    return failures, {}
 
 
 def _engineered_coincidence_quadruple(rng, u):
@@ -178,7 +178,7 @@ def _suite_witt_cocycle(args, rng):
         quad = _engineered_coincidence_quadruple(rng, u)
         if not cocycle_identity_residual(quad, u).is_zero():
             failures.append({"sample": i, "kind": "coincident"})
-    return failures
+    return failures, {}
 
 
 def _suite_euler_boundary(args, rng):
@@ -193,7 +193,7 @@ def _suite_euler_boundary(args, rng):
             value = boundary_sum_from_minors(minors, n, mode)
             if not (value == 0 if mode == "P" else value.is_zero()):
                 failures.append({"sample": i, "mode": mode})
-    return failures
+    return failures, {}
 
 
 def _suite_alternation(args, rng):
@@ -214,7 +214,7 @@ def _suite_alternation(args, rng):
         before, after = (symbol_sum("P+", n, t) for t in terms)
         if (after + before).coefficients != (0,) * (n // 2 + 1):
             failures.append({"sample": i, "kind": "uplus", "swap": k})
-    return failures
+    return failures, {}
 
 
 def _oracle(rep) -> int | None:
@@ -299,6 +299,7 @@ def _suite_comparison(args, rng):
     return failures, info
 
 
+# each suite returns (failures, the extra fields of its report)
 SUITES = {
     "witt-relations": _suite_witt_relations,
     "witt-cocycle": _suite_witt_cocycle,
@@ -320,8 +321,7 @@ UNREAD = {
 def cmd_verify(args) -> int:
     t0 = time.time()
     rng = random.Random(args.seed)
-    result = SUITES[args.suite](args, rng)
-    failures, extra = result if isinstance(result, tuple) else (result, {})
+    failures, extra = SUITES[args.suite](args, rng)
     report = {
         "suite": args.suite,
         "samples": args.samples,

@@ -76,12 +76,6 @@ class DeltaComplex:
     def dimension(self) -> int:
         return len(self.simplices) - 1
 
-    def counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.simplices)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(level) for d, level in enumerate(self.simplices))
-
     def validate(self) -> None:
         """Check face ids, vertex consistency of faces and the double-face identities.
 

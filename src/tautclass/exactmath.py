@@ -161,10 +161,6 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _sign_rational(x: Rational) -> int:
-    return (x > 0) - (x < 0)
-
-
 def sign(x: Scalar) -> int:
     """Exact sign in {-1, 0, +1} under the real embedding.
 
@@ -174,16 +170,11 @@ def sign(x: Scalar) -> int:
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     a, b = x.a, x.b
-    if b == 0:
-        return _sign_rational(a)
-    if a == 0:
-        return _sign_rational(b)
-    sa, sb = _sign_rational(a), _sign_rational(b)
-    if sa == sb:
-        return sa
+    sa, sb = sign(a), sign(b)
+    if sa * sb >= 0:  # a part is zero, or both have one sign
+        return sa or sb
     # opposite component signs: compare |a| with |b|*sqrt(d) exactly
-    cmp = _sign_rational(a * a - b * b * x.d)
-    return sa if cmp > 0 else sb
+    return sa if sign(a * a - b * b * x.d) > 0 else sb
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:

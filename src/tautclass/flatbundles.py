@@ -124,14 +124,14 @@ class FlatBundle:
         self.field = field
         self.blocks = {e: h if isinstance(h, tuple) else (h,) for e, h in holonomy.items()}
         self._transports: dict[int, tuple[Matrix, int]] = {}
+        self._lifts: dict[tuple, tuple[tuple, int]] = {}
         self.validate()
 
     def validate(self) -> None:
         """Shape and tag of every edge, the triangle condition on every 2-simplex."""
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        # per edge, a record (id(block), cleared block, multiplier) for each block,
-        # made with its determinant once per distinct block
-        ratios, records, known = {}, [], {}
+        # per edge, a record (id(block), cleared block, multiplier) for each block
+        ratios, records = {}, []
         sizes = [b.nrows for b in self.blocks.get(0, ())]
         for eid in range(n_edges):
             if eid not in self.blocks:
@@ -140,15 +140,11 @@ class FlatBundle:
             shape = [b.nrows for b in blocks]
             if shape != sizes or sum(shape) != self.n or any(b.ncols != b.nrows for b in blocks):
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            entries = []
-            for b in blocks:
-                if id(b) not in known:
-                    a, m, d = b.cleared()
-                    known[id(b)] = (id(b), a, m), d, m**b.nrows
-                entries.append(known[id(b)])
+            cleared = [b.cleared() for b in blocks]
             # det h = prod(d) / prod(m^k), as det(a) = m^k det(b) for a k x k block
-            _check_tag_det(prod(d for _, d, _ in entries), prod(k for _, _, k in entries), self.tag)
-            records.append(tuple(record for record, _, _ in entries))
+            den = prod(m**a.nrows for a, m, _ in cleared)
+            _check_tag_det(prod(d for _, _, d in cleared), den, self.tag)
+            records.append(tuple((id(b), a, m) for b, (a, m, _) in zip(blocks, cleared)))
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
@@ -189,24 +185,25 @@ class FlatBundle:
             for lift, scale in self._corners(s.values, dim, sid)
         ]
 
-    def _corners(self, values: Mapping, dim: int, sid: int, memo=None) -> list[tuple[tuple, int]]:
+    def _corners(self, values: Mapping, dim: int, sid: int) -> list[tuple[tuple, int]]:
         """(lift, scale) for each corner whose vertex has a value.
 
         The corner's value in the corner-0 frame is lift / scale: the lift is
         integral (``clear_denominators``) and the scale a positive integer,
         the transport's lam times the multiplier that cleared the lift.
         ``values`` maps vertices to vectors: a section's values or a partial
-        assignment.  ``memo`` keeps (edge id, vertex) -> (lift, scale), edge
-        id None at corner 0, for one fixed ``values`` across simplices.
+        assignment.  The bundle keeps each (lift, scale) for its life, keyed
+        by (edge id, vector), edge id None at corner 0: the key holds all a
+        lift depends on, so sampling, scalar sets and evaluation share lifts.
         """
-        memo = {} if memo is None else memo
         vertices = self.base.simplices[dim][sid].vertices
         out = []
         for eid, v in zip((None, *self.base.corner_edges[dim][sid]), vertices):
             if v in values:
-                corner = memo.get((eid, v))
+                key = eid, tuple(values[v])
+                corner = self._lifts.get(key)
                 if corner is None:
-                    corner = memo[eid, v] = self._lift(eid, values[v])
+                    corner = self._lifts[key] = self._lift(*key)
                 out.append(corner)
         return out
 
@@ -491,9 +488,9 @@ def scalar_set(
     n = bundle.n
     cx = bundle.base
     sids = set(range(len(cx.simplices[n])) if support is None else support)
-    out, memo = set(), {}
+    out = set()
     for sid in sids:
-        coeffs = _relation_coefficients(bundle._corners(s.values, n, sid, memo))
+        coeffs = _relation_coefficients(bundle._corners(s.values, n, sid))
         total = sum(coeffs)
         if not (total and all(coeffs)):
             raise GenericityError(
@@ -551,9 +548,9 @@ def evaluate_class(
             raise UsageError("the witt selector needs an SL(2, Q) bundle")
     # one pass per top simplex: the maximal minors of the lifts decide
     # genericity and give the symbol (see ``configs.subset_minors``)
-    terms, memo = [], {}
+    terms = []
     for sid, c in z.coeffs.items():
-        lifts = [lift for lift, _ in bundle._corners(s.values, n, sid, memo)]
+        lifts = [lift for lift, _ in bundle._corners(s.values, n, sid)]
         minors = minors_int(lifts, n)[::-1]  # D_j drops lift j, as in ``configs.maximal_minors``
         if not all(minors):
             raise GenericityError("section is not generic on the support of z")

@@ -10,9 +10,10 @@ compares the bytes.  Regenerate them from the repository root with
 ``tautclass.reps`` reads.  ``nullspace`` (Gauss-Jordan over the field)
 solves the kernel equation of ``genus2_solved`` and is the tests' oracle
 for ``rank``.  ``standard_simplex_complex`` and ``sphere_complex`` are
-multi-vertex complexes, ``psl_equal`` and ``commuting_pair_cycle`` bar
-chains of commuting pairs, and ``holonomy``/``holonomies`` the block
-sums of a bundle's edge holonomies.
+multi-vertex complexes, ``cell_counts`` and ``euler_characteristic``
+read a complex's simplex counts, ``psl_equal`` and
+``commuting_pair_cycle`` bar chains of commuting pairs, and
+``holonomy``/``holonomies`` the block sums of a bundle's edge holonomies.
 ``mixed_dimension_product`` and ``positive_generic_section`` give the
 mixed-dimension product Sigma x S^2 a generic section that is positive
 for its witnesses.
@@ -146,6 +147,14 @@ def sphere_complex() -> tuple[DeltaComplex, Chain]:
         omitted = next(v for v in range(4) if v not in verts)
         coeffs[sid] = 1 if omitted % 2 == 0 else -1
     return cx, Chain(2, coeffs)
+
+
+def cell_counts(cx: DeltaComplex) -> tuple[int, ...]:
+    return tuple(len(level) for level in cx.simplices)
+
+
+def euler_characteristic(cx: DeltaComplex) -> int:
+    return sum((-1) ** d * len(level) for d, level in enumerate(cx.simplices))
 
 
 def psl_equal(a: Matrix, b: Matrix) -> bool:

@@ -223,6 +223,7 @@ TEST_ONLY = {
     "rep_to_json", "holonomies", "_BlockSums", "_simplex",
     "Matrix.__neg__", "Chain.scale", "BarChain2.__add__", "BarChain2.__neg__", "WittElement.scale",
     "is_generic_tuple", "relation_coefficients",
+    "DeltaComplex.counts", "DeltaComplex.euler_characteristic",
 }
 
 

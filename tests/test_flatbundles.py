@@ -54,7 +54,7 @@ from tautclass.flatbundles import (
     relator_product,
     scalar_set,
 )
-from tautclass import configs, exactmath, flatbundles
+from tautclass import cli, configs, exactmath, flatbundles
 from tautclass.reps import load_rep
 
 
@@ -685,6 +685,22 @@ def _product_with_generic_section(name):
     return product_bundle(px, e_a, e_b), section, product_chain(px, z_a, z_b)
 
 
+def _fresh(bundle):
+    """A new bundle with the same base and holonomy, whose lift cache is empty."""
+    return FlatBundle(bundle.base, bundle.n, bundle.tag, bundle.blocks, bundle.field)
+
+
+def _record_lifts(monkeypatch, lifted):
+    """Count ``FlatBundle._lift`` computations per edge id (None at corner 0)."""
+    lift = FlatBundle._lift
+
+    def recorded(self, eid, vec):
+        lifted[eid] += 1
+        return lift(self, eid, vec)
+
+    monkeypatch.setattr(FlatBundle, "_lift", recorded)
+
+
 def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     bundle, s, zz = _product_with_generic_section("g2_solved_3")
     cx = bundle.base
@@ -706,25 +722,59 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
         "euplus": (total, plus),
         "eu": (sum(plain[sid].coefficient * c for sid, c in zz.coeffs.items()), plain),
     }
+    bundle = _fresh(bundle)
     calls, lifted_now = Counter(), Counter()
     _count_calls(monkeypatch, Matrix, "apply", calls)
-    lift = FlatBundle._lift
-
-    def recorded(self, eid, vec):
-        lifted_now[eid] += 1
-        return lift(self, eid, vec)
-
-    monkeypatch.setattr(FlatBundle, "_lift", recorded)
-    for text, (value, symbols) in expected.items():
+    _record_lifts(monkeypatch, lifted_now)
+    for i, (text, (value, symbols)) in enumerate(expected.items()):
         calls.clear()
         lifted_now.clear()
         got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
-        # one lift per distinct (edge, vertex) and one of the corner-0 value
-        # (edge None); the two 2 x 2 blocks of a transport each apply once
-        assert lifted_now == Counter({None: 1, **{eid: 1 for eid, _ in lifted}})
-        assert calls == {"apply": 2 * 63}
+        if i == 0:
+            # one lift per distinct (edge, vertex value) and one of the corner-0
+            # value (edge None); the two 2 x 2 blocks of a transport each apply once
+            assert lifted_now == Counter({None: 1, **{eid: 1 for eid, _ in lifted}})
+            assert calls == {"apply": 2 * 63}
+        else:
+            # the bundle keeps its lifts: a later evaluation computes none
+            assert lifted_now == {} and calls == {}
         assert got == value
         assert detail == {sid: symbols[sid] for sid in zz.coeffs}
+
+
+def test_sampling_and_evaluation_compute_each_lift_once(monkeypatch, capsys):
+    lifted = Counter()
+    _record_lifts(monkeypatch, lifted)
+    rep = load_rep(rep_path("g2_fuchs.json"))
+    sc, z = surface_complex(2)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    s = random_generic_section(bundle, seed=0)
+    evaluate_class(bundle, s, Selector.parse("eu0"), z)
+    # the one vertex's first candidate is accepted: its value at corner 0 and
+    # along the 7 corner edges; the evaluation reads those lifts and computes none
+    assert sum(lifted.values()) == 8 == len(bundle._lifts)
+    lifted.clear()
+    argv = ["product", "--repA", rep_path("g2_fuchs.json"), "--repB", rep_path("g2_solved_3.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert sum(lifted.values()) == 84
+
+
+@pytest.mark.parametrize("name", ["g2_fuchs", "g2_swap"])
+def test_a_used_bundle_reads_as_a_fresh_one(name):
+    """The lift cache is keyed by the vector, so a second section misses it, never reads the first."""
+    rep = load_rep(rep_path(f"{name}.json"))
+    sc, z = surface_complex(2)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    selectors = [Selector.parse(text) for text in ("eu0", "eu", "euplus", "witt")]
+    used = [random_generic_section(bundle, seed=seed, mode="strong") for seed in (0, 1)]
+    assert used[0] != used[1]
+    for seed, s in zip((0, 1), used):
+        assert random_generic_section(_fresh(bundle), seed=seed, mode="strong") == s
+        for selector in selectors:
+            expected = evaluate_class(_fresh(bundle), s, selector, z, detail=True)
+            assert evaluate_class(bundle, s, selector, z, detail=True) == expected
+        assert scalar_set(bundle, s) == scalar_set(_fresh(bundle), s)
 
 
 def test_product_evaluation_builds_no_block_sum_and_clears_each_lift_once(monkeypatch):
