@@ -57,16 +57,6 @@ class DeltaComplex:
         for d, level in enumerate(self.simplices[2:], 2):
             below = self.corner_edges[d - 1]
             self.corner_edges.append([below[s.faces[d]] + below[s.faces[1]][-1:] for s in level])
-        # front_faces[d][sid][k] keeps corners 0..k, back_faces[d][sid][k] the
-        # last k + 1 corners: face d is the front (d-1)-face, face 0 the back one
-        self.front_faces: list[list[tuple[int, ...]]] = [
-            [(sid,) for sid in range(len(level))] for level in self.simplices[:1]
-        ]
-        self.back_faces = list(self.front_faces)
-        for d, level in enumerate(self.simplices[1:], 1):
-            front, back = self.front_faces[d - 1], self.back_faces[d - 1]
-            self.front_faces.append([front[s.faces[d]] + (sid,) for sid, s in enumerate(level)])
-            self.back_faces.append([back[s.faces[0]] + (sid,) for sid, s in enumerate(level)])
 
     @property
     def num_vertices(self) -> int:
@@ -390,5 +380,12 @@ def cup_evaluate(cx: DeltaComplex, p: int, alpha, q: int, beta, z: Chain) -> int
     """
     if z.dim != p + q:
         raise ValueError("chain dimension must be p+q")
-    front, back = cx.front_faces[p + q], cx.back_faces[p + q]
-    return sum(c * alpha(front[sid][p]) * beta(back[sid][q]) for sid, c in z.coeffs.items())
+    total = 0
+    for sid, c in z.coeffs.items():
+        front = back = sid
+        for d in range(p + q, p, -1):
+            front = cx.simplices[d][front].faces[d]
+        for d in range(p + q, q, -1):
+            back = cx.simplices[d][back].faces[0]
+        total += c * alpha(front) * beta(back)
+    return total

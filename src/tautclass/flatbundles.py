@@ -11,7 +11,6 @@ tuple over the cycle's top simplices.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
@@ -123,7 +122,6 @@ class FlatBundle:
         self.tag = tag
         self.field = field
         self.blocks = {e: h if isinstance(h, tuple) else (h,) for e, h in holonomy.items()}
-        self._transports: dict[int, tuple[Matrix, int]] = {}
         self._lifts: dict[tuple, tuple[tuple, int]] = {}
         self.validate()
 
@@ -163,20 +161,9 @@ class FlatBundle:
 
         The transport lam * h^-1 is the block sum of ``blocks``; it is not built.
         """
-        t = self._transports.get(eid)
-        if t is None:
-            parts = [b.scaled_inverse() for b in self.blocks[eid]]
-            lam = lcm(*(k for _, k in parts))
-            t = tuple(m if k == lam else m.scaled(lam // k) for m, k in parts), lam
-            self._transports[eid] = t
-        return t
-
-    def transport_to_base(self, dim: int, sid: int, corner: int) -> Matrix:
-        """Parallel transport from a corner to corner 0 along the edge (0, corner)."""
-        if corner == 0:
-            return Matrix.identity(self.n)
-        blocks, lam = self.transport(self.base.corner_edges[dim][sid][corner - 1])
-        return Matrix.block_diag(*blocks).scaled(Fraction(1, lam))
+        parts = [b.scaled_inverse() for b in self.blocks[eid]]
+        lam = lcm(*(k for _, k in parts))
+        return tuple(m if k == lam else m.scaled(lam // k) for m, k in parts), lam
 
     def corner_values(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
@@ -345,29 +332,22 @@ def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBu
 # ---------------------------------------------------------------------------
 
 
-def _scope(
-    bundle: FlatBundle, mode: str, support: Iterable[int] | None
-) -> tuple[list[int], dict[int, list[tuple[int, int]]]]:
-    """The vertices in scope, sorted, and per vertex the (dim, id) of its simplices.
+def _scope(bundle: FlatBundle, support: Iterable[int] | None) -> dict[int, list[int]]:
+    """Per vertex in scope, the ids of its n-simplices.
 
-    The scope is the n-simplices of the support (all of them if None);
-    mode "strong" adds every face of dimension >= 1.
+    The scope is the n-simplices of the support (all of them if None): a
+    face's corners are some of an n-simplex's corners under one invertible
+    map, so they are independent whenever those pass.
     """
     n = bundle.n
     cx = bundle.base
     if support is None:
         support = range(len(cx.simplices[n])) if cx.dimension >= n else ()
-    level = set(support)
-    simplices = [(n, sid) for sid in level]
-    if mode == "strong":
-        for d in range(n, 1, -1):
-            level = {f for sid in level for f in cx.simplices[d][sid].faces}
-            simplices += [(d - 1, sid) for sid in level]
-    star: dict[int, list[tuple[int, int]]] = {}
-    for d, sid in simplices:
-        for v in set(cx.simplices[d][sid].vertices):
-            star.setdefault(v, []).append((d, sid))
-    return sorted(star), star
+    star: dict[int, list[int]] = {}
+    for sid in set(support):
+        for v in set(cx.simplices[n][sid].vertices):
+            star.setdefault(v, []).append(sid)
+    return star
 
 
 def is_generic_section(
@@ -379,15 +359,12 @@ def is_generic_section(
     """Whether transported corner tuples are generic on every n-simplex.
 
     mode "basic" checks linear genericity on the n-simplices; mode
-    "strong" additionally requires lower-dimensional corner tuples to be
-    linearly independent and every relation to have nonzero coefficient
-    sum (so that scalar subset sums are well-defined).
+    "strong" additionally requires every relation to have nonzero
+    coefficient sum (so that scalar subset sums are well-defined).
+    Lower-dimensional corner tuples are then independent (see ``_scope``).
     """
-    _, star = _scope(bundle, mode, support)
-    return all(
-        _check_simplex_partial(bundle, s.values, d, sid, mode)
-        for d, sid in {x for simplices in star.values() for x in simplices}
-    )
+    sids = set().union(*_scope(bundle, support).values())
+    return all(_check_simplex_partial(bundle, s.values, sid, mode) for sid in sids)
 
 
 def random_vector(field: Field, rng: random.Random, n: int, bound: int) -> tuple:
@@ -426,10 +403,10 @@ def random_generic_section(
     """
     n = bundle.n
     rng = random.Random(seed)
-    order, star = _scope(bundle, mode, support)
+    star = _scope(bundle, support)
     escalate_after = 50 * n
     values: dict[int, tuple] = {}
-    for v in order or range(bundle.base.num_vertices):
+    for v in sorted(star) or range(bundle.base.num_vertices):
         m = bound
         rejections = 0
         while True:
@@ -442,8 +419,8 @@ def random_generic_section(
                 )
             values[v] = _random_nonzero_vector(bundle.field, rng, n, m)
             if all(
-                _check_simplex_partial(bundle, values, d, sid, mode)
-                for d, sid in star.get(v, ())
+                _check_simplex_partial(bundle, values, sid, mode)
+                for sid in star.get(v, ())
             ):
                 break
             rejections += 1
@@ -452,8 +429,8 @@ def random_generic_section(
     return Section(values)
 
 
-def _check_simplex_partial(bundle, values: Mapping[int, tuple], d, sid, mode) -> bool:
-    """Genericity of the already-assigned corners of one simplex.
+def _check_simplex_partial(bundle, values: Mapping[int, tuple], sid, mode) -> bool:
+    """Genericity of the already-assigned corners of one n-simplex.
 
     Partially assigned tuples must stay extendable: up to n corners must
     be linearly independent, and n+1 corners must have a unique relation
@@ -462,7 +439,7 @@ def _check_simplex_partial(bundle, values: Mapping[int, tuple], d, sid, mode) ->
     the integral lifts; only that sum needs their scales.
     """
     n = bundle.n
-    corners = bundle._corners(values, d, sid)
+    corners = bundle._corners(values, n, sid)
     if len(corners) <= n:
         return rank_int([lift for lift, _ in corners], n) == len(corners)
     coeffs = _relation_coefficients(corners)

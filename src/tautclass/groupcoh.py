@@ -5,9 +5,9 @@ basepoint vector u to the square-class symbol of
 det(g0 u, g1 u) det(g1 u, g2 u) det(g2 u, g0 u); coincident projective
 points yield the zero element.  Matrices represent classes up to sign,
 and every evaluation is invariant under changing lifts, which tests
-assert.  Surface representations produce bar 2-cycles matching the
-fundamental cycles of the one-vertex surface complexes, which bridges
-the group-cohomology picture and the bundle pipeline.
+assert.  Surface representations produce bar 2-cycles, read from the
+relator word alone, that match the fundamental cycles of the one-vertex
+surface complexes: the bridge from group cohomology to the bundles.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ._value import Value
-from .complexes import surface_complex
 from .configs import GenericityError, witt_triple_symbol
 from .exactmath import Matrix, Scalar, vec_is_zero
-from .flatbundles import bundle_from_surface_rep
 from .witt import WittElement
 
 Vector = Sequence[Scalar]
@@ -67,16 +65,23 @@ def evaluate_bar(cocycle: Cocycle, chain: BarChain2, u: Vector) -> WittElement:
 
 
 def surface_cycle_from_rep(genus: int, matrices: Sequence[Matrix]) -> BarChain2:
-    """Bar 2-cycle of a surface representation.
+    """Bar 2-cycle of an SL surface representation, on the fundamental cycle's triangles.
 
-    One homogeneous triple of corner-to-base transports per triangle of
-    the one-vertex surface model, weighted by the fundamental cycle's
-    coefficients.
+    Triangle i = 1..4g-2 is (I, W_i, W_{i+1}), W_k the prefixes of the word
+    A1 B1 A1^-1 B1^-1 ..., swapped with coefficient -1 at a backward side.
     """
-    sc, fundamental = surface_complex(genus)
-    bundle = bundle_from_surface_rep(sc, list(matrices), tag="SL")
-    terms = []
-    for sid, c in sorted(fundamental.coeffs.items()):
-        triple = tuple(bundle.transport_to_base(2, sid, i) for i in range(3))
-        terms.append((c, triple))
-    return BarChain2(terms)
+    if genus < 1 or len(matrices) != 2 * genus:
+        raise ValueError(f"genus {genus} needs 2g >= 2 matrices, got {len(matrices)}")
+    for m in matrices:
+        if m.det() != 1:
+            raise ValueError(f"a generator has determinant {m.det()}, not 1")
+    w = [Matrix.identity(matrices[0].nrows)]
+    for a, b in zip(matrices[::2], matrices[1::2]):
+        for x in (a, b, a.inverse(), b.inverse()):
+            w.append(w[-1] @ x)
+    if w[-1] != w[0]:
+        raise ValueError(f"relator is not the identity: {w[-1]!r}")
+    return BarChain2([
+        (1, (w[0], w[i], w[i + 1])) if i % 4 in (0, 1) else (-1, (w[0], w[i + 1], w[i]))
+        for i in range(1, 4 * genus - 1)
+    ])

@@ -12,8 +12,9 @@ solves the kernel equation of ``genus2_solved`` and is the tests' oracle
 for ``rank``.  ``standard_simplex_complex`` and ``sphere_complex`` are
 multi-vertex complexes, ``cell_counts`` and ``euler_characteristic``
 read a complex's simplex counts, ``psl_equal`` and
-``commuting_pair_cycle`` bar chains of commuting pairs, and
-``holonomy``/``holonomies`` the block sums of a bundle's edge holonomies.
+``commuting_pair_cycle`` bar chains of commuting pairs,
+``holonomy``/``holonomies`` the block sums of a bundle's edge holonomies,
+and ``transport_to_base`` a corner's transport to corner 0 as one matrix.
 ``mixed_dimension_product`` and ``positive_generic_section`` give the
 mixed-dimension product Sigma x S^2 a generic section that is positive
 for its witnesses.
@@ -182,6 +183,18 @@ def holonomies(bundle: FlatBundle) -> dict[int, Matrix]:
     return {eid: holonomy(bundle, eid) for eid in bundle.blocks}
 
 
+def transport_to_base(bundle: FlatBundle, dim: int, sid: int, corner: int) -> Matrix:
+    """Parallel transport from a corner of simplex (dim, sid) to its corner 0.
+
+    The inverse holonomy of the edge (0, corner) as one Fraction matrix,
+    from the same scaled inverses the bundle's integral lifts read.
+    """
+    if corner == 0:
+        return Matrix.identity(bundle.n)
+    blocks, lam = bundle.transport(bundle.base.corner_edges[dim][sid][corner - 1])
+    return Matrix.block_diag(*blocks).scaled(Fraction(1, lam))
+
+
 def _m(rows) -> Matrix:
     return Matrix([[Fraction(x) for x in row] for row in rows])
 
@@ -270,8 +283,8 @@ def _admits_generic_section(rep: SurfaceRep) -> bool:
     sc, _ = surface_complex(rep.genus)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
     for sid in range(len(sc.simplices[2])):
-        t1 = bundle.transport_to_base(2, sid, 1)
-        t2 = bundle.transport_to_base(2, sid, 2)
+        t1 = transport_to_base(bundle, 2, sid, 1)
+        t2 = transport_to_base(bundle, 2, sid, 2)
         for m in (t1, t2, t1.inverse() @ t2):
             if scalar_multiple_of_identity(m) is not None:
                 return False

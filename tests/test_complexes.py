@@ -188,7 +188,7 @@ def test_cup_kunneth_on_product_of_surfaces():
 def subsimplex(cx, dim: int, sid: int, keep) -> tuple[int, int]:
     """The iterated face on the given corner positions, walked face by face; (dim, id).
 
-    The oracle of the corner-edge and front/back face tables.
+    The oracle of the corner-edge table and of the faces cup_evaluate reads.
     """
     cur, d = sid, dim
     for k in range(dim, -1, -1):  # drop corners from the last, so k stays a position
@@ -214,14 +214,20 @@ TABLE_COMPLEXES = pytest.mark.parametrize(
 
 
 @TABLE_COMPLEXES
-def test_front_and_back_face_tables_match_subsimplex(make):
+def test_cup_evaluate_reads_the_front_and_back_faces_of_subsimplex(make):
     cx = make()
     for d, level in enumerate(cx.simplices):
-        assert len(cx.front_faces[d]) == len(cx.back_faces[d]) == len(level)
         for sid in range(len(level)):
-            for k in range(d + 1):
-                assert cx.front_faces[d][sid][k] == subsimplex(cx, d, sid, range(k + 1))[1]
-                assert cx.back_faces[d][sid][k] == subsimplex(cx, d, sid, range(d - k, d + 1))[1]
+            for p in range(d + 1):
+                met = []
+
+                def record(value):
+                    return lambda f: met.append(f) or value
+
+                assert cup_evaluate(cx, p, record(2), d - p, record(5), Chain(d, {sid: 3})) == 30
+                front = subsimplex(cx, d, sid, range(p + 1))[1]
+                back = subsimplex(cx, d, sid, range(p, d + 1))[1]
+                assert met == [front, back], (d, sid, p)
 
 
 def test_cup_missing_value_errors():

@@ -195,8 +195,10 @@ def test_oracle_functions_have_no_caller_in_the_package():
 # (tests/fixture_builders.py), nullspace (the rank oracle) and
 # methods whose callers were all tests (now helpers in those tests); and
 # second corner readers, deleted for the corner-edge table and
-# FlatBundle._corners, and the face walk the corner-edge and front/back
-# face tables replace (an oracle in test_complexes.py); and the
+# FlatBundle._corners, and the face walk the corner-edge table and
+# cup_evaluate's face steps replace (an oracle in test_complexes.py); and
+# the corner transport as one Fraction matrix, which the integral lifts
+# and the bar cycle's relator prefixes replace; and the
 # positive-section construction with its vector helpers, replaced by the
 # mixed-dimension helpers of fixture_builders.py; and the builders only
 # tests call (multi-vertex complexes, commuting-pair bar cycles, the
@@ -224,6 +226,7 @@ TEST_ONLY = {
     "Matrix.__neg__", "Chain.scale", "BarChain2.__add__", "BarChain2.__neg__", "WittElement.scale",
     "is_generic_tuple", "relation_coefficients",
     "DeltaComplex.counts", "DeltaComplex.euler_characteristic",
+    "transport_to_base", "FlatBundle.transport_to_base",
 }
 
 
@@ -260,6 +263,20 @@ def test_the_package_root_imports_nothing():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert imports == []
+
+
+def test_groupcoh_reads_no_complex_and_no_bundle():
+    # the bar cycle comes from the relator word, so the comparison suite's
+    # bar-vs-bundle check does not read the bundle it checks
+    path = Path(__file__).resolve().parent.parent / "src" / "tautclass" / "groupcoh.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[-1] for a in node.names}
+    assert imported and not imported & {"complexes", "flatbundles"}
 
 
 def test_unique_relation_examples():

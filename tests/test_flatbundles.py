@@ -18,6 +18,7 @@ from fixture_builders import (
     scalar_multiple_of_identity,
     sqrt2_conjugated,
     standard_simplex_complex,
+    transport_to_base,
 )
 
 from tautclass.complexes import (
@@ -185,12 +186,12 @@ def test_transport_identity_and_path_independence():
     rep = genus2_fuchsian()
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
     for sid in range(6):
-        assert bundle.transport_to_base(2, sid, 0) == Matrix.identity(2)
+        assert transport_to_base(bundle, 2, sid, 0) == Matrix.identity(2)
         s = sc.simplices[2][sid]
         via_edges = (
             holonomy(bundle, s.faces[0]) @ holonomy(bundle, s.faces[2])
         ).inverse()
-        assert bundle.transport_to_base(2, sid, 2) == via_edges
+        assert transport_to_base(bundle, 2, sid, 2) == via_edges
 
 
 def test_is_generic_section_fixed_line():
@@ -757,7 +758,22 @@ def test_sampling_and_evaluation_compute_each_lift_once(monkeypatch, capsys):
     argv = ["product", "--repA", rep_path("g2_fuchs.json"), "--repB", rep_path("g2_solved_3.json")]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert sum(lifted.values()) == 84
+    assert sum(lifted.values()) == 80
+
+
+def test_product_checks_only_the_factors_top_simplices(monkeypatch, capsys):
+    """Strong sampling of each factor checks its 6 triangles and no edge.
+
+    A face's corners are some of a triangle's corners under one transport,
+    so a generic triangle leaves no edge to check and no rank to take.
+    """
+    calls = Counter()
+    _count_calls(monkeypatch, flatbundles, "rank_int", calls)
+    _count_calls(monkeypatch, flatbundles, "_check_simplex_partial", calls)
+    argv = ["product", "--repA", rep_path("g2_fuchs.json"), "--repB", rep_path("g2_solved_3.json")]
+    assert cli.main(argv + ["--seed", "0"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert calls == {"_check_simplex_partial": 12}
 
 
 @pytest.mark.parametrize("name", ["g2_fuchs", "g2_swap"])
@@ -897,10 +913,9 @@ def test_sampling_reads_corner_edges_from_the_table(monkeypatch, mode):
     s = random_generic_section(bundle, seed=3, mode=mode)
     assert is_generic_section(bundle, s, mode)
     # the package has no face walk: the transported edges are the table's
-    # entries on the in-scope simplices (mode "strong" adds the edges)
-    table = bundle.base.corner_edges
-    dims = (2,) if mode == "basic" else (1, 2)
-    assert transported == {e for d in dims for edges in table[d] for e in edges}
+    # entries on the top simplices, in mode "strong" too
+    assert transported == {e for edges in bundle.base.corner_edges[2] for e in edges}
+    assert len(transported) == 7 < len(bundle.base.simplices[1])
 
 
 # left multiplication by the unit quaternions i and j: [L_i, L_j] = L_{-1} = -I

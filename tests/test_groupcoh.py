@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES
 from fixture_builders import (
     commuting_pair_cycle,
     genus1_diagonal,
     genus2_fuchsian,
     genus2_swap,
     psl_equal,
+    transport_to_base,
 )
+from tautclass.complexes import surface_complex
 from tautclass.exactmath import Matrix, sign
+from tautclass.flatbundles import bundle_from_surface_rep
 from tautclass.groupcoh import (
     BarChain2,
     cocycle_identity_residual,
@@ -18,6 +22,7 @@ from tautclass.groupcoh import (
     surface_cycle_from_rep,
     witt_cocycle,
 )
+from tautclass.reps import load_rep
 from tautclass.witt import WittElement
 
 
@@ -138,6 +143,41 @@ def test_surface_cycles_are_cycles():
     assert is_cycle(chain)
 
 
+SL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.json") if load_rep(str(p)).tag == "SL")
+
+
+@pytest.mark.parametrize("name", SL_FIXTURES)
+def test_bar_triples_are_the_bundle_corner_transports(name):
+    rep = load_rep(str(FIXTURES / f"{name}.json"))
+    sc, z = surface_complex(rep.genus)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
+    expected = [
+        (c, tuple(transport_to_base(bundle, 2, sid, i) for i in range(3)))
+        for sid, c in sorted(z.coeffs.items())
+    ]
+    assert surface_cycle_from_rep(rep.genus, rep.matrices).terms == expected
+
+
+def test_bar_cycle_refuses_a_generator_off_sl():
+    a = Matrix([[2, 0], [0, 1]])  # commutes with b: the relator is I
+    b = Matrix([[3, 0], [0, Fraction(1, 3)]])
+    with pytest.raises(ValueError, match="determinant 2"):
+        surface_cycle_from_rep(1, [a, b])
+    with pytest.raises(ValueError, match="determinant 2"):
+        surface_cycle_from_rep(1, [b, a])
+
+
+def test_bar_cycle_refuses_a_relator_that_is_not_the_identity():
+    a, b = Matrix([[1, 1], [0, 1]]), Matrix([[1, 0], [1, 1]])
+    with pytest.raises(ValueError, match="relator is not the identity"):
+        surface_cycle_from_rep(1, [a, b])
+    one = Matrix.identity(2)
+    with pytest.raises(ValueError, match="relator is not the identity"):
+        surface_cycle_from_rep(2, [one, one, a, b])
+    with pytest.raises(ValueError, match="needs 2g"):
+        surface_cycle_from_rep(2, [a, b])
+
+
 def test_basepoint_independence_on_cycles():
     rng = random.Random(3)
     for rep in (genus2_swap(), genus2_fuchsian()):
@@ -151,13 +191,7 @@ def test_basepoint_independence_on_cycles():
 
 
 def test_euler_witt_comparison():
-    from tautclass.complexes import surface_complex
-    from tautclass.flatbundles import (
-        Selector,
-        bundle_from_surface_rep,
-        evaluate_class,
-        random_generic_section,
-    )
+    from tautclass.flatbundles import Selector, evaluate_class, random_generic_section
 
     sc, z = surface_complex(2)
     for rep in (genus2_swap(), genus2_fuchsian()):

@@ -6,10 +6,13 @@ made lift i integral, where M v / lam is the true transported value.
 The oracles ``unique_relation`` and ``is_linearly_generic`` run on the
 true ``corner_values`` instead; both must decide the same and give the
 same scalars, on bundles whose transports have lam != 1, over Q(sqrt 2),
-in rank 4, and on Fraction-valued sections.
+in rank 4, and on Fraction-valued sections.  The package checks top
+simplices only; the oracle walks every lower face of a passing one and
+finds its corners independent.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,7 +35,6 @@ from tautclass.flatbundles import (
     FlatBundle,
     Section,
     _check_simplex_partial,
-    _scope,
     is_generic_section,
     product_bundle,
     random_generic_section,
@@ -141,22 +143,26 @@ def _oracle_scalar_set(bundle, s, support):
     return out
 
 
+def _tops(bundle, support):
+    n = bundle.n
+    return sorted(support) if support is not None else range(len(bundle.base.simplices[n]))
+
+
 def _compare_partial(bundle, s, support, rng):
-    """Both modes on every in-scope simplex, with all and with a random part assigned.
+    """Both modes on every top simplex in scope, with all and with a random part assigned.
 
     Returns the decisions (basic, strong) seen, to show that the cases mattered.
     """
-    _, star = _scope(bundle, "strong", support)
     seen = set()
-    for d, sid in sorted({x for simplices in star.values() for x in simplices}):
-        verts = set(bundle.base.simplices[d][sid].vertices)
+    for sid in _tops(bundle, support):
+        verts = set(bundle.base.simplices[bundle.n][sid].vertices)
         for assigned in (verts, {v for v in verts if rng.random() < 0.6}):
             values = {v: s.values[v] for v in assigned}
             decisions = []
             for mode in ("basic", "strong"):
-                got = _check_simplex_partial(bundle, values, d, sid, mode)
-                assert got == _oracle_partial(bundle, s, assigned, d, sid, mode), (
-                    d, sid, mode, values,
+                got = _check_simplex_partial(bundle, values, sid, mode)
+                assert got == _oracle_partial(bundle, s, assigned, bundle.n, sid, mode), (
+                    sid, mode, values,
                 )
                 decisions.append(got)
             seen.add(tuple(decisions))
@@ -178,14 +184,57 @@ def test_partial_checks_match_the_true_value_oracle(name):
     assert {(True, True), (False, False)} <= seen
 
 
+def _lower_faces(cx, d, sid):
+    """The faces of dimension >= 1 below simplex (d, sid), walked level by level."""
+    level, faces = {sid}, set()
+    for k in range(d, 1, -1):
+        level = {f for x in level for f in cx.simplices[k][x].faces}
+        faces |= {(k - 1, f) for f in level}
+    return faces
+
+
+def _face_implications(bundle, s, support, rng):
+    """(top passes, every lower face passes) per top simplex, on a random part of s.
+
+    A face's corners are some of the top simplex's corners under one
+    invertible transport, so a passing top simplex must have no failing
+    face; the faces are read by the oracle on the true corner values.
+    """
+    out = Counter()
+    for sid in _tops(bundle, support):
+        verts = set(bundle.base.simplices[bundle.n][sid].vertices)
+        assigned = {v for v in verts if rng.random() < 0.7}
+        values = {v: s.values[v] for v in assigned}
+        top = _check_simplex_partial(bundle, values, sid, "basic")
+        faces = all(
+            _oracle_partial(bundle, s, assigned, d, f, "basic")
+            for d, f in _lower_faces(bundle.base, bundle.n, sid)
+        )
+        out[top, faces] += 1
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLES))
+def test_a_generic_top_simplex_has_independent_lower_faces(name):
+    bundle, support = BUNDLES[name]
+    rng = random.Random(name)
+    seen = Counter()
+    for _ in range(10):
+        s = Section(_random_values(bundle, rng, bound=1))
+        seen += _face_implications(bundle, s, support, rng)
+        if "sphere" in name:
+            seen += _face_implications(bundle, Section(_planted_values(bundle, rng)), None, rng)
+    assert seen[True, False] == 0
+    # the face oracle does fail, where the top simplex fails too
+    assert seen[True, True] and seen[False, False]
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLES))
 def test_scalar_sets_match_the_true_value_oracle(name):
     bundle, support = BUNDLES[name]
-    n = bundle.n
-    tops = list(support) if support is not None else range(len(bundle.base.simplices[n]))
     for seed in range(3):
         s = random_generic_section(bundle, seed, "strong", support=support)
-        assert scalar_set(bundle, s, support) == _oracle_scalar_set(bundle, s, tops)
+        assert scalar_set(bundle, s, support) == _oracle_scalar_set(bundle, s, _tops(bundle, support))
 
 
 def _engineered_bundle():
@@ -209,8 +258,8 @@ def test_engineered_zero_sum_is_rejected_only_in_strong_mode():
     # the lifts alone sum to nonzero: only the scales see the zero sum
     assert not unique_relation([lift for lift, _ in bundle._corners(s.values, 2, 0)])[1]
     assert unique_relation(bundle.corner_values(s, 2, 0))[1]
-    assert _check_simplex_partial(bundle, s.values, 2, 0, "basic")
-    assert not _check_simplex_partial(bundle, s.values, 2, 0, "strong")
+    assert _check_simplex_partial(bundle, s.values, 0, "basic")
+    assert not _check_simplex_partial(bundle, s.values, 0, "strong")
     assert is_generic_section(bundle, s, "basic")
     assert not is_generic_section(bundle, s, "strong")
     with pytest.raises(GenericityError):

@@ -3,8 +3,9 @@
 The surface models have one vertex, so there the star of vertex 0 is
 the whole scope.  A strip of triangles and the sphere have many
 vertices with small stars: a draw at a vertex must check only the
-simplices at that vertex and still produce exactly the section that
-re-checking the whole scope produces.
+top simplices at that vertex and still produce exactly the section that
+re-checking the whole scope, every lower face included in mode
+"strong", produces.
 """
 
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from fixture_builders import sphere_complex
+from fixture_builders import sphere_complex, transport_to_base
 from tautclass import flatbundles
 from tautclass.complexes import DeltaComplex, Simplex
 from tautclass.exactmath import Matrix, is_linearly_generic, unique_relation
@@ -97,7 +98,7 @@ def _full_scope_oracle(bundle, seed, mode, bound=9):
     rng = random.Random(seed)
     scope = _scope(bundle, mode)
     transports = {
-        (d, sid, c): bundle.transport_to_base(d, sid, c)
+        (d, sid, c): transport_to_base(bundle, d, sid, c)
         for d, sid in scope
         for c in range(d + 1)
     }
@@ -138,24 +139,21 @@ def test_each_draw_checks_only_the_star_of_its_vertex(monkeypatch, name, mode):
     real = flatbundles._check_simplex_partial
     checked = {}
 
-    def spy(bundle, values, d, sid, *rest):
+    def spy(bundle, values, sid, mode):
         v = next(reversed(values))  # the vertex being drawn was assigned last
-        checked.setdefault(v, set()).add((d, sid))
-        return real(bundle, values, d, sid, *rest)
+        checked.setdefault(v, set()).add(sid)
+        return real(bundle, values, sid, mode)
 
     monkeypatch.setattr(flatbundles, "_check_simplex_partial", spy)
     for seed in range(3):
         random_generic_section(bundle, seed, mode)
-    cx = bundle.base
+    n, cx = bundle.n, bundle.base
     assert sorted(checked) == list(range(cx.num_vertices))
-    for v, simplices in checked.items():
-        star = {
-            (d, sid)
-            for d, sid in _scope(bundle, mode)
-            if v in cx.simplices[d][sid].vertices
-        }
-        assert simplices == star, v
-    assert max(len(s) for s in checked.values()) < len(_scope(bundle, mode))
+    for v, sids in checked.items():
+        # the n-simplices at v, in mode "strong" too: no lower face is checked
+        star = {sid for sid, s in enumerate(cx.simplices[n]) if v in s.vertices}
+        assert sids == star, v
+    assert max(len(s) for s in checked.values()) < len(cx.simplices[n])
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
