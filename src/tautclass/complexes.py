@@ -14,9 +14,8 @@ returned chain has boundary zero, which tests verify.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Sequence
 
 from ._value import Value
@@ -31,10 +30,6 @@ class Simplex(Value):
         # through the slot descriptors: product complexes make thousands
         _set_vertices(self, vertices)
         _set_faces(self, faces)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
 
 
 _set_vertices, _set_faces = Simplex.vertices.__set__, Simplex.faces.__set__
@@ -244,12 +239,8 @@ def _covering_chains(p: int, q: int) -> list[GridChain]:
 
 
 def admissible_paths(p: int, q: int) -> list[GridChain]:
-    """Monotone lattice paths (0,0) -> (p,q) with unit steps only."""
-    return [
-        c
-        for c in _covering_chains(p, q)
-        if all(b[0] - a[0] + b[1] - a[1] == 1 for a, b in zip(c, c[1:]))
-    ]
+    """Monotone lattice paths (0,0) -> (p,q) with unit steps only: the longest chains."""
+    return [chain for chain, _ in _chain_templates(p, q) if len(chain) == p + q + 1]
 
 
 def path_sign(path: GridChain) -> int:
@@ -304,45 +295,40 @@ class ProductComplex(DeltaComplex):
         dims = range(left.dimension + right.dimension + 1)
         # (p, q, chain) -> (d, start, k)
         self._place: dict[tuple[int, int, GridChain], tuple[int, int, int]] = {}
-        counts = [0 for _ in dims]
-        for p, level in enumerate(left.simplices):
-            for q, level2 in enumerate(right.simplices):
-                templates = _chain_templates(p, q)
-                k, rank = Counter(len(chain) - 1 for chain, _ in templates), Counter()
-                for chain, _ in templates:
-                    d = len(chain) - 1
-                    self._place[p, q, chain] = d, counts[d] + rank[d], k[d]
-                    rank[d] += 1
-                for d, kd in k.items():
-                    counts[d] += len(level) * len(level2) * kd
-        levels: list[list] = [[None] * count for count in counts]
-        self._keys_by_dim: list[list] = [[None] * count for count in counts]
+        levels: list[list] = [[] for _ in dims]
+        self._keys_by_dim: list[list] = [[] for _ in dims]
         nright = right.num_vertices
+        # a face lies in an earlier block or on a shorter chain of this one,
+        # so each block is placed before any simplex that refers to it
         for p, level in enumerate(left.simplices):
             for q, level2 in enumerate(right.simplices):
                 n_cells = len(level) * len(level2)
-                for chain, template in _chain_templates(p, q):
-                    d, start, k = self._place[p, q, chain]
-                    # one column per face (then per vertex): its entry on every cell, in id order
-                    faces = []
-                    for r, c, i, j, rest in template:
-                        _, at, kf = self._place[p - r, q - c, rest]
-                        stride = len(right.simplices[q - c]) * kf
-                        xs = [at + (s.faces[i] if r else sid) * stride for sid, s in enumerate(level)]
-                        ys = [(s2.faces[j] if c else sid2) * kf for sid2, s2 in enumerate(level2)]
-                        faces.append([x + y for x in xs for y in ys])
-                    vertices = []
-                    for i, j in chain:
-                        xs = [s.vertices[i] * nright for s in level]
-                        ys = [s2.vertices[j] for s2 in level2]
-                        vertices.append([x + y for x in xs for y in ys])
-                    block = slice(start, start + n_cells * k, k)
-                    levels[d][block] = list(
-                        map(Simplex, zip(*vertices), zip(*faces) if faces else repeat((), n_cells))
-                    )
-                    self._keys_by_dim[d][block] = [
-                        (p, sid, q, sid2, chain) for sid in range(len(level)) for sid2 in range(len(level2))
-                    ]
+                keys = [(p, sid, q, sid2) for sid in range(len(level)) for sid2 in range(len(level2))]
+                for d, group in groupby(_chain_templates(p, q), key=lambda t: len(t[0]) - 1):
+                    group = list(group)
+                    k, start = len(group), len(levels[d])
+                    levels[d] += [None] * (n_cells * k)
+                    self._keys_by_dim[d] += [None] * (n_cells * k)
+                    for rank, (chain, template) in enumerate(group):
+                        self._place[p, q, chain] = d, start + rank, k
+                        # one column per face (then per vertex): its entry on every cell, in id order
+                        faces = []
+                        for r, c, i, j, rest in template:
+                            _, at, kf = self._place[p - r, q - c, rest]
+                            stride = len(right.simplices[q - c]) * kf
+                            xs = [at + (s.faces[i] if r else sid) * stride for sid, s in enumerate(level)]
+                            ys = [(s2.faces[j] if c else sid2) * kf for sid2, s2 in enumerate(level2)]
+                            faces.append([x + y for x in xs for y in ys])
+                        vertices = []
+                        for i, j in chain:
+                            xs = [s.vertices[i] * nright for s in level]
+                            ys = [s2.vertices[j] for s2 in level2]
+                            vertices.append([x + y for x in xs for y in ys])
+                        block = slice(start + rank, start + n_cells * k, k)
+                        levels[d][block] = list(
+                            map(Simplex, zip(*vertices), zip(*faces) if faces else repeat((), n_cells))
+                        )
+                        self._keys_by_dim[d][block] = [key + (chain,) for key in keys]
         super().__init__(levels)
 
     def id_of(self, p: int, sid: int, q: int, sid2: int, chain: GridChain) -> int:

@@ -27,6 +27,7 @@ from .exactmath import (
     Matrix,
     QQ,
     QuadraticField,
+    render_scalar,
     Scalar,
     sign,
     vec_is_zero,
@@ -224,8 +225,6 @@ class Section(Value):
         self._set(values=values)
 
     def to_json(self) -> dict:
-        from .exactmath import render_scalar
-
         return {str(v): [render_scalar(x) for x in vec] for v, vec in self.values.items()}
 
 

@@ -4,10 +4,12 @@ Each generator matrix acts on the circle of directions (R^2 minus 0
 modulo positive scalars).  Choosing a lift of each circle map to the
 real line, the lifted product of commutators covers the identity, so it
 is translation by an integer multiple of a full turn; that integer is
-the Euler number of the flat plane bundle.  Lift bookkeeping uses
-adaptive angle tracking: an arc is subdivided until every image step
-subtends less than pi/2, which is sound because the circle maps are
-degree-one diffeomorphisms.
+the Euler number of the flat plane bundle (Milnor 1958; Wood 1971).
+Every lift is in closed form, from the Iwasawa split m = R(theta) U with
+U upper triangular of positive diagonal: U keeps each half-plane, so its
+lift fixing 0 moves no point by pi or more, and the lift of m is that
+lift followed by translation by theta.  The inverse lift is the same
+formula for U^-1; no lift is stepped or corrected.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from typing import Sequence
 TWO_PI = 2.0 * math.pi
 # how far a translation number may lie from the nearest integer
 INTEGRALITY_TOL = 0.1
+# the relator residual allowed per unit of prod |M_i|_F^2 / 2 (see rotation_euler)
+RELATOR_TOL = 1e-9
 
 
 class OracleError(ArithmeticError):
@@ -49,75 +53,37 @@ def _mat_inv(m):
     return (d, -b, -c, a)
 
 
-def _angle_image(m, t: float) -> float:
-    a, b, c, d = m
+def _triangular_lift(u, t: float) -> float:
+    """The lift fixing 0 of u = [[r, s], [0, 1/r]], r > 0, given as (r, s, 1/r).
+
+    u fixes the directions 0 and pi and keeps each open half-plane, so the
+    image of t lies within pi of t and the wrapped difference is continuous.
+    """
+    r, s, r_inv = u
     x, y = math.cos(t), math.sin(t)
-    return math.atan2(c * x + d * y, a * x + b * y)
-
-
-_BASE_STEP = TWO_PI / 1024.0
-_MIN_STEP = 1e-13
-
-
-def _principal(x: float) -> float:
-    while x > math.pi:
-        x -= TWO_PI
-    while x <= -math.pi:
-        x += TWO_PI
-    return x
+    return t + math.remainder(math.atan2(r_inv * y, r * x + s * y) - t, TWO_PI)
 
 
 class _CircleLift:
-    """A chosen lift of the direction-circle action of one matrix.
-
-    Continuous angle tracking: an arc is halved whenever the principal
-    image increment exceeds pi/2 or runs backwards (the maps are
-    increasing, so a visibly negative increment signals aliasing).
-    """
+    """The lift t -> F_U(t) + theta of the circle action of m = R(theta) U,
+    where F_U is the lift of U fixing 0."""
 
     def __init__(self, m):
-        self.m = m
-        self.base = _angle_image(m, 0.0)  # value at 0, in (-pi, pi]
+        a, b, c, d = m  # det 1
+        self.theta = math.atan2(c, a)
+        r = math.hypot(a, c)
+        s = (a * b + c * d) / r
+        # U = R(-theta) m and its inverse, both det 1
+        self.u, self.u_inv = (r, s, 1.0 / r), (1.0 / r, -s, r)
 
     def __call__(self, t: float) -> float:
-        turns = math.floor(t / TWO_PI)
-        frac = t - TWO_PI * turns
-        value = self.base
-        pos = 0.0
-        current = self.base
-        while frac - pos > 1e-15:
-            step = min(_BASE_STEP, frac - pos)
-            while True:
-                target = min(pos + step, frac)
-                nxt = _angle_image(self.m, target)
-                delta = _principal(nxt - current)
-                if abs(delta) <= math.pi / 2 and delta > -1e-6:
-                    break
-                step /= 2.0
-                if step < _MIN_STEP:
-                    raise OracleError("angle tracking failed to converge")
-            value += delta
-            current = nxt
-            pos = target
-        return value + TWO_PI * turns
+        return _triangular_lift(self.u, t) + self.theta
+
+    def inverse(self, s: float) -> float:
+        return _triangular_lift(self.u_inv, s - self.theta)
 
 
-class _InverseLift:
-    """The functional inverse of a chosen lift, realized by a corrected lift."""
-
-    def __init__(self, lift: _CircleLift):
-        self.raw = _CircleLift(_mat_inv(lift.m))
-        # correction so that self(lift(t)) = t
-        self.offset = -round(self.raw(lift(0.0)) / TWO_PI) * TWO_PI
-
-    def __call__(self, t: float) -> float:
-        return self.raw(t) + self.offset
-
-
-def rotation_euler(
-    matrices: Sequence[Sequence[Sequence[float]]],
-    relator_tol: float = 1e-9,
-) -> int:
+def rotation_euler(matrices: Sequence[Sequence[Sequence[float]]]) -> int:
     """Euler number of a flat plane bundle over a genus-g surface.
 
     matrices = (A1, B1, ..., Ag, Bg) with positive determinants; the
@@ -126,7 +92,7 @@ def rotation_euler(
     distance of the translation number from an integer exceeds the
     tolerances.  The rounding error of the relator product grows with
     prod |M_i| |M_i^-1| = prod |M_i|^2 over the normalized generators, so
-    ``relator_tol`` bounds the residual divided by prod |M_i|_F^2 / 2, a
+    ``RELATOR_TOL`` bounds the residual divided by prod |M_i|_F^2 / 2, a
     scale that is at least 1 for a determinant-1 matrix; a residual past
     ``INTEGRALITY_TOL`` fails whatever the scale, as no float relator that
     far from the identity says anything about its translation number.
@@ -142,23 +108,19 @@ def rotation_euler(
     residual = max(
         abs(relator[0] - 1), abs(relator[1]), abs(relator[2]), abs(relator[3] - 1)
     )
-    tol = min(relator_tol * math.prod(sum(x * x for x in m) / 2 for m in norm), INTEGRALITY_TOL)
+    tol = min(RELATOR_TOL * math.prod(sum(x * x for x in m) / 2 for m in norm), INTEGRALITY_TOL)
     if residual > tol:
         raise OracleError(f"relator residual {residual:.3e} exceeds {tol:.1e}")
-    lifts = {}
-    for j in range(g):
-        for idx in (2 * j, 2 * j + 1):
-            fwd = _CircleLift(norm[idx])
-            lifts[idx] = (fwd, _InverseLift(fwd))
+    lifts = [_CircleLift(m) for m in norm]
     # word of the relator, leftmost letter applied last
-    word: list[tuple[int, int]] = []
+    word: list[tuple[int, bool]] = []
     for j in range(g):
-        word += [(2 * j, 0), (2 * j + 1, 0), (2 * j, 1), (2 * j + 1, 1)]
+        word += [(2 * j, False), (2 * j + 1, False), (2 * j, True), (2 * j + 1, True)]
     values = []
     for t0 in (0.0, 1.0, 2.5):
         t = t0
         for idx, inv in reversed(word):
-            t = lifts[idx][inv](t)
+            t = lifts[idx].inverse(t) if inv else lifts[idx](t)
         values.append((t - t0) / TWO_PI)
     m = round(values[0])
     for val in values:

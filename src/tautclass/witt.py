@@ -39,8 +39,9 @@ class SenselessSymbolError(ValueError):
     """The symbol <0> has no meaning in the group of square classes."""
 
 
-def _factorize(n: int, bound: int) -> dict[int, int]:
-    """Prime factorization of n > 0 by trial division up to bound."""
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n > 0 by trial division up to DEFAULT_FACTOR_BOUND."""
+    bound = DEFAULT_FACTOR_BOUND
     out: dict[int, int] = {}
     p = 2
     while p * p <= n and p <= bound:
@@ -63,13 +64,13 @@ def _factorize(n: int, bound: int) -> dict[int, int]:
     return out
 
 
-def square_class(q: Rational, bound: int = DEFAULT_FACTOR_BOUND) -> int:
+def square_class(q: Rational) -> int:
     """The unique squarefree integer in q * (Q*)^2.  Errors on q = 0."""
     if q == 0:
         raise SenselessSymbolError("the symbol <0> is senseless")
     n = abs(q.numerator * q.denominator)
     out = 1
-    for p, e in _factorize(n, bound).items():
+    for p, e in _factorize(n).items():
         if e % 2:
             out *= p
     return out if q > 0 else -out
@@ -224,7 +225,7 @@ class WittElement:
     def relevant_places(self) -> list:
         primes = {2}
         for rep, _ in self._terms:
-            primes.update(_factorize(abs(rep), DEFAULT_FACTOR_BOUND))
+            primes.update(_factorize(abs(rep)))
         return sorted(primes)
 
     def hasse_invariant(self, p) -> int:
@@ -252,7 +253,7 @@ class WittElement:
         # prime -> [sum of m, sum of m over terms whose residue is a non-square]
         residues: dict[int, list[int]] = {}
         for rep, mult in self._terms:
-            for p in _factorize(abs(rep), DEFAULT_FACTOR_BOUND):
+            for p in _factorize(abs(rep)):
                 acc = residues.setdefault(p, [0, 0])
                 acc[0] += mult
                 if p != 2 and _legendre(rep // p, p) < 0:

@@ -1,8 +1,10 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
+from conftest import FIXTURES
 from fixture_builders import (
     conjugated,
     genus1_diagonal,
@@ -10,8 +12,17 @@ from fixture_builders import (
     genus2_solved,
     genus2_swap,
 )
+from tautclass.complexes import surface_complex
 from tautclass.exactmath import Matrix
-from tautclass.oracle import OracleError, rotation_euler
+from tautclass.flatbundles import (
+    Selector,
+    bundle_from_surface_rep,
+    evaluate_class,
+    random_generic_section,
+)
+from tautclass.oracle import OracleError, _CircleLift, _normalize, rotation_euler
+from tautclass.reps import load_rep
+from test_flatbundles import RANK2_FIXTURES
 
 
 def _mm(a, b):
@@ -23,6 +34,33 @@ def _mm(a, b):
 def _inv(m):
     d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return [[m[1][1] / d, -m[0][1] / d], [-m[1][0] / d, m[0][0] / d]]
+
+
+def _exact_eu0(rep, seed=0):
+    sc, z = surface_complex(rep.genus)
+    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
+    return evaluate_class(bundle, random_generic_section(bundle, seed=seed), Selector.parse("eu0"), z)
+
+
+@lru_cache(maxsize=None)
+def _fixture(name):
+    rep = load_rep(str(FIXTURES / name))
+    return rep, _exact_eu0(rep)
+
+
+@pytest.mark.parametrize("name", RANK2_FIXTURES)
+def test_each_generator_lift_is_an_increasing_degree_one_lift_with_exact_inverse(name):
+    rep, _ = _fixture(name)
+    rng = random.Random(name)
+    grid = [k * math.tau / 256 - math.tau for k in range(3 * 256)]
+    for mat in rep.float_matrices():
+        lift = _CircleLift(_normalize(mat))
+        for _ in range(50):
+            t = rng.uniform(-2 * math.tau, 2 * math.tau)
+            assert abs(lift.inverse(lift(t)) - t) < 1e-9
+            assert abs(lift(t + math.tau) - lift(t) - math.tau) < 1e-9
+        values = [lift(t) for t in grid]
+        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_commuting_diagonal_pair_gives_zero():
@@ -56,12 +94,14 @@ def test_numeric_irrational_doubling():
     y = radius * 2 * t / (1 + t * t)
     j = [[x / y, -(x * x + y * y) / y], [1 / y, -x / y]]
     a2, b2 = _mm(_mm(j, a), _inv(j)), _mm(_mm(j, b), _inv(j))
-    assert abs(rotation_euler([a, b, a2, b2], relator_tol=1e-7)) == 1
+    assert abs(rotation_euler([a, b, a2, b2])) == 1
 
 
-def test_conjugation_invariance():
-    mats = genus2_fuchsian().float_matrices()
-    base = rotation_euler(mats)
+@pytest.mark.parametrize("name", RANK2_FIXTURES)
+def test_conjugation_invariance(name):
+    rep, exact = _fixture(name)
+    mats = rep.float_matrices()
+    assert rotation_euler(mats) == exact
     rng = random.Random(1)
     found = 0
     while found < 10:
@@ -71,26 +111,15 @@ def test_conjugation_invariance():
             continue
         found += 1
         conj = [_mm(_mm(g, m), _inv(g)) for m in mats]
-        assert rotation_euler(conj, relator_tol=1e-5) == base
+        assert rotation_euler(conj) == exact
 
 
 @pytest.mark.parametrize("g", [((4, 29), (3, 22)), ((7, 22), (6, 19))])
 def test_large_entry_conjugates_agree_with_the_exact_value(g):
     """Entries up to 1232/3, relator residuals 2.2e-9 and 1.1e-8: the tolerance
     grows with the generators, so the oracle still answers."""
-    from tautclass.complexes import surface_complex
-    from tautclass.flatbundles import (
-        Selector,
-        bundle_from_surface_rep,
-        evaluate_class,
-        random_generic_section,
-    )
-
     rep = conjugated(genus1_diagonal(), Matrix(g))
-    sc, z = surface_complex(1)
-    bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
-    exact = evaluate_class(bundle, random_generic_section(bundle, seed=0), Selector.parse("eu0"), z)
-    assert rotation_euler(rep.float_matrices()) == exact == 0
+    assert rotation_euler(rep.float_matrices()) == _exact_eu0(rep) == 0
 
 
 def test_inverse_word_negates():
@@ -115,18 +144,6 @@ def test_determinant_gate():
 
 
 def test_exact_agreement_on_fixtures():
-    from tautclass.complexes import surface_complex
-    from tautclass.flatbundles import (
-        Selector,
-        bundle_from_surface_rep,
-        evaluate_class,
-        random_generic_section,
-    )
-
-    sc, z = surface_complex(2)
     reps = [genus2_swap(), genus2_fuchsian()] + [genus2_solved(i) for i in (1, 2)]
     for rep in reps:
-        bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
-        s = random_generic_section(bundle, seed=1)
-        exact = evaluate_class(bundle, s, Selector.parse("eu0"), z)
-        assert rotation_euler(rep.float_matrices()) == exact
+        assert rotation_euler(rep.float_matrices()) == _exact_eu0(rep, seed=1)

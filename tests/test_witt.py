@@ -142,10 +142,12 @@ def test_square_class_is_squarefree_and_equivalent(q):
 
 
 def test_square_class_bound():
-    p = 1_000_003  # prime above the default bound would still factor via square check
+    # two primes above the factor bound: the cofactor exceeds its square, 10^12
+    p = 1_000_003
     with pytest.raises(FactorizationError):
-        square_class(p * 1_000_033, bound=1000)
-    assert square_class(p * p, bound=1000) == 1
+        square_class(p * 1_000_033)
+    # a square needs no prime certificate, however large its root
+    assert square_class(p * p) == 1
 
 
 def test_hilbert_symbol_values():
