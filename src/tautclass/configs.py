@@ -11,6 +11,7 @@ checks wholesale.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import prod
 from typing import Iterable, Literal, Sequence
@@ -122,6 +123,8 @@ def _raw_signs(minors: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
     With v_n = sum a_i v_i, Cramer gives a_i = (-1)^(n-i+1) D_i / D_n,
     and s = sgn D_n.
     """
+    if 0 in minors:
+        raise GenericityError("a maximal minor is zero")
     n = len(minors) - 1
     lead = sign(minors[n])
     return lead, tuple((-1) ** (n - i + 1) * sign(minors[i]) * lead for i in range(n))
@@ -139,7 +142,8 @@ def _canonical(n: int, a: int, lead: int) -> tuple[int, int]:
     Rule order (the two relations commute, which tests assert): first
     flip a negative leading sign via a- = -(a+), then fold a from above
     the midpoint via a+ = -(n+1-a)+.  For odd n the midpoint class is
-    2-torsion and dies: e = 0.
+    read as 0 (e = 0); it is measured to be zero in the coinvariants at
+    n = 1 and 3.
     """
     if n % 2 and 2 * a == n + 1:
         return 0, 0
@@ -191,12 +195,13 @@ def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
 
 Mode = Literal["P", "P+", "witt"]
 
-# per sign mode: the canonical (a, e) of a generic tuple read from its
-# maximal minors (its symbol is e times basis element a; a = 0 for "P"),
-# and the symbol with given integer coefficients on the basis
+# per sign mode: the table of the canonical (a, e) of a generic tuple by the
+# signs of its maximal minors (its symbol is e times basis element a; a = 0
+# for "P"), each of the 2^(n+1) sign vectors read once by the mode's reader on
+# first sight, and the symbol with given integer coefficients on the basis
 SIGN_MODES = {
-    "P": (lambda minors: (0, _u_sign(minors)), lambda n, coeffs: USymbol(n, coeffs[0])),
-    "P+": (_plus_class, lambda n, coeffs: UPlusSymbol(n, tuple(coeffs))),
+    "P": (cache(lambda signs: (0, _u_sign(signs))), lambda n, coeffs: USymbol(n, coeffs[0])),
+    "P+": (cache(_plus_class), lambda n, coeffs: UPlusSymbol(n, tuple(coeffs))),
 }
 
 
@@ -208,18 +213,19 @@ def symbol_sum(
     """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
 
     The minors are the nonzero maximal minors of lifts in K^n.  A USymbol
-    (mode "P") or a UPlusSymbol ("P+"): each term's canonical (a, e) is
-    folded into integer coefficients and one symbol is built.  A
+    (mode "P") or a UPlusSymbol ("P+"): each term's canonical (a, e), one
+    lookup by the signs of its minors, is folded into integer coefficients
+    and one symbol is built (a zero minor raises GenericityError).  A
     WittElement ("witt", n = 2), summed in one pass.
     """
     if mode == "witt":
         return WittElement.combination((witt_symbol_from_minors(minors), c) for minors, c in terms)
     if mode not in SIGN_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    read, symbol = SIGN_MODES[mode]
+    table, symbol = SIGN_MODES[mode]
     coeffs = [0] * (n // 2 + 1)
     for minors, c in terms:
-        a, e = read(minors)
+        a, e = table(tuple(map(sign, minors)))
         coeffs[a] += e * c
     return symbol(n, coeffs)
 

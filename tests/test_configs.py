@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -435,3 +436,52 @@ def test_sign_modes_refuse_odd_n_and_unknown_modes():
         symbol_sum("P", 3, terms)
     with pytest.raises(ValueError, match="unknown mode"):
         symbol_sum("Q", 2, [])
+
+
+def _direct(mode, minors):
+    """The mode's reader on the minors themselves, without the sign-vector table."""
+    return configs._plus_class(minors) if mode == "P+" else (0, configs._u_sign(minors))
+
+
+def _through_table(mode, n, minors):
+    """(a, e) of the one-term ``symbol_sum``, which reads the table."""
+    total = symbol_sum(mode, n, [(minors, 1)])
+    if mode == "P":
+        return 0, total.coefficient
+    a = next((a for a, c in enumerate(total.coefficients) if c), 0)  # e = 0: the odd-n midpoint
+    return a, total.coefficients[a]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sign_table_agrees_with_the_reader_on_every_sign_vector(n):
+    # [s e_0, e_1, .., e_{n-1}, sum d_i e_i] realizes each sign vector once
+    seen = set()
+    for s, *d in itertools.product((-1, 1), repeat=n + 1):
+        points = [tuple(s * x for x in _e(0, n))] + [_e(i, n) for i in range(1, n)] + [tuple(d)]
+        minors = maximal_minors(points)
+        seen.add(tuple(map(sign, minors)))
+        for mode in ["P", "P+"] if n % 2 == 0 else ["P+"]:
+            assert _through_table(mode, n, minors) == _direct(mode, minors), (mode, points)
+            assert configs.SIGN_MODES[mode][0](tuple(map(sign, minors))) == _direct(mode, minors)
+    assert seen == set(itertools.product((-1, 1), repeat=n + 1))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "quad"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_sign_table_agrees_with_the_reader_on_random_tuples(kind, n):
+    rng = random.Random(f"table-{kind}-{n}")
+    generic = 0
+    for _ in range(30 if kind == "fraction" else 8):
+        minors = maximal_minors(_random_tuple(rng, kind, n))
+        if not all(minors):
+            continue
+        generic += 1
+        for mode in ["P", "P+"] if n % 2 == 0 else ["P+"]:
+            assert _through_table(mode, n, minors) == _direct(mode, minors)
+    assert generic >= 3
+
+
+def test_a_zero_minor_in_a_symbol_sum_is_a_genericity_error():
+    for mode, n, minors in (("P", 2, [1, 0, -1]), ("P+", 2, [1, 1, 0]), ("P+", 3, [0, 2, 3, 5])):
+        with pytest.raises(GenericityError, match="a maximal minor is zero"):
+            symbol_sum(mode, n, [([1] * (n + 1), 1), (minors, 1)])

@@ -1,14 +1,16 @@
 """The integer kernels against a plain Gaussian-elimination oracle over Q and Q(sqrt d),
 and the minors sweep against one ``det_int`` per subset."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from tautclass import configs, flatbundles
-from tautclass._kernels import SWEEP_MAX_N, _sweep_plan, det_int, minors_int, rank_int
+from tautclass import _kernels, configs, flatbundles
+from tautclass._kernels import SWEEP_MAX_N, _sweep, det_int, minors_int, rank_int
 from tautclass.cli import main
 from tautclass.exactmath import QuadExt, clear_denominators
 
@@ -129,7 +131,7 @@ def test_minors_sweep_matches_det_per_subset(kind, n):
     if n > 5 and kind.startswith("quad"):
         _check_sweep(_rows(kind, rng, n + 1, n), n, singular=False)
         return
-    for m in (n, n + 1, n + 2):
+    for m in (n, n + 1, n + 2, n + 3):
         _check_sweep(_rows(kind, rng, m, n), n)
 
 
@@ -155,15 +157,50 @@ def test_maximal_minors_order_and_relation_coefficients():
             assert flatbundles._relation_coefficients(corners) == expected
 
 
-def test_no_sweep_plan_above_the_cut(capsys):
-    """Above n = SWEEP_MAX_N the minors come per subset: the plan would grow as 2^n."""
+def test_no_sweep_code_above_the_cut(capsys, monkeypatch):
+    """Above n = SWEEP_MAX_N the minors come per subset: the code would grow as 2^n."""
     rng = random.Random(0)
     n = 16
     points = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n + 2)]
-    before = _sweep_plan.cache_info()
+    before = _sweep.cache_info()
     minors = configs.subset_minors(points, n)
-    assert _sweep_plan.cache_info() == before
+    assert _sweep.cache_info() == before
     assert len(minors) == 153 and all(minors.values())
     assert SWEEP_MAX_N < 12
+    sizes = []
+    monkeypatch.setattr(_kernels, "_sweep", lambda m, n: sizes.append(n) or _sweep(m, n))
     assert main(["verify", "euler-boundary", "--n", "12", "--samples", "1"]) == 0
     capsys.readouterr()
+    assert all(n <= SWEEP_MAX_N for n in sizes)
+
+
+def test_sweep_code_is_generated_once_per_shape():
+    rng = random.Random(5)
+    _sweep.cache_clear()
+    shapes = [(m, n) for n in (1, 2, 4) for m in (n, n + 2)]
+    for _ in range(3):
+        for m, n in shapes:
+            minors_int(_rows("int", rng, m, n), n)
+    info = _sweep.cache_info()
+    assert (info.misses, info.currsize, info.hits) == (len(shapes), len(shapes), 2 * len(shapes))
+
+
+@pytest.mark.parametrize("m, n", [(3, 0), (2, 3), (12, 9), (3.0, 2), (3, True), ("3", 2), (-1, -1)])
+def test_sweep_generator_refuses_other_shapes(m, n):
+    with pytest.raises(ValueError, match="no sweep"):
+        _sweep(m, n)
+
+
+def test_exec_and_eval_only_in_the_sweep_generator():
+    """The one dynamic-code site is ``_kernels._sweep``, whose source comes from (m, n) alone."""
+    sites = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("exec", "eval"):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parent[scope]
+                sites.append((path.name, getattr(scope, "name", None)))
+    assert sites == [("_kernels.py", "_sweep")]
