@@ -82,6 +82,14 @@ def minors_int(rows: list[list], n: int) -> list:
     return _sweep(m, n)(*rows)
 
 
+def maximal_minors_int(rows: list[list]) -> list:
+    """D_j = det of the n+1 integral rows in K^n without row j, for j = 0..n.
+
+    ``combinations`` drops row n first, so D is ``minors_int``'s list reversed.
+    """
+    return minors_int(rows, len(rows) - 1)[::-1]
+
+
 @lru_cache(maxsize=32, typed=True)  # typed: (3.0, 2) misses the (3, 2) code and is refused
 def _sweep(m: int, n: int):
     """``minors_int`` of m rows for n, as straight-line code in r0..r{m-1}.

@@ -341,8 +341,6 @@ def cmd_eval(args) -> int:
     t0 = time.time()
     selector = Selector.parse(args.selector)
     rep, sc, z, bundle = _load_bundle(args.rep)
-    if selector.kind == "witt" and (bundle.n != 2 or bundle.field != QQ):
-        raise UsageError("witt selector needs a rank-2 bundle over Q")
     s = random_generic_section(bundle, seed=args.seed)
     value, per_simplex = evaluate_class(bundle, s, selector, z, detail=True)
     report = {

@@ -1,22 +1,21 @@
 """Symbol calculus on generic projective configurations.
 
-A generic (n+1)-tuple of points of P^{n-1} (or of the positive
-projective space P_+^{n-1}) carries a canonical symbol: a sign for the
-plain projective space, and a leading sign plus n coefficient signs for
-the positive one.  Canonicalization rewrites the latter into the free
-basis {a+ : 0 <= a <= floor(n/2)} (ascending a).  Alternating face sums
-of these symbols are the quantities whose vanishing the test-suite
-checks wholesale.
+A generic (n+1)-tuple of points of the positive projective space
+P_+^{n-1} carries a canonical symbol: a leading sign plus n coefficient
+signs, rewritten into the free basis {a+ : 0 <= a <= floor(n/2)}
+(ascending a).  For even n its image under P_+ -> P, a sign, is the
+symbol of the tuple in the plain projective space P^{n-1}.  Alternating
+face sums of these symbols are the quantities whose vanishing the
+test-suite checks wholesale.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from math import prod
 from typing import Iterable, Literal, Sequence
 
-from ._kernels import minors_int
+from ._kernels import maximal_minors_int, minors_int
 from ._value import Value
 from .exactmath import Scalar, clear_denominators, sign
 from .witt import WittElement
@@ -98,9 +97,9 @@ def maximal_minors(points: Sequence[Point]) -> list[Scalar]:
     """D_j = det of the n+1 lifts in K^n without lift j, for j = 0..n.
 
     Every symbol of the tuple is read from these (see ``subset_minors`` for
-    the positive rescaling of the lifts), the sweep's minors in reverse.
+    the positive rescaling of the lifts).
     """
-    return minors_int([clear_denominators(p)[0] for p in points], len(points) - 1)[::-1]
+    return maximal_minors_int([clear_denominators(p)[0] for p in points])
 
 
 def face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:
@@ -117,45 +116,28 @@ def _generic_minors(points: Sequence[Point]) -> list[Scalar]:
     return minors
 
 
-def _raw_signs(minors: Sequence[Scalar]) -> tuple[int, tuple[int, ...]]:
-    """(s, (s_1..s_n)) of the raw symbol, from the nonzero maximal minors D_0..D_n.
+@cache
+def _plus_class(signs: tuple[int, ...]) -> tuple[int, int]:
+    """(a, e): a generic tuple in P_+^{n-1} has symbol e * (a+), by the signs of D_0..D_n.
 
-    With v_n = sum a_i v_i, Cramer gives a_i = (-1)^(n-i+1) D_i / D_n,
-    and s = sgn D_n.
+    Each of the 2^(n+1) sign vectors is read once.  With v_n = sum a_i v_i,
+    Cramer gives a_i = (-1)^(n-i+1) D_i / D_n: the raw symbol has leading
+    sign s = sgn D_n and a plus signs among the a_i.  Rule order (the two
+    relations commute, which tests assert): first flip a negative leading
+    sign via a- = -(a+), then fold a from above the midpoint via
+    a+ = -(n+1-a)+.  For odd n the midpoint class is read as 0 (e = 0); it
+    is measured to be zero in the coinvariants at n = 1 and 3.
     """
-    if 0 in minors:
+    if 0 in signs:
         raise GenericityError("a maximal minor is zero")
-    n = len(minors) - 1
-    lead = sign(minors[n])
-    return lead, tuple((-1) ** (n - i + 1) * sign(minors[i]) * lead for i in range(n))
-
-
-def _u_sign(minors: Sequence[Scalar]) -> int:
-    """sgn(det(v_0..v_{n-1}) * a_0 * ... * a_{n-1}) from the maximal minors."""
-    lead, tail = _raw_signs(minors)
-    return lead * prod(tail)
-
-
-def _canonical(n: int, a: int, lead: int) -> tuple[int, int]:
-    """(a', e): the raw symbol with leading sign ``lead`` and a plus signs is e * (a'+).
-
-    Rule order (the two relations commute, which tests assert): first
-    flip a negative leading sign via a- = -(a+), then fold a from above
-    the midpoint via a+ = -(n+1-a)+.  For odd n the midpoint class is
-    read as 0 (e = 0); it is measured to be zero in the coinvariants at
-    n = 1 and 3.
-    """
+    n = len(signs) - 1
+    lead = signs[n]
+    a = sum((-1) ** (n - i + 1) * signs[i] == lead for i in range(n))
     if n % 2 and 2 * a == n + 1:
         return 0, 0
     if a > n // 2:
         return n + 1 - a, -lead
     return a, lead
-
-
-def _plus_class(minors: Sequence[Scalar]) -> tuple[int, int]:
-    """The canonical (a, e) of a generic tuple in P_+^{n-1}, from its maximal minors."""
-    lead, tail = _raw_signs(minors)
-    return _canonical(len(tail), tail.count(1), lead)
 
 
 def witt_symbol_from_minors(minors: Sequence[Scalar]) -> WittElement:
@@ -170,8 +152,6 @@ def u_symbol(points: Sequence[Point]) -> USymbol:
     where v_{n+1} = sum a_i v_i: the one-term ``symbol_sum``.
     """
     n = len(points) - 1
-    if n % 2:
-        raise ValueError("u_symbol needs even n")
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P^{n - 1}")
     return symbol_sum("P", n, [(_generic_minors(points), 1)])
@@ -195,15 +175,6 @@ def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
 
 Mode = Literal["P", "P+", "witt"]
 
-# per sign mode: the table of the canonical (a, e) of a generic tuple by the
-# signs of its maximal minors (its symbol is e times basis element a; a = 0
-# for "P"), each of the 2^(n+1) sign vectors read once by the mode's reader on
-# first sight, and the symbol with given integer coefficients on the basis
-SIGN_MODES = {
-    "P": (cache(lambda signs: (0, _u_sign(signs))), lambda n, coeffs: USymbol(n, coeffs[0])),
-    "P+": (cache(_plus_class), lambda n, coeffs: UPlusSymbol(n, tuple(coeffs))),
-}
-
 
 def symbol_sum(
     mode: Mode,
@@ -212,22 +183,25 @@ def symbol_sum(
 ):
     """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
 
-    The minors are the nonzero maximal minors of lifts in K^n.  A USymbol
-    (mode "P") or a UPlusSymbol ("P+"): each term's canonical (a, e), one
-    lookup by the signs of its minors, is folded into integer coefficients
-    and one symbol is built (a zero minor raises GenericityError).  A
-    WittElement ("witt", n = 2), summed in one pass.
+    The minors are the nonzero maximal minors of lifts in K^n.  A
+    UPlusSymbol (mode "P+"): each term's canonical (a, e), one lookup by
+    the signs of its minors, is folded into integer coefficients c_a (a
+    zero minor raises GenericityError).  A USymbol (mode "P", n even): the
+    same fold pushed forward by P_+ -> P, which sends a+ to (-1)^a [+], so
+    the coefficient is sum_a (-1)^a c_a.  A WittElement ("witt", n = 2),
+    summed in one pass.
     """
     if mode == "witt":
         return WittElement.combination((witt_symbol_from_minors(minors), c) for minors, c in terms)
-    if mode not in SIGN_MODES:
+    if mode not in ("P", "P+"):
         raise ValueError(f"unknown mode {mode!r}")
-    table, symbol = SIGN_MODES[mode]
     coeffs = [0] * (n // 2 + 1)
     for minors, c in terms:
-        a, e = table(tuple(map(sign, minors)))
+        a, e = _plus_class(tuple(map(sign, minors)))
         coeffs[a] += e * c
-    return symbol(n, coeffs)
+    if mode == "P":
+        return USymbol(n, sum((-1) ** a * c for a, c in enumerate(coeffs)))
+    return UPlusSymbol(n, tuple(coeffs))
 
 
 def boundary_symbol_sum(points: Sequence[Point], mode: Mode):

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from ._kernels import det_int, minors_int, rank_int
+from ._kernels import det_int, maximal_minors_int, rank_int
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
@@ -459,8 +459,7 @@ class Matrix:
         adj = []
         for i in range(n):
             # adj(a)[i][j] = (-1)^(i+j) * det(a without row j and column i)
-            without_col = [r[:i] + r[i + 1 :] for r in a.rows]
-            minors = minors_int(without_col, n - 1)[::-1]  # minor j drops row j
+            minors = maximal_minors_int([r[:i] + r[i + 1 :] for r in a.rows])
             adj.append([f * ((-1) ** (i + j) * x) for j, x in enumerate(minors)])
         lam = abs(norm).numerator
         g = gcd(lam, *(p.numerator for row in adj for x in row for p in _parts(x)))

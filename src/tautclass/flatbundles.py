@@ -16,7 +16,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
-from ._kernels import minors_int, rank_int
+from ._kernels import maximal_minors_int, rank_int
 from ._value import Value
 from .complexes import Chain, DeltaComplex, ProductComplex, boundary
 from .configs import GenericityError
@@ -453,7 +453,7 @@ def _relation_coefficients(corners: Sequence[tuple[tuple, int]]) -> list[Scalar]
     > 0 changes no zero, no zero sum and no sum-normalized value.
     """
     lifts, scales = zip(*corners)
-    minors = minors_int(lifts, len(lifts) - 1)[::-1]
+    minors = maximal_minors_int(lifts)
     return [(-1) ** i * k * d for i, (k, d) in enumerate(zip(scales, minors))]
 
 
@@ -527,7 +527,7 @@ def evaluate_class(
     terms = []
     for sid, c in z.coeffs.items():
         lifts = [lift for lift, _ in bundle._corners(s.values, n, sid)]
-        minors = minors_int(lifts, n)[::-1]  # D_j drops lift j, as in ``configs.maximal_minors``
+        minors = maximal_minors_int(lifts)
         if not all(minors):
             raise GenericityError("section is not generic on the support of z")
         terms.append((minors, c))

@@ -138,6 +138,20 @@ def test_eval_witt_invariants(capsys):
     assert report["invariants"]["signature"] == -4
 
 
+@pytest.mark.parametrize(
+    "rep, reason",
+    [
+        ("g2_solved_1.json", "the witt selector needs an SL(2, Q) bundle"),  # GL+
+        ("g2_rank1.json", "cycle dimension 2 != fiber dimension 1"),
+    ],
+)
+def test_eval_witt_outside_sl2_q_is_a_usage_error(capsys, rep, reason):
+    # evaluate_class applies the whole witt rule: n = 2, over Q, tag SL
+    assert main(["eval", "--rep", rep_path(rep), "--selector", "witt"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {reason}\n")
+
+
 def test_eval_determinism(capsys):
     args = ("eval", "--rep", rep_path("g2_swap.json"), "--selector", "euplus", "--seed", "5")
     _, out1 = _run(capsys, *args)
@@ -575,11 +589,17 @@ def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):
 
 
 def _count_sweeps(monkeypatch):
-    """Count the subset-minor sweeps of ``configs`` and the vectors ``verify`` draws."""
+    """Count the minor sweeps of ``configs`` and the vectors ``verify`` draws."""
     sweeps, vectors = [], []
-    real_minors, real_vector = configs.minors_int, cli.random_vector
+    real_minors, real_maximal = configs.minors_int, configs.maximal_minors_int
+    real_vector = cli.random_vector
     monkeypatch.setattr(
         configs, "minors_int", lambda rows, n: sweeps.append(n) or real_minors(rows, n)
+    )
+    monkeypatch.setattr(
+        configs,
+        "maximal_minors_int",
+        lambda rows: sweeps.append(len(rows) - 1) or real_maximal(rows),
     )
     monkeypatch.setattr(
         cli, "random_vector", lambda *a: vectors.append(a) or real_vector(*a)

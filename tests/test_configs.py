@@ -85,27 +85,42 @@ def _canonical_oracle(n, lead, tail):
     return tuple(coeffs)
 
 
+def _u_oracle(lead, tail):
+    """The P symbol of the raw symbol [lead; tail]: sgn(det(v_0..v_{n-1}) * a_0 * ... * a_{n-1})."""
+    return lead * prod(tail)
+
+
+def _signs_of_raw(lead, tail):
+    """The signs of D_0..D_n of raw symbol [lead; tail], by Cramer: a_i = (-1)^(n-i+1) D_i / D_n."""
+    n = len(tail)
+    return tuple((-1) ** (n - i + 1) * t * lead for i, t in enumerate(tail)) + (lead,)
+
+
 def _canonical_coefficients(n, lead, tail):
-    """``configs._canonical``'s (a, e) for [lead; tail], as coefficients on {a+}."""
-    a, e = configs._canonical(n, tail.count(1), lead)
+    """``configs._plus_class``'s (a, e) for [lead; tail], as coefficients on {a+}."""
+    a, e = configs._plus_class(_signs_of_raw(lead, tail))
     return tuple(e * (i == a) for i in range(n // 2 + 1))
 
 
 def test_uplus_raw_examples():
-    assert _minors_raw([(1, 0), (0, 1), (1, 1)]) == (1, (1, 1))
-    assert _minors_raw([(1, 0), (0, -1), (1, -1)]) == (-1, (1, 1))
+    examples = [([(1, 0), (0, 1), (1, 1)], (1, (1, 1))), ([(1, 0), (0, -1), (1, -1)], (-1, (1, 1)))]
+    for points, raw in examples:
+        assert _cramer_raw(points) == raw
+        assert _minor_signs(points) == _signs_of_raw(*raw)
+        assert uplus_symbol(points).coefficients == _canonical_oracle(2, *raw)
 
 
 def test_uplus_raw_positive_rescaling_invariance():
     rng = random.Random(0)
     for _ in range(40):
         tup = _random_generic(rng, 3, 4)
-        raw = _minors_raw(tup)
+        signs = _minor_signs(tup)
         scaled = []
         for v in tup:
             lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             scaled.append(tuple(lam * x for x in v))
-        assert _minors_raw(scaled) == raw
+        assert _minor_signs(scaled) == signs
+        assert uplus_symbol(scaled) == uplus_symbol(tup)
 
 
 @pytest.mark.parametrize("canonical", [_canonical_coefficients, _canonical_oracle])
@@ -155,8 +170,9 @@ def test_gl_equivariance():
         tup = _random_generic(rng, 2, 3, bound=5)
         image = [flip.apply(v) for v in tup]
         assert u_symbol(image).coefficient == -u_symbol(tup).coefficient
-        (lead, tail), (lead2, tail2) = _minors_raw(tup), _minors_raw(image)
+        (lead, tail), (lead2, tail2) = _cramer_raw(tup), _cramer_raw(image)
         assert lead2 == -lead and tail2 == tail
+        assert _minor_signs(image) == tuple(-s for s in _minor_signs(tup))
 
 
 def test_witt_triple_symbol_examples():
@@ -256,8 +272,12 @@ def _random_tuple(rng, kind, n):
     return [tuple(_SCALARS[kind](rng) for _ in range(n)) for _ in range(n + 1)]
 
 
-def _minors_raw(points):
-    return configs._raw_signs(configs._generic_minors(points))
+def _minor_signs(points):
+    return tuple(map(sign, configs._generic_minors(points)))
+
+
+def _cramer_signs(points):
+    return _signs_of_raw(*_cramer_raw(points))
 
 
 def _outcome(fn, points):
@@ -278,8 +298,8 @@ def test_minors_symbols_match_cramer_oracle(kind, n):
             # force a dependency: two projectively equal points
             i, j = rng.sample(range(n + 1), 2)
             tup[i] = tuple(2 * x for x in tup[j])
+        assert _outcome(_minor_signs, tup) == _outcome(_cramer_signs, tup), tup
         expected = _outcome(_cramer_raw, tup)
-        assert _outcome(_minors_raw, tup) == expected, tup
         if expected[0] == "GenericityError":
             if n % 2 == 0:
                 assert _outcome(u_symbol, tup) == expected
@@ -288,7 +308,7 @@ def test_minors_symbols_match_cramer_oracle(kind, n):
         assert all(maximal_minors(tup))
         if n % 2 == 0:
             lead, tail = expected
-            assert u_symbol(tup).coefficient == lead * prod(tail)
+            assert u_symbol(tup).coefficient == _u_oracle(lead, tail)
     assert generic >= 5
 
 
@@ -310,7 +330,7 @@ def test_single_tuple_symbols_match_the_cramer_oracle(kind, n):
         lead, tail = raw
         assert uplus_symbol(tup).coefficients == _canonical_oracle(n, lead, tail), tup
         if n % 2 == 0:
-            assert u_symbol(tup).coefficient == lead * prod(tail), tup
+            assert u_symbol(tup).coefficient == _u_oracle(lead, tail), tup
     assert generic >= 5
 
 
@@ -403,7 +423,7 @@ def test_sign_mode_symbol_sums_are_the_term_by_term_fold(n):
         raws = [_cramer_raw(tup) for tup in tuples]
         for mode in modes:
             if mode == "P":
-                columns = [(lead * prod(tail),) for lead, tail in raws]
+                columns = [(_u_oracle(lead, tail),) for lead, tail in raws]
                 symbol = lambda col: USymbol(n, col[0])
             else:
                 columns = [_canonical_oracle(n, lead, tail) for lead, tail in raws]
@@ -438,47 +458,63 @@ def test_sign_modes_refuse_odd_n_and_unknown_modes():
         symbol_sum("Q", 2, [])
 
 
-def _direct(mode, minors):
-    """The mode's reader on the minors themselves, without the sign-vector table."""
-    return configs._plus_class(minors) if mode == "P+" else (0, configs._u_sign(minors))
-
-
-def _through_table(mode, n, minors):
-    """(a, e) of the one-term ``symbol_sum``, which reads the table."""
+def _one_term(mode, n, minors):
+    """The one-term ``symbol_sum`` of the minors, as coefficients on the mode's basis."""
     total = symbol_sum(mode, n, [(minors, 1)])
-    if mode == "P":
-        return 0, total.coefficient
-    a = next((a for a, c in enumerate(total.coefficients) if c), 0)  # e = 0: the odd-n midpoint
-    return a, total.coefficients[a]
+    return (total.coefficient,) if mode == "P" else total.coefficients
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_sign_table_agrees_with_the_reader_on_every_sign_vector(n):
-    # [s e_0, e_1, .., e_{n-1}, sum d_i e_i] realizes each sign vector once
+def _oracle(mode, n, raw):
+    """The symbol of the raw symbol ``raw``: the P oracle, or the fold-first rules on {a+}."""
+    return (_u_oracle(*raw),) if mode == "P" else _canonical_oracle(n, *raw)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_one_term_sums_match_the_oracle_on_every_sign_vector(n):
+    # [s e_0, e_1, .., e_{n-1}, sum d_i e_i] realizes each sign vector once,
+    # with raw symbol [s; s d_0, d_1, .., d_{n-1}] by Cramer.  Mode P is the
+    # fold of the P+ class, so this certifies the fold on every key the
+    # sign reader can be asked
     seen = set()
     for s, *d in itertools.product((-1, 1), repeat=n + 1):
         points = [tuple(s * x for x in _e(0, n))] + [_e(i, n) for i in range(1, n)] + [tuple(d)]
         minors = maximal_minors(points)
-        seen.add(tuple(map(sign, minors)))
+        signs = tuple(map(sign, minors))
+        seen.add(signs)
+        raw = (s, (s * d[0], *d[1:]))
+        assert _signs_of_raw(*raw) == signs
         for mode in ["P", "P+"] if n % 2 == 0 else ["P+"]:
-            assert _through_table(mode, n, minors) == _direct(mode, minors), (mode, points)
-            assert configs.SIGN_MODES[mode][0](tuple(map(sign, minors))) == _direct(mode, minors)
+            assert _one_term(mode, n, minors) == _oracle(mode, n, raw), (mode, points)
     assert seen == set(itertools.product((-1, 1), repeat=n + 1))
 
 
 @pytest.mark.parametrize("kind", ["fraction", "quad"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-def test_sign_table_agrees_with_the_reader_on_random_tuples(kind, n):
+def test_one_term_sums_match_the_oracle_on_random_tuples(kind, n):
     rng = random.Random(f"table-{kind}-{n}")
     generic = 0
     for _ in range(30 if kind == "fraction" else 8):
-        minors = maximal_minors(_random_tuple(rng, kind, n))
+        tup = _random_tuple(rng, kind, n)
+        minors = maximal_minors(tup)
         if not all(minors):
             continue
         generic += 1
         for mode in ["P", "P+"] if n % 2 == 0 else ["P+"]:
-            assert _through_table(mode, n, minors) == _direct(mode, minors)
+            assert _one_term(mode, n, minors) == _oracle(mode, n, _cramer_raw(tup))
     assert generic >= 3
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_adjacent_swaps_negate_the_symbol_on_every_sign_vector(n):
+    # swapping points k, k+1 swaps D_k and D_{k+1} and negates every other
+    # minor (its columns swap): the 2^(n+1) n alternation cases
+    for signs in itertools.product((-1, 1), repeat=n + 1):
+        for k in range(n):
+            swapped = [-x for x in signs]
+            swapped[k], swapped[k + 1] = signs[k + 1], signs[k]
+            for mode in ["P", "P+"] if n % 2 == 0 else ["P+"]:
+                before, after = _one_term(mode, n, signs), _one_term(mode, n, swapped)
+                assert after == tuple(-c for c in before), (mode, signs, k)
 
 
 def test_a_zero_minor_in_a_symbol_sum_is_a_genericity_error():

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from tautclass import _kernels, configs, flatbundles
-from tautclass._kernels import SWEEP_MAX_N, _sweep, det_int, minors_int, rank_int
+from tautclass._kernels import (
+    SWEEP_MAX_N,
+    _sweep,
+    det_int,
+    maximal_minors_int,
+    minors_int,
+    rank_int,
+)
 from tautclass.cli import main
 from tautclass.exactmath import QuadExt, clear_denominators
 
@@ -139,6 +146,27 @@ def test_minors_sweep_edge_sizes():
     assert minors_int([[1, 2], [3, 4]], 0) == [1]
     assert minors_int([[1, 2]], 2) == []
     assert minors_int([[5]], 1) == [5]
+
+
+@pytest.mark.parametrize("kind", ["int", "quad2"])
+@pytest.mark.parametrize("n", range(1, 10))  # 9 > SWEEP_MAX_N: the det_int fallback
+def test_maximal_minor_j_drops_row_j(kind, n):
+    rng = random.Random(f"maximal-{kind}-{n}")
+    for _ in range(3 if kind == "int" else 1):
+        rows = _rows(kind, rng, n + 1, n)
+        assert maximal_minors_int(rows) == [det_int(rows[:j] + rows[j + 1 :]) for j in range(n + 1)]
+
+
+def test_the_minor_order_is_reversed_only_in_the_kernels():
+    src = Path(__file__).resolve().parents[1] / "src"
+    reversals = [
+        (path.name, line)
+        for path in sorted(src.rglob("*.py"))
+        if path.name != "_kernels.py"
+        for line in path.read_text().splitlines()
+        if "[::-1]" in line
+    ]
+    assert reversals == []
 
 
 def test_maximal_minors_order_and_relation_coefficients():
