@@ -40,6 +40,7 @@ from .flatbundles import (
     TagError,
     UsageError,
     bundle_from_surface_rep,
+    check_usage,
     evaluate_class,
     product_bundle,
     random_generic_section,
@@ -282,7 +283,11 @@ def _suite_comparison(args, rng):
     )
     if relation != 0:
         failures.append({"check": "linear-relation", "value": relation})
-    if bundle.tag == "SL" and n == 2 and bundle.field == QQ:
+    try:
+        check_usage(bundle, Selector("witt"), z)
+    except UsageError:
+        pass
+    else:
         w = evaluate_class(bundle, s, Selector("witt"), z)
         info["witt"] = w.to_json()
         info["witt_signature"] = w.signature()
@@ -341,6 +346,7 @@ def cmd_eval(args) -> int:
     t0 = time.time()
     selector = Selector.parse(args.selector)
     rep, sc, z, bundle = _load_bundle(args.rep)
+    check_usage(bundle, selector, z)
     s = random_generic_section(bundle, seed=args.seed)
     value, per_simplex = evaluate_class(bundle, s, selector, z, detail=True)
     report = {
@@ -373,11 +379,11 @@ def cmd_product(args) -> int:
     rng = random.Random(args.seed)
     repA, scA, zA, bundleA = _load_bundle(args.repA)
     repB, scB, zB, bundleB = _load_bundle(args.repB)
-    if repA.field != repB.field:
-        raise UsageError("product needs representations over the same field")
+    px = product_complex(scA, scB)
+    bundleP = product_bundle(px, bundleA, bundleB)
+    eu0 = Selector("euk", 0)
     for bundle, z in ((bundleA, zA), (bundleB, zB)):
-        if z.dim != bundle.n:
-            raise UsageError(f"cycle dimension {z.dim} != fiber dimension {bundle.n}")
+        check_usage(bundle, eu0, z)
     attempts = 0
     disjoint = False
     while attempts < 30 and not disjoint:
@@ -394,8 +400,6 @@ def cmd_product(args) -> int:
     if not disjoint:
         sys.stderr.write("could not reach disjoint scalar sets\n")
         return EXIT_RESAMPLING
-    px = product_complex(scA, scB)
-    bundleP = product_bundle(px, bundleA, bundleB)
     zz = product_chain(px, zA, zB)
     section = Section(
         {
@@ -403,9 +407,9 @@ def cmd_product(args) -> int:
             for v in range(px.num_vertices)
         }
     )
-    euA, symbolsA = evaluate_class(bundleA, sA, Selector("euk", 0), zA, detail=True)
-    euB, symbolsB = evaluate_class(bundleB, sB, Selector("euk", 0), zB, detail=True)
-    lhs = evaluate_class(bundleP, section, Selector("euk", 0), zz)
+    euA, symbolsA = evaluate_class(bundleA, sA, eu0, zA, detail=True)
+    euB, symbolsB = evaluate_class(bundleB, sB, eu0, zB, detail=True)
+    lhs = evaluate_class(bundleP, section, eu0, zz)
     cup = _cup_product_check(px, bundleA.n, symbolsA, bundleB.n, symbolsB, zz)
     report = {
         "repA": args.repA,

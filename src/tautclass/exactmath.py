@@ -402,14 +402,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def block_diag(cls, *blocks: "Matrix") -> "Matrix":
-        n, rows = sum(b.nrows for b in blocks), []
-        for b in blocks:
-            at = len(rows)
-            rows += [[0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows]
-        return cls(rows)
-
     def det(self) -> Scalar:
         _, m, d = self.cleared()
         return d if m == 1 else exact_div(d, m**self.nrows)

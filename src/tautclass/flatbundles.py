@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
@@ -66,8 +65,10 @@ def _tag_allows(x: Scalar, y: Scalar, tag: str) -> bool:
     return sign(x) * sign(y) > 0  # P+GL+
 
 
-def _check_tag_det(d: Scalar, den: int, tag: str) -> None:
-    """Raise TagError unless det = d / den, den a positive integer, fits the tag."""
+def _check_tag_det(h: Matrix, tag: str) -> None:
+    """Raise TagError unless det h fits the tag, read from h's integral record."""
+    _, m, d = h.cleared()
+    den = m**h.nrows
     if not d:
         raise TagError("holonomy matrix is singular")
     if tag == "SL":
@@ -77,43 +78,15 @@ def _check_tag_det(d: Scalar, den: int, tag: str) -> None:
         raise TagError(f"tag {tag} needs a positive-determinant representative")
 
 
-def _path_ratio(h12, h01, h02, ratios) -> tuple[Scalar, Scalar] | None:
-    """(x, y) with h12 h01 == (x/y) h02, checked block by block, or None.
-
-    Each argument is the record of one edge: per block (id(block), a, m)
-    with a = m * block cleared.  Every block must give the same ratio, and
-    ``ratios`` keeps a12 a01 : a02 per triple of block ids.
-    """
-    out = None
-    for (ka, a, ma), (kb, b, mb), (kc, c, mc) in zip(h12, h01, h02):
-        key = ka, kb, kc
-        if key not in ratios:
-            ratios[key] = (a @ b).ratio_to(c)
-        r = ratios[key]
-        if r is None:
-            return None
-        # (a b) / (ma mb) == (x0/y0) c / (ma mb) == (x0 mc / (y0 ma mb)) (c / mc)
-        x, y = r[0] * mc, r[1] * ma * mb
-        if out is not None and x * out[1] != out[0] * y:
-            return None
-        out = (x, y)
-    return out
-
-
 class FlatBundle:
-    """Edge-holonomy presentation of a flat bundle over a Delta-complex.
-
-    A holonomy given as a tuple of square blocks is their block sum, and
-    is validated and inverted block by block: ``blocks[e]`` holds the
-    blocks of edge e, and the sum itself is built only for an error text.
-    """
+    """Edge-holonomy presentation of a flat bundle over a Delta-complex."""
 
     def __init__(
         self,
         base: DeltaComplex,
         n: int,
         tag: str,
-        holonomy: Mapping[int, Matrix | tuple[Matrix, ...]],
+        holonomy: Mapping[int, Matrix],
         field: Field = QQ,
     ):
         if tag not in TAGS:
@@ -122,49 +95,39 @@ class FlatBundle:
         self.n = n
         self.tag = tag
         self.field = field
-        self.blocks = {e: h if isinstance(h, tuple) else (h,) for e, h in holonomy.items()}
+        self.holonomy = dict(holonomy)
         self._lifts: dict[tuple, tuple[tuple, int]] = {}
         self.validate()
 
     def validate(self) -> None:
         """Shape and tag of every edge, the triangle condition on every 2-simplex."""
         n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        # per edge, a record (id(block), cleared block, multiplier) for each block
-        ratios, records = {}, []
-        sizes = [b.nrows for b in self.blocks.get(0, ())]
+        cleared = []  # per edge, (a, m) with a = m * h integral
         for eid in range(n_edges):
-            if eid not in self.blocks:
+            if eid not in self.holonomy:
                 raise ValueError(f"edge {eid} has no holonomy")
-            blocks = self.blocks[eid]
-            shape = [b.nrows for b in blocks]
-            if shape != sizes or sum(shape) != self.n or any(b.ncols != b.nrows for b in blocks):
+            h = self.holonomy[eid]
+            if (h.nrows, h.ncols) != (self.n, self.n):
                 raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            cleared = [b.cleared() for b in blocks]
-            # det h = prod(d) / prod(m^k), as det(a) = m^k det(b) for a k x k block
-            den = prod(m**a.nrows for a, m, _ in cleared)
-            _check_tag_det(prod(d for _, _, d in cleared), den, self.tag)
-            records.append(tuple((id(b), a, m) for b, (a, m, _) in zip(blocks, cleared)))
+            _check_tag_det(h, self.tag)
+            cleared.append(h.cleared()[:2])
         if self.base.dimension >= 2:
             for sid, s in enumerate(self.base.simplices[2]):
                 # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
-                f12, f02, f01 = s.faces
-                ratio = _path_ratio(records[f12], records[f01], records[f02], ratios)
-                if ratio is None or not _tag_allows(*ratio, self.tag):
-                    h01, h12, h02 = (Matrix.block_diag(*self.blocks[f]) for f in (f01, f12, f02))
+                (a12, m12), (a02, m02), (a01, m01) = (cleared[f] for f in s.faces)
+                r = (a12 @ a01).ratio_to(a02)
+                # a12 a01 == (x/y) a02 gives h12 h01 == (x m02 / (y m12 m01)) h02
+                if r is None or not _tag_allows(r[0] * m02, r[1] * m12 * m01, self.tag):
+                    h12, h02, h01 = (self.holonomy[f] for f in s.faces)
                     residual = h02.inverse() @ (h12 @ h01)
                     raise TriangleError(
                         f"triangle condition fails on 2-simplex {sid} "
                         f"(residual {residual!r})"
                     )
 
-    def transport(self, eid: int) -> tuple[tuple[Matrix, ...], int]:
-        """(blocks, lam) for edge eid: blocks[i] = lam * (its block i)^-1, integral, lam > 0.
-
-        The transport lam * h^-1 is the block sum of ``blocks``; it is not built.
-        """
-        parts = [b.scaled_inverse() for b in self.blocks[eid]]
-        lam = lcm(*(k for _, k in parts))
-        return tuple(m if k == lam else m.scaled(lam // k) for m, k in parts), lam
+    def transport(self, eid: int) -> tuple[Matrix, int]:
+        """(M, lam) for edge eid: M = lam * h^-1 integral, lam > 0."""
+        return self.holonomy[eid].scaled_inverse()
 
     def corner_values(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
@@ -177,40 +140,56 @@ class FlatBundle:
         """(lift, scale) for each corner whose vertex has a value.
 
         The corner's value in the corner-0 frame is lift / scale: the lift is
-        integral (``clear_denominators``) and the scale a positive integer,
-        the transport's lam times the multiplier that cleared the lift.
+        integral (``clear_denominators``) and the scale a positive integer.
         ``values`` maps vertices to vectors: a section's values or a partial
-        assignment.  The bundle keeps each (lift, scale) for its life, keyed
-        by (edge id, vector), edge id None at corner 0: the key holds all a
-        lift depends on, so sampling, scalar sets and evaluation share lifts.
+        assignment.
         """
         vertices = self.base.simplices[dim][sid].vertices
-        out = []
-        for eid, v in zip((None, *self.base.corner_edges[dim][sid]), vertices):
-            if v in values:
-                key = eid, tuple(values[v])
-                corner = self._lifts.get(key)
-                if corner is None:
-                    corner = self._lifts[key] = self._lift(*key)
-                out.append(corner)
-        return out
+        return [
+            self._lifted(eid, values[v])
+            for eid, v in zip((None, *self.base.corner_edges[dim][sid]), vertices)
+            if v in values
+        ]
+
+    def _lifted(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
+        """``_lift(eid, vec)``, kept for the bundle's life: every reader shares it."""
+        key = eid, tuple(vec)
+        corner = self._lifts.get(key)
+        if corner is None:
+            corner = self._lifts[key] = self._lift(*key)
+        return corner
 
     def _lift(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
-        """(lift, scale) of vec transported along edge eid, not transported for None.
-
-        Each block of the transport acts on its own slice of vec.
-        """
+        """(lift, scale) of vec transported along edge eid, not transported for None."""
         if eid is None:
             image, lam = vec, 1
         else:
-            blocks, lam = self.transport(eid)
-            image, at = [], 0
-            for b in blocks:
-                k = len(b.rows)
-                image += b.apply(vec[at : at + k])
-                at += k
+            m, lam = self.transport(eid)
+            image = m.apply(vec)
         lift, mult = clear_denominators(image)
         return tuple(lift), lam * mult
+
+
+class ProductBundle(FlatBundle):
+    """The direct sum of two valid bundles over their product complex, so valid itself.
+
+    It keeps no holonomy, so it has no transport: a lift along product edge
+    (p, sid, q, sid2) is the direct sum of the factors' lifts along edge sid
+    (p = 1, else none) and sid2.
+    """
+
+    def __init__(self, px: ProductComplex, e1: FlatBundle, e2: FlatBundle, tag: str):
+        self.base, self.n, self.tag, self.field = px, e1.n + e2.n, tag, e1.field
+        self.factors = e1, e2
+        self._lifts = {}
+
+    def _lift(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
+        """l1/s1 + l2/s2 = (s2 l1 + s1 l2) / (s1 s2), summands read from the factors' lifts."""
+        p, sid, q, sid2, _ = (0,) * 5 if eid is None else self.base.cell_info(1, eid)
+        e1, e2 = self.factors
+        l1, s1 = e1._lifted(sid if p else None, vec[: e1.n])
+        l2, s2 = e2._lifted(sid2 if q else None, vec[e1.n :])
+        return tuple(s2 * x for x in l1) + tuple(s1 * x for x in l2), s1 * s2
 
 
 class Section(Value):
@@ -289,8 +268,7 @@ def bundle_from_surface_rep(
     for m in matrices:
         if m.nrows != n or m.ncols != n:
             raise ValueError("matrices must be square of equal size")
-        _, mult, d = m.cleared()
-        _check_tag_det(d, mult**n, tag)
+        _check_tag_det(m, tag)
     inv = [m.inverse() for m in matrices]
     holonomy: dict[int, Matrix] = dict(enumerate(inv))  # the a_j and b_j edges
     # traversal holonomy of side k in polygon direction
@@ -305,8 +283,8 @@ def bundle_from_surface_rep(
         raise RelatorError(relator_product(matrices)) from None
 
 
-def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBundle:
-    """Block-diagonal bundle over a product complex."""
+def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> ProductBundle:
+    """The direct sum of the factors over their product complex."""
     if e1.field != e2.field:
         raise UsageError("product of bundles over different fields")
     if e1.tag not in LINEAR_TAGS or e2.tag not in LINEAR_TAGS:
@@ -314,16 +292,7 @@ def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> FlatBu
     if px.left is not e1.base or px.right is not e2.base:
         raise ValueError("product complex does not match the bundle bases")
     tag = "SL" if (e1.tag, e2.tag) == ("SL", "SL") else "GL+"
-    # identities shaped like each factor's blocks, so a product factor keeps its blocks
-    i1, i2 = (
-        tuple(Matrix.identity(b.nrows) for b in e.blocks.get(0, (Matrix.identity(e.n),)))
-        for e in (e1, e2)
-    )
-    holonomy = {}
-    for eid in range(len(px.simplices[1])):
-        p, sid, q, sid2, _ = px.cell_info(1, eid)
-        holonomy[eid] = (e1.blocks[sid] if p == 1 else i1) + (e2.blocks[sid2] if q == 1 else i2)
-    return FlatBundle(px, e1.n + e2.n, tag, holonomy, field=e1.field)
+    return ProductBundle(px, e1, e2, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +464,10 @@ def joint_scalar_sets(
 # ---------------------------------------------------------------------------
 
 
-def evaluate_class(
-    bundle: FlatBundle,
-    s: Section,
-    selector: Selector,
-    z: Chain,
-    detail: bool = False,
-):
-    """<class, z> as an integer, coefficient vector, or Witt element.
+def check_usage(bundle: FlatBundle, selector: Selector, z: Chain) -> None:
+    """Raise UsageError unless z is a cycle of the fiber dimension and the class exists.
 
-    The cycle dimension must equal the fiber dimension; the section must
-    be generic on the support of z.  With ``detail``, also each top
-    simplex's symbol: the one-term ``symbol_sum`` of its minors, by id.
+    It reads no section, so a caller can ask before sampling one.
     """
     n = bundle.n
     if z.dim != n:
@@ -522,6 +483,23 @@ def evaluate_class(
     if selector.kind == "witt":
         if n != 2 or bundle.field != QQ or bundle.tag != "SL":
             raise UsageError("the witt selector needs an SL(2, Q) bundle")
+
+
+def evaluate_class(
+    bundle: FlatBundle,
+    s: Section,
+    selector: Selector,
+    z: Chain,
+    detail: bool = False,
+):
+    """<class, z> as an integer, coefficient vector, or Witt element.
+
+    ``check_usage`` must pass, and the section must be generic on the
+    support of z.  With ``detail``, also each top simplex's symbol: the
+    one-term ``symbol_sum`` of its minors, by id.
+    """
+    check_usage(bundle, selector, z)
+    n = bundle.n
     # one pass per top simplex: the maximal minors of the lifts decide
     # genericity and give the symbol (see ``configs.subset_minors``)
     terms = []

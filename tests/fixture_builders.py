@@ -13,8 +13,11 @@ for ``rank``.  ``standard_simplex_complex`` and ``sphere_complex`` are
 multi-vertex complexes, ``cell_counts`` and ``euler_characteristic``
 read a complex's simplex counts, ``psl_equal`` and
 ``commuting_pair_cycle`` bar chains of commuting pairs,
-``holonomy``/``holonomies`` the block sums of a bundle's edge holonomies,
-and ``transport_to_base`` a corner's transport to corner 0 as one matrix.
+``holonomy``/``holonomies`` a bundle's edge holonomies (block sums
+``block_diag`` over a product), ``explicit_product`` the product bundle
+as one validated block-sum matrix per edge (the oracle of
+``product_bundle``), and ``transport_to_base`` a corner's transport to
+corner 0 as one matrix.
 ``mixed_dimension_product`` and ``positive_generic_section`` give the
 mixed-dimension product Sigma x S^2 a generic section that is positive
 for its witnesses.
@@ -53,6 +56,7 @@ from tautclass.exactmath import (
 )
 from tautclass.flatbundles import (
     FlatBundle,
+    ProductBundle,
     Section,
     bundle_from_surface_rep,
     is_generic_section,
@@ -172,27 +176,53 @@ def commuting_pair_cycle(g: Matrix, h: Matrix) -> BarChain2:
     return BarChain2([(1, (one, g, gh)), (-1, (one, h, h @ g))])
 
 
+def block_diag(*blocks: Matrix) -> Matrix:
+    """The block sum of square matrices, in order down the diagonal."""
+    n, rows = sum(b.nrows for b in blocks), []
+    for b in blocks:
+        at = len(rows)
+        rows += [[0] * at + list(r) + [0] * (n - at - b.nrows) for r in b.rows]
+    return Matrix(rows)
+
+
 def holonomy(bundle: FlatBundle, eid: int) -> Matrix:
-    """The holonomy matrix of an edge: the block sum of its blocks."""
-    blocks = bundle.blocks[eid]
-    return blocks[0] if len(blocks) == 1 else Matrix.block_diag(*blocks)
+    """The holonomy matrix of an edge.
+
+    Over a product, product edge (p, sid, q, sid2) carries the block sum
+    of the first factor's holonomy on edge sid (the identity for p = 0)
+    and the second factor's on sid2 (the identity for q = 0).
+    """
+    if not isinstance(bundle, ProductBundle):
+        return bundle.holonomy[eid]
+    p, sid, q, sid2, _ = bundle.base.cell_info(1, eid)
+    e1, e2 = bundle.factors
+    return block_diag(
+        holonomy(e1, sid) if p else Matrix.identity(e1.n),
+        holonomy(e2, sid2) if q else Matrix.identity(e2.n),
+    )
 
 
 def holonomies(bundle: FlatBundle) -> dict[int, Matrix]:
     """Edge -> holonomy matrix, for every edge of the bundle."""
-    return {eid: holonomy(bundle, eid) for eid in bundle.blocks}
+    return {eid: holonomy(bundle, eid) for eid in range(len(bundle.base.simplices[1]))}
+
+
+def explicit_product(px, e1: FlatBundle, e2: FlatBundle) -> FlatBundle:
+    """``product_bundle(px, e1, e2)`` as a plain bundle: one block-sum matrix per edge, validated."""
+    bundle = product_bundle(px, e1, e2)
+    return FlatBundle(px, bundle.n, bundle.tag, holonomies(bundle), bundle.field)
 
 
 def transport_to_base(bundle: FlatBundle, dim: int, sid: int, corner: int) -> Matrix:
     """Parallel transport from a corner of simplex (dim, sid) to its corner 0.
 
     The inverse holonomy of the edge (0, corner) as one Fraction matrix,
-    from the same scaled inverses the bundle's integral lifts read.
+    from the same scaled inverse a plain bundle's integral lifts read.
     """
     if corner == 0:
         return Matrix.identity(bundle.n)
-    blocks, lam = bundle.transport(bundle.base.corner_edges[dim][sid][corner - 1])
-    return Matrix.block_diag(*blocks).scaled(Fraction(1, lam))
+    m, lam = holonomy(bundle, bundle.base.corner_edges[dim][sid][corner - 1]).scaled_inverse()
+    return m.scaled(Fraction(1, lam))
 
 
 def _m(rows) -> Matrix:

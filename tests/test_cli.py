@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import rep_path
-from fixture_builders import genus2_fuchsian_moved, save_rep
+from fixture_builders import genus2_fuchsian_moved, save_rep, sqrt2_conjugated
 from tautclass import cli, configs
 from tautclass.cli import main
 from tautclass.oracle import OracleError, rotation_euler
@@ -16,6 +16,18 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _count_sampling(monkeypatch) -> list:
+    """The calls the CLI makes to ``random_generic_section``, as they happen."""
+    calls, sample = [], cli.random_generic_section
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "random_generic_section", counted)
+    return calls
 
 
 def test_verify_witt_relations(capsys):
@@ -145,11 +157,13 @@ def test_eval_witt_invariants(capsys):
         ("g2_rank1.json", "cycle dimension 2 != fiber dimension 1"),
     ],
 )
-def test_eval_witt_outside_sl2_q_is_a_usage_error(capsys, rep, reason):
-    # evaluate_class applies the whole witt rule: n = 2, over Q, tag SL
+def test_eval_witt_outside_sl2_q_is_a_usage_error(capsys, monkeypatch, rep, reason):
+    # check_usage applies the whole witt rule (n = 2, over Q, tag SL) before any sampling
+    sampled = _count_sampling(monkeypatch)
     assert main(["eval", "--rep", rep_path(rep), "--selector", "witt"]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"usage error: {reason}\n")
+    assert sampled == []
 
 
 def test_eval_determinism(capsys):
@@ -208,12 +222,26 @@ def test_product_strong_genericity_exhaustion_exit_code(capsys):
 
 
 @pytest.mark.parametrize("repA, repB", [("g2_rank1.json", "g2_fuchs.json"), ("g2_fuchs.json", "g2_rank1.json")])
-def test_product_refuses_a_factor_whose_rank_is_not_its_cycle_dimension(capsys, repA, repB):
+def test_product_refuses_a_factor_whose_rank_is_not_its_cycle_dimension(
+    capsys, monkeypatch, repA, repB
+):
     # the usage error eval gives for the same representation, before any sampling
+    sampled = _count_sampling(monkeypatch)
     assert main(["product", "--repA", rep_path(repA), "--repB", rep_path(repB)]) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: cycle dimension 2 != fiber dimension 1\n"
+    assert sampled == []
+
+
+def test_product_refuses_factors_over_different_fields(capsys, monkeypatch, tmp_path):
+    conj = tmp_path / "g2_fuchs_sqrt2.json"
+    save_rep(sqrt2_conjugated(load_rep(rep_path("g2_fuchs.json"))), str(conj))
+    sampled = _count_sampling(monkeypatch)
+    assert main(["product", "--repA", rep_path("g2_fuchs.json"), "--repB", str(conj)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: product of bundles over different fields\n")
+    assert sampled == []
 
 
 def test_verify_rep_suite_reports_its_bundles_n_and_field(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixture_builders import nullspace, scalar_multiple_of_identity
+from fixture_builders import block_diag, nullspace, scalar_multiple_of_identity
 from tautclass.exactmath import (
     LinearGenericityError,
     Matrix,
@@ -202,12 +202,14 @@ def test_oracle_functions_have_no_caller_in_the_package():
 # positive-section construction with its vector helpers, replaced by the
 # mixed-dimension helpers of fixture_builders.py; and the builders only
 # tests call (multi-vertex complexes, commuting-pair bar cycles, the
-# representation-file writer), the holonomy block sums and the second
-# Simplex constructor; and the methods only tests called, named as
-# Class.method since methods that stay share their bare names; and the
-# genericity and relation readers of uncleared tuples, which class
-# evaluation and sampling replaced by reads of cleared corner lifts
-# (is_linearly_generic is their oracle)
+# representation-file writer), the holonomy block sums (Matrix.block_diag
+# and the explicit product bundle, the oracle of the direct-sum lifts)
+# and the second Simplex constructor; and the block-by-block triangle
+# check (_path_ratio), which one matrix per edge replaces; and the
+# methods only tests called, named as Class.method since methods that
+# stay share their bare names; and the genericity and relation readers
+# of uncleared tuples, which class evaluation and sampling replaced by
+# reads of cleared corner lifts (is_linearly_generic is their oracle)
 TEST_ONLY = {
     "nullspace", "scalar_multiple_of_identity", "save_rep", "_m",
     "genus1_diagonal", "genus1_diagonal2", "genus1_parabolic", "genus2_swap",
@@ -227,6 +229,7 @@ TEST_ONLY = {
     "is_generic_tuple", "relation_coefficients",
     "DeltaComplex.counts", "DeltaComplex.euler_characteristic",
     "transport_to_base", "FlatBundle.transport_to_base",
+    "Matrix.block_diag", "block_diag", "explicit_product", "_path_ratio",
 }
 
 
@@ -351,7 +354,7 @@ def test_matrix_block_diag_and_scalar_detect():
     assert scalar_multiple_of_identity(a) == 2
     assert scalar_multiple_of_identity(Matrix([[2, 1], [0, 2]])) is None
     b = Matrix([[3]])
-    blk = Matrix.block_diag(a, b)
+    blk = block_diag(a, b)
     assert blk.rows == ((2, 0, 0), (0, 2, 0), (0, 0, 3))
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from conftest import FIXTURES, rep_path
 from fixture_builders import (
+    block_diag,
+    explicit_product,
     genus1_diagonal,
     genus2_fuchsian,
     genus2_rank1,
@@ -41,11 +43,11 @@ from tautclass.exactmath import (
 from tautclass.flatbundles import (
     TAGS,
     FlatBundle,
+    ProductBundle,
     RelatorError,
     Section,
     Selector,
     TagError,
-    TriangleError,
     bundle_from_surface_rep,
     evaluate_class,
     is_generic_section,
@@ -393,7 +395,7 @@ def test_product_lifts_are_integral_with_the_true_minor_signs():
     EB = bundle_from_surface_rep(scB, genus2_swap().matrices, "SL")
     px = product_complex(scA, scB)
     EP = product_bundle(px, EA, EB)
-    assert all(len(b) == 2 for b in EP.blocks.values())
+    assert EP.factors == (EA, EB)
     S = Section({0: (3, -1, 2, 5)})
     for sid in product_chain(px, zA, zB).coeffs:
         lifts = [lift for lift, _ in EP._corners(S.values, 4, sid)]
@@ -402,19 +404,28 @@ def test_product_lifts_are_integral_with_the_true_minor_signs():
         assert [sign(d) for d in maximal_minors(lifts)] == [sign(d) for d in true_minors]
 
 
+def _block_sums(px, e_a, e_b):
+    """Per product edge, the factor blocks [L, R] of its block-sum holonomy."""
+    i_a, i_b = Matrix.identity(e_a.n), Matrix.identity(e_b.n)
+    blocks = {}
+    for e in range(len(px.simplices[1])):
+        p, sid, q, sid2, _ = px.cell_info(1, e)
+        blocks[e] = [holonomy(e_a, sid) if p else i_a, holonomy(e_b, sid2) if q else i_b]
+    return blocks
+
+
 def _product_blocks():
-    """Factor blocks (L, R) per edge of a genus-1 x genus-1 product bundle."""
+    """Factor blocks [L, R] per edge of a genus-1 x genus-1 product bundle."""
     scA, _ = surface_complex(1)
     scB, _ = surface_complex(1)
     EA = bundle_from_surface_rep(scA, genus1_diagonal().matrices, "SL")
     upper = [Matrix([[1, 1], [0, 1]]), Matrix([[1, 3], [0, 1]])]
     EB = bundle_from_surface_rep(scB, upper, "SL")
     px = product_complex(scA, scB)
-    return px, {e: list(b) for e, b in product_bundle(px, EA, EB).blocks.items()}
+    return px, _block_sums(px, EA, EB)
 
 
-# error texts recorded from the full 4x4 holonomy check, before products
-# were validated block by block
+# error texts recorded from the full 4x4 holonomy check
 CORRUPTED_BLOCK_ERRORS = {
     0: "triangle condition fails on 2-simplex 2 "
     "(residual Matrix[1 2 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1])",
@@ -431,34 +442,25 @@ def test_corrupted_product_block_is_rejected(side):
     rows = [list(r) for r in blocks[eid][side].rows]
     rows[0][1] += 1  # one entry off; the determinant stays 1
     blocks[eid][side] = Matrix(rows)
-    expected = CORRUPTED_BLOCK_ERRORS[side]
     with pytest.raises(ValueError) as err:
-        FlatBundle(px, 4, "SL", {e: tuple(b) for e, b in blocks.items()})
-    assert str(err.value) == expected
-    # the same bundle given by full block-diagonal holonomies
-    with pytest.raises(ValueError) as err:
-        FlatBundle(px, 4, "SL", {e: Matrix.block_diag(*b) for e, b in blocks.items()})
-    assert str(err.value) == expected
+        FlatBundle(px, 4, "SL", {e: block_diag(*b) for e, b in blocks.items()})
+    assert str(err.value) == CORRUPTED_BLOCK_ERRORS[side]
 
 
 def test_product_blocks_must_share_one_scalar():
     px, blocks = _product_blocks()
-    FlatBundle(px, 4, "P+GL+", {e: tuple(b) for e, b in blocks.items()})
+    FlatBundle(px, 4, "P+GL+", {e: block_diag(*b) for e, b in blocks.items()})
     # scaling a whole holonomy by 2 is allowed up to positive scalars
     both = dict(blocks)
     both[0] = [blocks[0][0].scaled(2), blocks[0][1].scaled(2)]
-    FlatBundle(px, 4, "P+GL+", {e: tuple(b) for e, b in both.items()})
+    FlatBundle(px, 4, "P+GL+", {e: block_diag(*b) for e, b in both.items()})
     with pytest.raises(ValueError, match="triangle condition fails"):
-        FlatBundle(px, 4, "GL+", {e: tuple(b) for e, b in both.items()})
+        FlatBundle(px, 4, "GL+", {e: block_diag(*b) for e, b in both.items()})
     # L passes with c = 2, R with c = 1: no single scalar
     split = dict(blocks)
     split[0] = [blocks[0][0].scaled(2), blocks[0][1]]
-    for hol in (
-        {e: tuple(b) for e, b in split.items()},
-        {e: Matrix.block_diag(*b) for e, b in split.items()},
-    ):
-        with pytest.raises(ValueError, match="triangle condition fails on 2-simplex"):
-            FlatBundle(px, 4, "P+GL+", hol)
+    with pytest.raises(ValueError, match="triangle condition fails on 2-simplex"):
+        FlatBundle(px, 4, "P+GL+", {e: block_diag(*b) for e, b in split.items()})
 
 
 def _fuchs_times(name):
@@ -481,51 +483,23 @@ def _first_triangle_failure(px, holonomy):
 
 
 def _over_two_factor_edges(px):
-    """The last product edge over a pair of factor edges; its block objects are shared."""
+    """The last product edge over a pair of factor edges."""
     return max(e for e in range(len(px.simplices[1])) if px.cell_info(1, e)[:3:2] == (1, 1))
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["L", "R"])
-def test_factor_tampered_after_its_validation_fails_the_product(side):
-    px, e_a, e_b = _fuchs_times("g2_solved_3")
-    factor = (e_a, e_b)[side]
-    eid = len(factor.base.simplices[1]) - 1
-    (h,) = factor.blocks[eid]
-    factor.blocks[eid] = (h @ Matrix([[1, 1], [0, 1]]),)  # det kept
-    i2 = Matrix.identity(2)
-    full = {}
-    for e in range(len(px.simplices[1])):
-        p, sid, q, sid2, _ = px.cell_info(1, e)
-        left = holonomy(e_a, sid) if p == 1 else i2
-        full[e] = Matrix.block_diag(left, holonomy(e_b, sid2) if q == 1 else i2)
-    expected = _first_triangle_failure(px, full)
-    assert expected is not None
-    with pytest.raises(TriangleError) as err:
-        product_bundle(px, e_a, e_b)
-    assert str(err.value) == expected
-
-
 def test_product_validation_checks_every_triangle(monkeypatch):
+    """The explicit block sums check all 426 triangles; the direct sum of valid factors none."""
+    calls = Counter()
+    _count_records(monkeypatch, calls)
     px, e_a, e_b = _fuchs_times("g2_fuchs")
-    checked = []
-    path_ratio = flatbundles._path_ratio
-
-    def counted(*args):
-        checked.append(args)
-        return path_ratio(*args)
-
-    monkeypatch.setattr(flatbundles, "_path_ratio", counted)
+    # per factor: the 4 generators (tag check) and the 9 edge holonomies
+    assert calls == {"cleared": 2 * (4 + 9)}
+    calls.clear()
+    _count_calls(monkeypatch, Matrix, "ratio_to", calls)
     product_bundle(px, e_a, e_b)
-    assert len(checked) == len(px.simplices[2]) == 426
-
-
-def test_validation_treats_value_equal_block_copies_alike():
-    px, e_a, e_b = _fuchs_times("g2_solved_3")
-    shared = product_bundle(px, e_a, e_b)
-    copies = {e: tuple(Matrix(b.rows) for b in bs) for e, bs in shared.blocks.items()}
-    assert len({id(b) for bs in copies.values() for b in bs}) == 2 * len(copies)
-    copied = FlatBundle(px, 4, shared.tag, copies)
-    assert all(copied.transport(e) == shared.transport(e) for e in copies)
+    assert calls == {}
+    explicit_product(px, e_a, e_b)
+    assert calls["ratio_to"] == len(px.simplices[2]) == 426
 
 
 # error texts recorded from the block-by-block check before distinct
@@ -541,29 +515,26 @@ CORRUPTED_SHARED_BLOCK_ERRORS = {
 @pytest.mark.parametrize("side", [0, 1], ids=["L", "R"])
 def test_corrupted_copy_of_a_shared_block_is_rejected(side):
     px, e_a, e_b = _fuchs_times("g2_solved_3")
-    bundle = product_bundle(px, e_a, e_b)
-    blocks = {e: list(bs) for e, bs in bundle.blocks.items()}
+    blocks = _block_sums(px, e_a, e_b)
     eid = _over_two_factor_edges(px)
-    # one edge gets a changed copy, det kept; the other edges keep the original
+    # one edge gets a changed copy, det kept; the other edges keep the factor's matrix
     blocks[eid][side] = blocks[eid][side] @ Matrix([[1, 1], [0, 1]])
-    full = {e: Matrix.block_diag(*bs) for e, bs in blocks.items()}
+    full = {e: block_diag(*bs) for e, bs in blocks.items()}
     expected = _first_triangle_failure(px, full)
     assert expected == CORRUPTED_SHARED_BLOCK_ERRORS[side]
-    for holonomy in ({e: tuple(bs) for e, bs in blocks.items()}, full):
-        with pytest.raises(ValueError) as err:
-            FlatBundle(px, 4, bundle.tag, holonomy)
-        assert str(err.value) == expected
+    with pytest.raises(ValueError) as err:
+        FlatBundle(px, 4, product_bundle(px, e_a, e_b).tag, full)
+    assert str(err.value) == expected
 
 
 def test_det_off_on_one_product_edge_violates_sl():
     px, e_a, e_b = _fuchs_times("g2_swap2")
-    bundle = product_bundle(px, e_a, e_b)
-    assert bundle.tag == "SL"
-    blocks = {e: list(bs) for e, bs in bundle.blocks.items()}
+    assert product_bundle(px, e_a, e_b).tag == "SL"
+    blocks = _block_sums(px, e_a, e_b)
     eid = _over_two_factor_edges(px)
     blocks[eid][0] = blocks[eid][0].scaled(2)  # det 4 on this edge only
     with pytest.raises(TagError, match="tag SL needs det 1, got det 4"):
-        FlatBundle(px, 4, "SL", {e: tuple(bs) for e, bs in blocks.items()})
+        FlatBundle(px, 4, "SL", {e: block_diag(*bs) for e, bs in blocks.items()})
 
 
 def _count_calls(monkeypatch, cls, name, calls):
@@ -587,52 +558,24 @@ def _count_records(monkeypatch, calls):
     monkeypatch.setattr(Matrix, "cleared", counted)
 
 
-def test_product_validation_works_once_per_block_and_block_triangle(monkeypatch):
-    calls = Counter()
-    _count_records(monkeypatch, calls)
-    px, e_a, e_b = _fuchs_times("g2_solved_3")
-    # per factor: the 4 generators (tag check) and the 9 edge holonomies
-    assert calls == {"cleared": 2 * (4 + 9)}
-    calls.clear()
-    _count_calls(monkeypatch, Matrix, "ratio_to", calls)
-    bundle = product_bundle(px, e_a, e_b)
-    blocks = {id(b): b for bs in bundle.blocks.values() for b in bs}
-    triangles = {
-        tuple(map(id, blocks_ijk))
-        for s in px.simplices[2]
-        for blocks_ijk in zip(*(bundle.blocks[s.faces[i]] for i in (0, 2, 1)))
-    }
-    # 9 factor edges + the identity on each side; one clear and one block
-    # product per edge and per 2-simplex would be 198 and 852 calls.  The
-    # factor blocks keep the records their own validation filled, so only
-    # the two identities are cleared here.
-    assert (len(blocks), len(triangles)) == (20, 50)
-    assert calls == {"cleared": 2, "ratio_to": 50}
-    assert all(b._integral is not None for b in blocks.values())
-
-
-def test_product_transports_invert_each_block_object_once(monkeypatch):
+def test_factor_transports_invert_only_the_diagonal_edges(monkeypatch):
     calls = Counter()
     _count_calls(monkeypatch, Matrix, "_scaled_inverse", calls)
     px, e_a, e_b = _fuchs_times("g2_solved_3")
     calls.clear()  # building a factor inverts its 4 generators
-    bundle = product_bundle(px, e_a, e_b)
-    edges = range(len(px.simplices[1]))
-    transports = {eid: bundle.transport(eid) for eid in edges}
-    blocks = {id(b) for bs in bundle.blocks.values() for b in bs}
-    # 99 edges of 2 blocks each: one inverse per block would be 198; the 8
-    # generator edges hold inverses, which carry their own scaled inverse
-    assert (len(transports), len(blocks)) == (99, 20)
-    assert calls == {"_scaled_inverse": 12}
-    # block by block, under the edge's one lam
-    for eid, (ms, lam) in transports.items():
-        assert [b @ m for b, m in zip(bundle.blocks[eid], ms)] == [Matrix.identity(2).scaled(lam)] * 2
-    # the factor bundles read the inverses their blocks carry: no new one
+    # the 4 generator edges hold inverses, which carry their own scaled
+    # inverse: of 9 edges per factor, only the 5 diagonals compute one
     for factor in (e_a, e_b):
         for eid in range(len(factor.base.simplices[1])):
-            (m,), lam = factor.transport(eid)
+            m, lam = factor.transport(eid)
             assert holonomy(factor, eid) @ m == Matrix.identity(2).scaled(lam)
-    assert calls == {"_scaled_inverse": 12}
+    assert calls == {"_scaled_inverse": 2 * 5}
+    # the product's lifts are sums of the factors' lifts: no inverse of its own
+    bundle = product_bundle(px, e_a, e_b)
+    s = Section({0: (3, -1, 2, 5)})
+    for sid in range(len(px.simplices[4])):
+        bundle._corners(s.values, 4, sid)
+    assert calls == {"_scaled_inverse": 2 * 5}
 
 
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
@@ -646,7 +589,7 @@ def test_edge_transports_equal_a_fresh_scaled_inverse(name):
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
     for eid, h in holonomies(bundle).items():
         m, lam = h._scaled_inverse()
-        assert bundle.transport(eid) == ((m,), lam)
+        assert bundle.transport(eid) == (m, lam)
 
 
 @pytest.mark.parametrize("field", [QQ, QuadraticField(2)])
@@ -687,19 +630,25 @@ def _product_with_generic_section(name):
 
 
 def _fresh(bundle):
-    """A new bundle with the same base and holonomy, whose lift cache is empty."""
-    return FlatBundle(bundle.base, bundle.n, bundle.tag, bundle.blocks, bundle.field)
+    """A new bundle with the same base and holonomy (over fresh factors), whose lift caches are empty."""
+    if isinstance(bundle, ProductBundle):
+        return product_bundle(bundle.base, *map(_fresh, bundle.factors))
+    return FlatBundle(bundle.base, bundle.n, bundle.tag, bundle.holonomy, bundle.field)
 
 
-def _record_lifts(monkeypatch, lifted):
-    """Count ``FlatBundle._lift`` computations per edge id (None at corner 0)."""
-    lift = FlatBundle._lift
+def _record_lifts(monkeypatch, lifted, sums):
+    """Count lift computations per edge id (None at corner 0).
 
-    def recorded(self, eid, vec):
-        lifted[eid] += 1
-        return lift(self, eid, vec)
+    ``lifted`` counts the matrix lifts of plain bundles, ``sums`` the
+    direct-sum lifts of product bundles.
+    """
+    for cls, counter in ((FlatBundle, lifted), (ProductBundle, sums)):
 
-    monkeypatch.setattr(FlatBundle, "_lift", recorded)
+        def recorded(self, eid, vec, lift=cls._lift, counter=counter):
+            counter[eid] += 1
+            return lift(self, eid, vec)
+
+        monkeypatch.setattr(cls, "_lift", recorded)
 
 
 def test_evaluation_applies_each_corner_transport_once(monkeypatch):
@@ -711,8 +660,16 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
         for eid, v in zip(cx.corner_edges[4][sid], cx.simplices[4][sid].vertices[1:])
     }
     assert (len(zz.coeffs), len(lifted)) == (216, 63)  # 216 * 4 = 864 corner lifts
-    # the oracle: symbols of the true corner values, simplex by simplex
-    values = {sid: bundle.corner_values(s, 4, sid) for sid in zz.coeffs}
+    # the factor edges under them, None where the product edge keeps a factor's vertex
+    under = [{None}, {None}]
+    for eid, _ in lifted:
+        p, sid, q, sid2, _ = cx.cell_info(1, eid)
+        under[0].add(sid if p else None)
+        under[1].add(sid2 if q else None)
+    assert list(map(len, under)) == [8, 8]  # corner 0 and the 7 corner edges of each factor
+    # the oracle: symbols of the true corner values of the block-sum bundle
+    oracle = explicit_product(cx, *bundle.factors)
+    values = {sid: oracle.corner_values(s, 4, sid) for sid in zz.coeffs}
     plus = {sid: uplus_symbol(v) for sid, v in values.items()}
     plain = {sid: u_symbol(v) for sid, v in values.items()}
     total = UPlusSymbol(
@@ -724,28 +681,31 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
         "eu": (sum(plain[sid].coefficient * c for sid, c in zz.coeffs.items()), plain),
     }
     bundle = _fresh(bundle)
-    calls, lifted_now = Counter(), Counter()
+    calls, lifted_now, sums = Counter(), Counter(), Counter()
     _count_calls(monkeypatch, Matrix, "apply", calls)
-    _record_lifts(monkeypatch, lifted_now)
+    _record_lifts(monkeypatch, lifted_now, sums)
     for i, (text, (value, symbols)) in enumerate(expected.items()):
         calls.clear()
         lifted_now.clear()
+        sums.clear()
         got, detail = evaluate_class(bundle, s, Selector.parse(text), zz, detail=True)
         if i == 0:
-            # one lift per distinct (edge, vertex value) and one of the corner-0
-            # value (edge None); the two 2 x 2 blocks of a transport each apply once
-            assert lifted_now == Counter({None: 1, **{eid: 1 for eid, _ in lifted}})
-            assert calls == {"apply": 2 * 63}
+            # one direct-sum lift per distinct (edge, vertex value) and one of the
+            # corner-0 value (edge None); under them, one matrix lift per factor
+            # edge, each applying its 2 x 2 transport once, and the factors' corner 0
+            assert sums == Counter({None: 1, **{eid: 1 for eid, _ in lifted}})
+            assert sum(lifted_now.values()) == 16 and lifted_now[None] == 2
+            assert calls == {"apply": 14}
         else:
-            # the bundle keeps its lifts: a later evaluation computes none
-            assert lifted_now == {} and calls == {}
+            # the bundles keep their lifts: a later evaluation computes none
+            assert lifted_now == sums == calls == {}
         assert got == value
         assert detail == {sid: symbols[sid] for sid in zz.coeffs}
 
 
 def test_sampling_and_evaluation_compute_each_lift_once(monkeypatch, capsys):
-    lifted = Counter()
-    _record_lifts(monkeypatch, lifted)
+    lifted, sums = Counter(), Counter()
+    _record_lifts(monkeypatch, lifted, sums)
     rep = load_rep(rep_path("g2_fuchs.json"))
     sc, z = surface_complex(2)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
@@ -753,12 +713,14 @@ def test_sampling_and_evaluation_compute_each_lift_once(monkeypatch, capsys):
     evaluate_class(bundle, s, Selector.parse("eu0"), z)
     # the one vertex's first candidate is accepted: its value at corner 0 and
     # along the 7 corner edges; the evaluation reads those lifts and computes none
-    assert sum(lifted.values()) == 8 == len(bundle._lifts)
+    assert sum(lifted.values()) == 8 == len(bundle._lifts) and sums == {}
     lifted.clear()
     argv = ["product", "--repA", rep_path("g2_fuchs.json"), "--repB", rep_path("g2_solved_3.json")]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    assert sum(lifted.values()) == 80
+    # each factor's 8 sampling lifts; the product's 64 corner lifts are direct
+    # sums of those, and compute no matrix lift of their own
+    assert (sum(lifted.values()), sum(sums.values())) == (16, 64)
 
 
 def test_product_checks_only_the_factors_top_simplices(monkeypatch, capsys):
@@ -794,15 +756,12 @@ def test_a_used_bundle_reads_as_a_fresh_one(name):
 
 
 def test_product_evaluation_builds_no_block_sum_and_clears_each_lift_once(monkeypatch):
+    """The factors' sampling cleared every lift the product reads: it builds, inverts,
+    applies and clears nothing."""
     bundle, s, zz = _product_with_generic_section("g2_solved_3")
     calls = Counter()
-    block_diag = Matrix.block_diag
-
-    def counted_block_diag(cls, *blocks):
-        calls["block_diag"] += 1
-        return block_diag(*blocks)
-
-    monkeypatch.setattr(Matrix, "block_diag", classmethod(counted_block_diag))
+    for name in ("__init__", "_scaled_inverse", "apply"):
+        _count_calls(monkeypatch, Matrix, name, calls)
     for module in (exactmath, configs, flatbundles):
         def counted_clear(row, clear=module.clear_denominators):
             calls["clear_denominators"] += 1
@@ -812,9 +771,7 @@ def test_product_evaluation_builds_no_block_sum_and_clears_each_lift_once(monkey
     for text in ("eu0", "eu", "euplus"):
         calls.clear()
         evaluate_class(bundle, s, Selector.parse(text), zz)
-        # 216 simplices of 5 corners: 63 distinct transported lifts and one vertex value
-        assert calls["block_diag"] == 0
-        assert calls["clear_denominators"] <= 64
+        assert calls == {}
 
 
 def _rescaled(s, factor):
@@ -1059,22 +1016,21 @@ def test_trivial_product_bundle_and_tags():
     assert all(m == Matrix.identity(3) for m in holonomies(EP).values())
 
 
-def test_a_product_factor_keeps_its_blocks():
+def test_a_product_factor_may_be_a_product():
     # g1_diag x g1_diag x g1_diag: the left factor is itself a product bundle
     sc, _ = surface_complex(1)
     e = bundle_from_surface_rep(sc, genus1_diagonal().matrices, "SL")
     e2 = product_bundle(product_complex(sc, sc), e, e)
     px = product_complex(e2.base, sc)
     bundle = product_bundle(px, e2, e)
-    assert (bundle.n, bundle.tag) == (6, "SL")
-    assert len(bundle.blocks) == len(px.simplices[1])
-    assert {tuple(b.nrows for b in bs) for bs in bundle.blocks.values()} == {(2, 2, 2)}
+    assert (bundle.n, bundle.tag, bundle.factors) == (6, "SL", (e2, e))
+    # its block sums are those of three factors, and they pass the triangle check
+    explicit = explicit_product(px, e2, e)
     for eid in range(len(px.simplices[1])):
         p, sid, q, sid2, _ = px.cell_info(1, eid)
         left = holonomy(e2, sid) if p == 1 else Matrix.identity(4)
         right = holonomy(e, sid2) if q == 1 else Matrix.identity(2)
-        assert holonomy(bundle, eid) == Matrix.block_diag(left, right)
-    bundle.validate()
+        assert explicit.holonomy[eid] == block_diag(left, right)
 
 
 def test_product_bundle_rejects_mismatches():

@@ -7,7 +7,9 @@ every fixture, including the combinations that exit non-zero, plus one
 genus-2 ``product`` and the ``verify`` suites that sample tuples or
 read a class several ways (``VERIFY``, at two seeds each).
 ``golden/products.json`` adds ``product`` reports
-of g2_fuchs with every genus-2 rank-2 fixture at two seeds each.
+of g2_fuchs with every genus-2 rank-2 fixture at two seeds each, and the
+usage errors (exit 2, empty stdout) of a product with the rank-1 fixture
+as either factor.
 
 Regenerate the goldens (only when a report is meant to change) with
 
@@ -52,10 +54,12 @@ def _commands() -> list[list[str]]:
 
 
 def _product_commands() -> list[list[str]]:
+    pairs = [("g2_fuchs", b) for b in GENUS2_RANK2]
+    pairs += [("g2_fuchs", "g2_rank1"), ("g2_rank1", "g2_fuchs")]
     return [
-        ["product", "--repA", "fixtures/g2_fuchs.json", "--repB", f"fixtures/{b}.json"]
+        ["product", "--repA", f"fixtures/{a}.json", "--repB", f"fixtures/{b}.json"]
         + ["--seed", str(seed)]
-        for b in GENUS2_RANK2
+        for a, b in pairs
         for seed in (0, 7)
     ]
 

@@ -83,7 +83,8 @@ BUNDLES = {
 
 
 def _max_scale(bundle):
-    return max(bundle.transport(e)[1] for e in range(len(bundle.base.simplices[1])))
+    """The largest lam of an edge transport lam * h^-1 (h a block sum over a product)."""
+    return max(holonomy(bundle, e).scaled_inverse()[1] for e in range(len(bundle.base.simplices[1])))
 
 
 def _random_values(bundle, rng, bound):
