@@ -1,9 +1,10 @@
 """Combinatorial Delta-complexes, chains, surface models and products.
 
-Simplices carry ordered vertex tuples (repetition allowed) and explicit
-face references by id.  All attachments are order-compatible, so the
-boundary operator is the plain alternating sum over face references and
-products can be triangulated by monotone staircase chains.
+Each dimension is a pair of row tables: a simplex is an ordered vertex
+tuple (repetition allowed) and a tuple of face ids.  All attachments are
+order-compatible, so the boundary operator is the plain alternating sum
+over face references and products can be triangulated by monotone
+staircase chains.
 
 The closed orientable surface of genus g is modelled on the one-vertex
 4g-gon (edge word a1 b1 a1^-1 b1^-1 ...) coned from corner 0.  Matching
@@ -15,109 +16,112 @@ returned chain has boundary zero, which tests verify.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Sequence
 
 from ._value import Value
 
 
-class Simplex(Value):
-    """Ordered vertex ids and the ids of the faces opposite each vertex."""
-
-    __slots__ = ("vertices", "faces")
-
-    def __init__(self, vertices: tuple[int, ...], faces: tuple[int, ...]):
-        # through the slot descriptors: product complexes make thousands
-        _set_vertices(self, vertices)
-        _set_faces(self, faces)
-
-
-_set_vertices, _set_faces = Simplex.vertices.__set__, Simplex.faces.__set__
-
-
 class DeltaComplex:
-    """A finite Delta-complex: per-dimension simplex lists with face ids."""
+    """A finite Delta-complex as one pair of row tables per dimension.
 
-    def __init__(self, simplices: Sequence[Sequence[Simplex]]):
-        self.simplices: list[list[Simplex]] = [list(level) for level in simplices]
-        while self.simplices and not self.simplices[-1]:
-            self.simplices.pop()
+    ``vertices[d][sid]`` is the ordered vertex tuple of d-simplex sid and
+    ``faces[d][sid]`` the ids of its faces, face j opposite corner j (``()``
+    on a vertex).  Trailing empty levels are dropped.
+    """
+
+    def __init__(
+        self,
+        vertices: Sequence[Sequence[tuple[int, ...]]],
+        faces: Sequence[Sequence[tuple[int, ...]]],
+    ):
+        self.vertices: list[list[tuple[int, ...]]] = [list(level) for level in vertices]
+        self.faces: list[list[tuple[int, ...]]] = [list(level) for level in faces]
+        for table in (self.vertices, self.faces):
+            while table and not table[-1]:
+                table.pop()
         self.validate()
         # corner_edges[d][sid]: the edges on corners (0, c), c = 1..d.  Face d
         # keeps corners 0..d-1; face 1 keeps 0, 2..d, so its last edge is (0, d).
         self.corner_edges: list[list[tuple[int, ...]]] = [
             [(sid,) * d for sid in range(len(level))]  # () on a vertex, (eid,) on an edge
-            for d, level in enumerate(self.simplices[:2])
+            for d, level in enumerate(self.faces[:2])
         ]
-        for d, level in enumerate(self.simplices[2:], 2):
+        for d, level in enumerate(self.faces[2:], 2):
             below = self.corner_edges[d - 1]
-            self.corner_edges.append([below[s.faces[d]] + below[s.faces[1]][-1:] for s in level])
+            self.corner_edges.append([below[f[d]] + below[f[1]][-1:] for f in level])
 
     @property
     def num_vertices(self) -> int:
-        return len(self.simplices[0]) if self.simplices else 0
+        return len(self.vertices[0]) if self.vertices else 0
 
     @property
     def dimension(self) -> int:
-        return len(self.simplices) - 1
+        return len(self.vertices) - 1
 
     def validate(self) -> None:
-        """Check face ids, vertex consistency of faces and the double-face identities.
+        """Check row counts, face ids, vertex consistency of faces and the double-face identities.
 
         Each check compares whole columns of a level (face j of every
         simplex, vertex k of every simplex or face) as tuples, in this
         order: counts, face ids, vertices of faces, then d_i d_j = d_{j-1} d_i
         for i < j.  A failing check is located at its first simplex.
         """
-        for d, level in enumerate(self.simplices):
-            n_faces = d + 1 if d else 0
-            vertices = [s.vertices for s in level]
-            faces = [s.faces for s in level]
-            if set(map(len, vertices)) - {d + 1}:
-                sid = next(sid for sid, v in enumerate(vertices) if len(v) != d + 1)
-                raise ValueError(f"simplex ({d},{sid}) has wrong vertex count")
-            if set(map(len, faces)) - {n_faces}:
-                sid = next(sid for sid, f in enumerate(faces) if len(f) != n_faces)
-                raise ValueError(f"simplex ({d},{sid}) has wrong face count")
-            if not (d and level):
-                continue
-            below = self.simplices[d - 1]
-            columns = list(zip(*faces))  # columns[j][sid]: face j of simplex sid
-            if min(map(min, columns)) < 0 or max(map(max, columns)) >= len(below):
-                sid, j, fid = next(
-                    (sid, j, fid)
-                    for sid, f in enumerate(faces)
-                    for j, fid in enumerate(f)
-                    if not 0 <= fid < len(below)
-                )
-                raise ValueError(f"face {j} of simplex ({d},{sid}) has id {fid} out of range")
-            corners = list(zip(*vertices))
-            below_vertices = [b.vertices for b in below]
-            # face j keeps every corner but j: its vertex columns are the others
-            if any(
-                list(zip(*map(below_vertices.__getitem__, col))) != corners[:j] + corners[j + 1 :]
-                for j, col in enumerate(columns)
-            ):
-                sid, j = next(
-                    (sid, j)
-                    for sid, (v, f) in enumerate(zip(vertices, faces))
-                    for j in range(d + 1)
-                    if below_vertices[f[j]] != v[:j] + v[j + 1 :]
-                )
-                raise ValueError(f"face {j} of simplex ({d},{sid}) is not order-compatible")
-            if d < 2:
-                continue
-            below_faces = [b.faces for b in below]
-            ff = [list(zip(*map(below_faces.__getitem__, col))) for col in columns]
-            pairs = [(i, j) for j in range(d + 1) for i in range(j)]
-            if any(ff[j][i] != ff[i][j - 1] for i, j in pairs):
-                sid, i, j = next(
-                    (sid, i, j)
-                    for sid in range(len(level))
-                    for i, j in pairs
-                    if ff[j][i][sid] != ff[i][j - 1][sid]
-                )
-                raise ValueError(f"double-face identity fails at ({d},{sid},i={i},j={j})")
+        if len(self.vertices) != len(self.faces):
+            raise ValueError(f"{len(self.vertices)} vertex levels, {len(self.faces)} face levels")
+        for d in range(len(self.faces)):
+            self._validate_level(d)  # its column tables go before the next level's are built
+
+    def _validate_level(self, d: int) -> None:
+        vertices, faces = self.vertices[d], self.faces[d]
+        if len(vertices) != len(faces):
+            raise ValueError(f"level {d}: {len(vertices)} vertex rows, {len(faces)} face rows")
+        n_faces = d + 1 if d else 0
+        if set(map(len, vertices)) - {d + 1}:
+            sid = next(sid for sid, v in enumerate(vertices) if len(v) != d + 1)
+            raise ValueError(f"simplex ({d},{sid}) has wrong vertex count")
+        if set(map(len, faces)) - {n_faces}:
+            sid = next(sid for sid, f in enumerate(faces) if len(f) != n_faces)
+            raise ValueError(f"simplex ({d},{sid}) has wrong face count")
+        if not (d and faces):
+            return
+        n_below = len(self.faces[d - 1])
+        columns = list(zip(*faces))  # columns[j][sid]: face j of simplex sid
+        if min(map(min, columns)) < 0 or max(map(max, columns)) >= n_below:
+            sid, j, fid = next(
+                (sid, j, fid)
+                for sid, f in enumerate(faces)
+                for j, fid in enumerate(f)
+                if not 0 <= fid < n_below
+            )
+            raise ValueError(f"face {j} of simplex ({d},{sid}) has id {fid} out of range")
+        corners = list(zip(*vertices))
+        below_vertices = self.vertices[d - 1]
+        # face j keeps every corner but j: its vertex columns are the others
+        if any(
+            list(zip(*map(below_vertices.__getitem__, col))) != corners[:j] + corners[j + 1 :]
+            for j, col in enumerate(columns)
+        ):
+            sid, j = next(
+                (sid, j)
+                for sid, (v, f) in enumerate(zip(vertices, faces))
+                for j in range(d + 1)
+                if below_vertices[f[j]] != v[:j] + v[j + 1 :]
+            )
+            raise ValueError(f"face {j} of simplex ({d},{sid}) is not order-compatible")
+        if d < 2:
+            return
+        below_faces = self.faces[d - 1]
+        ff = [list(zip(*map(below_faces.__getitem__, col))) for col in columns]
+        pairs = [(i, j) for j in range(d + 1) for i in range(j)]
+        if any(ff[j][i] != ff[i][j - 1] for i, j in pairs):
+            sid, i, j = next(
+                (sid, i, j)
+                for sid in range(len(faces))
+                for i, j in pairs
+                if ff[j][i][sid] != ff[i][j - 1][sid]
+            )
+            raise ValueError(f"double-face identity fails at ({d},{sid},i={i},j={j})")
 
 
 class Chain(Value):
@@ -155,8 +159,7 @@ def boundary(cx: DeltaComplex, chain: Chain) -> Chain:
         raise ValueError("boundary needs dimension >= 1")
     out: dict[int, int] = {}
     for sid, c in chain.coeffs.items():
-        faces = cx.simplices[chain.dim][sid].faces
-        for j, fid in enumerate(faces):
+        for j, fid in enumerate(cx.faces[chain.dim][sid]):
             out[fid] = out.get(fid, 0) + (c if j % 2 == 0 else -c)
     return Chain(chain.dim - 1, out)
 
@@ -185,9 +188,7 @@ class SurfaceComplex(DeltaComplex):
                 return side_edge(n_sides - 1)
             return 2 * g + (i - 2)
 
-        vertices = [Simplex((0,), ())]
         n_edges = 6 * g - 3
-        edges = [Simplex((0, 0), (0, 0)) for _ in range(n_edges)]
         triangles = []
         coeffs = {}
         for i in range(1, n_sides - 1):
@@ -197,9 +198,12 @@ class SurfaceComplex(DeltaComplex):
             else:
                 faces = (side_edge(i), dd(i), dd(i + 1))
                 coeffs[len(triangles)] = -1
-            triangles.append(Simplex((0, 0, 0), faces))
+            triangles.append(faces)
         self.fundamental = Chain(2, coeffs)
-        super().__init__([vertices, edges, triangles])
+        super().__init__(
+            [[(0,)], [(0, 0)] * n_edges, [(0, 0, 0)] * len(triangles)],
+            [[()], [(0, 0)] * n_edges, triangles],
+        )
 
 
 def surface_complex(genus: int) -> tuple[SurfaceComplex, Chain]:
@@ -287,7 +291,8 @@ class ProductComplex(DeltaComplex):
     plus the chain's rank among the k chains of its length and N' the
     number of q-cells of X'.  Face m of a chain's simplices is then
     X_m[sid] + Y_m[sid2], read off the chain's template once per block,
-    and so are the vertex tuples.
+    and so are the vertex tuples: each (p, q, chain) writes its rows by
+    one slice assignment per table.
     """
 
     def __init__(self, left: DeltaComplex, right: DeltaComplex):
@@ -295,45 +300,54 @@ class ProductComplex(DeltaComplex):
         dims = range(left.dimension + right.dimension + 1)
         # (p, q, chain) -> (d, start, k)
         self._place: dict[tuple[int, int, GridChain], tuple[int, int, int]] = {}
-        levels: list[list] = [[] for _ in dims]
+        vertices: list[list] = [[] for _ in dims]
+        faces: list[list] = [[] for _ in dims]
         self._keys_by_dim: list[list] = [[] for _ in dims]
         nright = right.num_vertices
         # a face lies in an earlier block or on a shorter chain of this one,
         # so each block is placed before any simplex that refers to it
-        for p, level in enumerate(left.simplices):
-            for q, level2 in enumerate(right.simplices):
-                n_cells = len(level) * len(level2)
-                keys = [(p, sid, q, sid2) for sid in range(len(level)) for sid2 in range(len(level2))]
+        for p, (lverts, lfaces) in enumerate(zip(left.vertices, left.faces)):
+            for q, (rverts, rfaces) in enumerate(zip(right.vertices, right.faces)):
+                n1, n2 = len(lfaces), len(rfaces)
+                n_cells = n1 * n2
+                keys = [(p, sid, q, sid2) for sid in range(n1) for sid2 in range(n2)]
+                # point[i, j]: the product vertex of corners (i, j) on every cell, in id order
+                lcols = [[x * nright for x in col] for col in zip(*lverts)]
+                point = {
+                    (i, j): [x + y for x in xs for y in ys]
+                    for i, xs in enumerate(lcols)
+                    for j, ys in enumerate(zip(*rverts))
+                }
                 for d, group in groupby(_chain_templates(p, q), key=lambda t: len(t[0]) - 1):
                     group = list(group)
-                    k, start = len(group), len(levels[d])
-                    levels[d] += [None] * (n_cells * k)
-                    self._keys_by_dim[d] += [None] * (n_cells * k)
+                    k, start = len(group), len(vertices[d])
+                    for table in (vertices[d], faces[d], self._keys_by_dim[d]):
+                        table += [None] * (n_cells * k)
                     for rank, (chain, template) in enumerate(group):
                         self._place[p, q, chain] = d, start + rank, k
-                        # one column per face (then per vertex): its entry on every cell, in id order
-                        faces = []
+                        # one column per face: its entry on every cell, in id order
+                        columns = []
                         for r, c, i, j, rest in template:
                             _, at, kf = self._place[p - r, q - c, rest]
-                            stride = len(right.simplices[q - c]) * kf
-                            xs = [at + (s.faces[i] if r else sid) * stride for sid, s in enumerate(level)]
-                            ys = [(s2.faces[j] if c else sid2) * kf for sid2, s2 in enumerate(level2)]
-                            faces.append([x + y for x in xs for y in ys])
-                        vertices = []
-                        for i, j in chain:
-                            xs = [s.vertices[i] * nright for s in level]
-                            ys = [s2.vertices[j] for s2 in level2]
-                            vertices.append([x + y for x in xs for y in ys])
+                            if not (r or c):  # on the same cells: ids step by kf, as cells do by 1
+                                columns.append(range(at, at + n_cells * kf, kf))
+                                continue
+                            stride = len(right.faces[q - c]) * kf
+                            if r:
+                                xs = [at + f[i] * stride for f in lfaces]
+                            else:
+                                xs = range(at, at + n1 * stride, stride)
+                            ys = [f[j] * kf for f in rfaces] if c else range(0, n2 * kf, kf)
+                            columns.append([x + y for x in xs for y in ys])
                         block = slice(start + rank, start + n_cells * k, k)
-                        levels[d][block] = list(
-                            map(Simplex, zip(*vertices), zip(*faces) if faces else repeat((), n_cells))
-                        )
+                        faces[d][block] = list(zip(*columns)) if d else [()] * n_cells
+                        vertices[d][block] = list(zip(*map(point.__getitem__, chain)))
                         self._keys_by_dim[d][block] = [key + (chain,) for key in keys]
-        super().__init__(levels)
+        super().__init__(vertices, faces)
 
     def id_of(self, p: int, sid: int, q: int, sid2: int, chain: GridChain) -> int:
         _, start, k = self._place[p, q, chain]
-        return start + (sid * len(self.right.simplices[q]) + sid2) * k
+        return start + (sid * len(self.right.faces[q]) + sid2) * k
 
     def cell_info(self, dim: int, sid: int) -> ProductKey:
         """(p, sid, q, sid2, chain) of a product simplex."""
@@ -347,13 +361,13 @@ def product_complex(left: DeltaComplex, right: DeltaComplex) -> ProductComplex:
 def product_chain(px: ProductComplex, z: Chain, zp: Chain) -> Chain:
     """The cross product of chains: sum over admissible paths with signs."""
     n, k = z.dim, zp.dim
-    paths = admissible_paths(n, k)
+    signed = [(path, path_sign(path)) for path in admissible_paths(n, k)]
     out: dict[int, int] = {}
     for sid, c in z.coeffs.items():
         for sid2, c2 in zp.coeffs.items():
-            for path in paths:
+            for path, sign in signed:
                 pid = px.id_of(n, sid, k, sid2, path)
-                out[pid] = out.get(pid, 0) + c * c2 * path_sign(path)
+                out[pid] = out.get(pid, 0) + c * c2 * sign
     return Chain(n + k, out)
 
 
@@ -370,8 +384,8 @@ def cup_evaluate(cx: DeltaComplex, p: int, alpha, q: int, beta, z: Chain) -> int
     for sid, c in z.coeffs.items():
         front = back = sid
         for d in range(p + q, p, -1):
-            front = cx.simplices[d][front].faces[d]
+            front = cx.faces[d][front][d]
         for d in range(p + q, q, -1):
-            back = cx.simplices[d][back].faces[0]
+            back = cx.faces[d][back][0]
         total += c * alpha(front) * beta(back)
     return total

@@ -78,56 +78,16 @@ def _check_tag_det(h: Matrix, tag: str) -> None:
         raise TagError(f"tag {tag} needs a positive-determinant representative")
 
 
-class FlatBundle:
-    """Edge-holonomy presentation of a flat bundle over a Delta-complex."""
+class Bundle:
+    """A bundle over a Delta-complex that transports section values to corner 0.
 
-    def __init__(
-        self,
-        base: DeltaComplex,
-        n: int,
-        tag: str,
-        holonomy: Mapping[int, Matrix],
-        field: Field = QQ,
-    ):
-        if tag not in TAGS:
-            raise ValueError(f"unknown structure tag {tag!r}")
-        self.base = base
-        self.n = n
-        self.tag = tag
-        self.field = field
-        self.holonomy = dict(holonomy)
+    Its corner lifts are kept for its life; a subclass says how one is
+    computed (``_lift``).
+    """
+
+    def __init__(self, base: DeltaComplex, n: int, tag: str, field: Field):
+        self.base, self.n, self.tag, self.field = base, n, tag, field
         self._lifts: dict[tuple, tuple[tuple, int]] = {}
-        self.validate()
-
-    def validate(self) -> None:
-        """Shape and tag of every edge, the triangle condition on every 2-simplex."""
-        n_edges = len(self.base.simplices[1]) if self.base.dimension >= 1 else 0
-        cleared = []  # per edge, (a, m) with a = m * h integral
-        for eid in range(n_edges):
-            if eid not in self.holonomy:
-                raise ValueError(f"edge {eid} has no holonomy")
-            h = self.holonomy[eid]
-            if (h.nrows, h.ncols) != (self.n, self.n):
-                raise ValueError(f"holonomy of edge {eid} has wrong shape")
-            _check_tag_det(h, self.tag)
-            cleared.append(h.cleared()[:2])
-        if self.base.dimension >= 2:
-            for sid, s in enumerate(self.base.simplices[2]):
-                # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
-                (a12, m12), (a02, m02), (a01, m01) = (cleared[f] for f in s.faces)
-                r = (a12 @ a01).ratio_to(a02)
-                # a12 a01 == (x/y) a02 gives h12 h01 == (x m02 / (y m12 m01)) h02
-                if r is None or not _tag_allows(r[0] * m02, r[1] * m12 * m01, self.tag):
-                    h12, h02, h01 = (self.holonomy[f] for f in s.faces)
-                    residual = h02.inverse() @ (h12 @ h01)
-                    raise TriangleError(
-                        f"triangle condition fails on 2-simplex {sid} "
-                        f"(residual {residual!r})"
-                    )
-
-    def transport(self, eid: int) -> tuple[Matrix, int]:
-        """(M, lam) for edge eid: M = lam * h^-1 integral, lam > 0."""
-        return self.holonomy[eid].scaled_inverse()
 
     def corner_values(self, s: "Section", dim: int, sid: int) -> list[tuple[Scalar, ...]]:
         """Section values at the corners, transported to the corner-0 frame."""
@@ -144,11 +104,9 @@ class FlatBundle:
         ``values`` maps vertices to vectors: a section's values or a partial
         assignment.
         """
-        vertices = self.base.simplices[dim][sid].vertices
+        edges, vertices = self.base.corner_edges[dim][sid], self.base.vertices[dim][sid]
         return [
-            self._lifted(eid, values[v])
-            for eid, v in zip((None, *self.base.corner_edges[dim][sid]), vertices)
-            if v in values
+            self._lifted(eid, values[v]) for eid, v in zip((None, *edges), vertices) if v in values
         ]
 
     def _lifted(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
@@ -161,6 +119,57 @@ class FlatBundle:
 
     def _lift(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
         """(lift, scale) of vec transported along edge eid, not transported for None."""
+        raise NotImplementedError
+
+
+class FlatBundle(Bundle):
+    """Edge-holonomy presentation of a flat bundle over a Delta-complex."""
+
+    def __init__(
+        self,
+        base: DeltaComplex,
+        n: int,
+        tag: str,
+        holonomy: Mapping[int, Matrix],
+        field: Field = QQ,
+    ):
+        if tag not in TAGS:
+            raise ValueError(f"unknown structure tag {tag!r}")
+        super().__init__(base, n, tag, field)
+        self.holonomy = dict(holonomy)
+        self.validate()
+
+    def validate(self) -> None:
+        """Shape and tag of every edge, the triangle condition on every 2-simplex."""
+        n_edges = len(self.base.faces[1]) if self.base.dimension >= 1 else 0
+        cleared = []  # per edge, (a, m) with a = m * h integral
+        for eid in range(n_edges):
+            if eid not in self.holonomy:
+                raise ValueError(f"edge {eid} has no holonomy")
+            h = self.holonomy[eid]
+            if (h.nrows, h.ncols) != (self.n, self.n):
+                raise ValueError(f"holonomy of edge {eid} has wrong shape")
+            _check_tag_det(h, self.tag)
+            cleared.append(h.cleared()[:2])
+        if self.base.dimension >= 2:
+            for sid, faces in enumerate(self.base.faces[2]):
+                # h02^-1 h12 h01 == c*I  iff  h12 h01 == c*h02, as h02 is invertible
+                (a12, m12), (a02, m02), (a01, m01) = (cleared[f] for f in faces)
+                r = (a12 @ a01).ratio_to(a02)
+                # a12 a01 == (x/y) a02 gives h12 h01 == (x m02 / (y m12 m01)) h02
+                if r is None or not _tag_allows(r[0] * m02, r[1] * m12 * m01, self.tag):
+                    h12, h02, h01 = (self.holonomy[f] for f in faces)
+                    residual = h02.inverse() @ (h12 @ h01)
+                    raise TriangleError(
+                        f"triangle condition fails on 2-simplex {sid} "
+                        f"(residual {residual!r})"
+                    )
+
+    def transport(self, eid: int) -> tuple[Matrix, int]:
+        """(M, lam) for edge eid: M = lam * h^-1 integral, lam > 0."""
+        return self.holonomy[eid].scaled_inverse()
+
+    def _lift(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
         if eid is None:
             image, lam = vec, 1
         else:
@@ -170,18 +179,17 @@ class FlatBundle:
         return tuple(lift), lam * mult
 
 
-class ProductBundle(FlatBundle):
+class ProductBundle(Bundle):
     """The direct sum of two valid bundles over their product complex, so valid itself.
 
-    It keeps no holonomy, so it has no transport: a lift along product edge
-    (p, sid, q, sid2) is the direct sum of the factors' lifts along edge sid
-    (p = 1, else none) and sid2.
+    It keeps no holonomy, so it has neither ``transport`` nor ``validate``:
+    a lift along product edge (p, sid, q, sid2) is the direct sum of the
+    factors' lifts along edge sid (p = 1, else none) and sid2.
     """
 
-    def __init__(self, px: ProductComplex, e1: FlatBundle, e2: FlatBundle, tag: str):
-        self.base, self.n, self.tag, self.field = px, e1.n + e2.n, tag, e1.field
+    def __init__(self, px: ProductComplex, e1: Bundle, e2: Bundle, tag: str):
+        super().__init__(px, e1.n + e2.n, tag, e1.field)
         self.factors = e1, e2
-        self._lifts = {}
 
     def _lift(self, eid: int | None, vec: Sequence[Scalar]) -> tuple[tuple, int]:
         """l1/s1 + l2/s2 = (s2 l1 + s1 l2) / (s1 s2), summands read from the factors' lifts."""
@@ -283,7 +291,7 @@ def bundle_from_surface_rep(
         raise RelatorError(relator_product(matrices)) from None
 
 
-def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> ProductBundle:
+def product_bundle(px: ProductComplex, e1: Bundle, e2: Bundle) -> ProductBundle:
     """The direct sum of the factors over their product complex."""
     if e1.field != e2.field:
         raise UsageError("product of bundles over different fields")
@@ -300,7 +308,7 @@ def product_bundle(px: ProductComplex, e1: FlatBundle, e2: FlatBundle) -> Produc
 # ---------------------------------------------------------------------------
 
 
-def _scope(bundle: FlatBundle, support: Iterable[int] | None) -> dict[int, list[int]]:
+def _scope(bundle: Bundle, support: Iterable[int] | None) -> dict[int, list[int]]:
     """Per vertex in scope, the ids of its n-simplices.
 
     The scope is the n-simplices of the support (all of them if None): a
@@ -310,16 +318,16 @@ def _scope(bundle: FlatBundle, support: Iterable[int] | None) -> dict[int, list[
     n = bundle.n
     cx = bundle.base
     if support is None:
-        support = range(len(cx.simplices[n])) if cx.dimension >= n else ()
+        support = range(len(cx.faces[n])) if cx.dimension >= n else ()
     star: dict[int, list[int]] = {}
     for sid in set(support):
-        for v in set(cx.simplices[n][sid].vertices):
+        for v in set(cx.vertices[n][sid]):
             star.setdefault(v, []).append(sid)
     return star
 
 
 def is_generic_section(
-    bundle: FlatBundle,
+    bundle: Bundle,
     s: Section,
     mode: str = "basic",
     support: Iterable[int] | None = None,
@@ -353,7 +361,7 @@ def _random_nonzero_vector(field: Field, rng: random.Random, n: int, bound: int)
 
 
 def random_generic_section(
-    bundle: FlatBundle,
+    bundle: Bundle,
     seed: int,
     mode: str = "basic",
     bound: int = 9,
@@ -427,12 +435,12 @@ def _relation_coefficients(corners: Sequence[tuple[tuple, int]]) -> list[Scalar]
 
 
 def scalar_set(
-    bundle: FlatBundle, s: Section, support: Iterable[int] | None = None
+    bundle: Bundle, s: Section, support: Iterable[int] | None = None
 ) -> set:
     """All proper nonempty subset sums of sum-normalized relation coefficients."""
     n = bundle.n
     cx = bundle.base
-    sids = set(range(len(cx.simplices[n])) if support is None else support)
+    sids = set(range(len(cx.faces[n])) if support is None else support)
     out = set()
     for sid in sids:
         coeffs = _relation_coefficients(bundle._corners(s.values, n, sid))
@@ -441,16 +449,18 @@ def scalar_set(
             raise GenericityError(
                 f"section is not strongly generic on {n}-simplex {sid} (a zero minor or sum)"
             )
-        coeffs = [exact_div(c, total) for c in coeffs]
         for size in range(1, n + 1):
-            out.update(sum(coeffs[i] for i in sub) for sub in combinations(range(n + 1), size))
+            out.update(
+                exact_div(sum(map(coeffs.__getitem__, sub)), total)
+                for sub in combinations(range(n + 1), size)
+            )
     return out
 
 
 def joint_scalar_sets(
-    e1: FlatBundle,
+    e1: Bundle,
     s1: Section,
-    e2: FlatBundle,
+    e2: Bundle,
     s2: Section,
 ) -> tuple[set, set, bool]:
     """The two scalar collections and whether they are disjoint."""
@@ -464,7 +474,7 @@ def joint_scalar_sets(
 # ---------------------------------------------------------------------------
 
 
-def check_usage(bundle: FlatBundle, selector: Selector, z: Chain) -> None:
+def check_usage(bundle: Bundle, selector: Selector, z: Chain) -> None:
     """Raise UsageError unless z is a cycle of the fiber dimension and the class exists.
 
     It reads no section, so a caller can ask before sampling one.
@@ -486,7 +496,7 @@ def check_usage(bundle: FlatBundle, selector: Selector, z: Chain) -> None:
 
 
 def evaluate_class(
-    bundle: FlatBundle,
+    bundle: Bundle,
     s: Section,
     selector: Selector,
     z: Chain,

@@ -37,7 +37,6 @@ from typing import Sequence
 from tautclass.complexes import (
     Chain,
     DeltaComplex,
-    Simplex,
     product_chain,
     product_complex,
     surface_complex,
@@ -128,15 +127,14 @@ def save_rep(rep: SurfaceRep, path: str) -> None:
 def standard_simplex_complex(n: int) -> DeltaComplex:
     """The full n-simplex with all of its faces, vertices 0..n."""
     ids: dict[tuple[int, ...], int] = {}
-    levels: list[list[Simplex]] = []
+    vertices: list[list[tuple[int, ...]]] = []
+    faces: list[list[tuple[int, ...]]] = []
     for d in range(n + 1):
-        level = []
-        for verts in combinations(range(n + 1), d + 1):
-            ids[verts] = len(level)
-            faces = tuple(ids[verts[:j] + verts[j + 1 :]] for j in range(d + 1) if d > 0)
-            level.append(Simplex(verts, faces))
-        levels.append(level)
-    return DeltaComplex(levels)
+        level = list(combinations(range(n + 1), d + 1))
+        ids.update((verts, sid) for sid, verts in enumerate(level))
+        vertices.append(level)
+        faces.append([tuple(ids[v[:j] + v[j + 1 :]] for j in range(d + 1) if d) for v in level])
+    return DeltaComplex(vertices, faces)
 
 
 def sphere_complex() -> tuple[DeltaComplex, Chain]:
@@ -146,7 +144,8 @@ def sphere_complex() -> tuple[DeltaComplex, Chain]:
     surface models, needed when a product evaluation requires generic
     values along cells that repeat a factor vertex.
     """
-    cx = DeltaComplex(standard_simplex_complex(3).simplices[:3])
+    d3 = standard_simplex_complex(3)
+    cx = DeltaComplex(d3.vertices[:3], d3.faces[:3])
     coeffs = {}
     for sid, verts in enumerate(combinations(range(4), 3)):
         omitted = next(v for v in range(4) if v not in verts)
@@ -155,11 +154,11 @@ def sphere_complex() -> tuple[DeltaComplex, Chain]:
 
 
 def cell_counts(cx: DeltaComplex) -> tuple[int, ...]:
-    return tuple(len(level) for level in cx.simplices)
+    return tuple(len(level) for level in cx.faces)
 
 
 def euler_characteristic(cx: DeltaComplex) -> int:
-    return sum((-1) ** d * len(level) for d, level in enumerate(cx.simplices))
+    return sum((-1) ** d * len(level) for d, level in enumerate(cx.faces))
 
 
 def psl_equal(a: Matrix, b: Matrix) -> bool:
@@ -204,7 +203,7 @@ def holonomy(bundle: FlatBundle, eid: int) -> Matrix:
 
 def holonomies(bundle: FlatBundle) -> dict[int, Matrix]:
     """Edge -> holonomy matrix, for every edge of the bundle."""
-    return {eid: holonomy(bundle, eid) for eid in range(len(bundle.base.simplices[1]))}
+    return {eid: holonomy(bundle, eid) for eid in range(len(bundle.base.faces[1]))}
 
 
 def explicit_product(px, e1: FlatBundle, e2: FlatBundle) -> FlatBundle:
@@ -312,7 +311,7 @@ def _admits_generic_section(rep: SurfaceRep) -> bool:
     """
     sc, _ = surface_complex(rep.genus)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
-    for sid in range(len(sc.simplices[2])):
+    for sid in range(len(sc.faces[2])):
         t1 = transport_to_base(bundle, 2, sid, 1)
         t2 = transport_to_base(bundle, 2, sid, 2)
         for m in (t1, t2, t1.inverse() @ t2):
@@ -439,7 +438,7 @@ def mixed_dimension_product(rep: SurfaceRep, seed: int = 0):
     sc, _ = surface_complex(rep.genus)
     ea = bundle_from_surface_rep(sc, rep.matrices, rep.tag, field=rep.field)
     sph, z2 = sphere_complex()
-    eb = FlatBundle(sph, 1, "GL+", {e: Matrix([[1]]) for e in range(len(sph.simplices[1]))})
+    eb = FlatBundle(sph, 1, "GL+", {e: Matrix([[1]]) for e in range(len(sph.faces[1]))})
     px = product_complex(sc, sph)
     ep = product_bundle(px, ea, eb)
     zz = product_chain(px, Chain(1, {0: 1}), z2)

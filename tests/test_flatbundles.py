@@ -42,6 +42,7 @@ from tautclass.exactmath import (
 )
 from tautclass.flatbundles import (
     TAGS,
+    Bundle,
     FlatBundle,
     ProductBundle,
     RelatorError,
@@ -67,7 +68,7 @@ def _diag(a, b):
 
 def _trivial_bundle_over_simplex(n=2):
     cx = standard_simplex_complex(2)
-    hol = {e: Matrix.identity(n) for e in range(len(cx.simplices[1]))}
+    hol = {e: Matrix.identity(n) for e in range(len(cx.faces[1]))}
     return FlatBundle(cx, n, "SL", hol)
 
 
@@ -132,8 +133,8 @@ def test_quotient_tags_accept_scalar_triangle_residuals():
 
 def _triangle_residual_oracle(bundle_base, hol, tag):
     """The first failing 2-simplex and its residual h02^-1 h12 h01, or None."""
-    for sid, simplex in enumerate(bundle_base.simplices[2]):
-        h01, h12, h02 = (hol[simplex.faces[k]] for k in (2, 0, 1))
+    for sid, faces in enumerate(bundle_base.faces[2]):
+        h01, h12, h02 = (hol[faces[k]] for k in (2, 0, 1))
         residual = h02.inverse() @ (h12 @ h01)
         c = scalar_multiple_of_identity(residual)
         ok = c is not None and (
@@ -189,10 +190,8 @@ def test_transport_identity_and_path_independence():
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag)
     for sid in range(6):
         assert transport_to_base(bundle, 2, sid, 0) == Matrix.identity(2)
-        s = sc.simplices[2][sid]
-        via_edges = (
-            holonomy(bundle, s.faces[0]) @ holonomy(bundle, s.faces[2])
-        ).inverse()
+        faces = sc.faces[2][sid]
+        via_edges = (holonomy(bundle, faces[0]) @ holonomy(bundle, faces[2])).inverse()
         assert transport_to_base(bundle, 2, sid, 2) == via_edges
 
 
@@ -408,7 +407,7 @@ def _block_sums(px, e_a, e_b):
     """Per product edge, the factor blocks [L, R] of its block-sum holonomy."""
     i_a, i_b = Matrix.identity(e_a.n), Matrix.identity(e_b.n)
     blocks = {}
-    for e in range(len(px.simplices[1])):
+    for e in range(len(px.faces[1])):
         p, sid, q, sid2, _ = px.cell_info(1, e)
         blocks[e] = [holonomy(e_a, sid) if p else i_a, holonomy(e_b, sid2) if q else i_b]
     return blocks
@@ -474,8 +473,8 @@ def _fuchs_times(name):
 
 def _first_triangle_failure(px, holonomy):
     """The error text of the first 2-simplex whose full residual is not the identity."""
-    for sid, s in enumerate(px.simplices[2]):
-        h12, h02, h01 = (holonomy[f] for f in s.faces)
+    for sid, faces in enumerate(px.faces[2]):
+        h12, h02, h01 = (holonomy[f] for f in faces)
         residual = h02.inverse() @ (h12 @ h01)
         if residual != Matrix.identity(residual.nrows):
             return f"triangle condition fails on 2-simplex {sid} (residual {residual!r})"
@@ -484,7 +483,7 @@ def _first_triangle_failure(px, holonomy):
 
 def _over_two_factor_edges(px):
     """The last product edge over a pair of factor edges."""
-    return max(e for e in range(len(px.simplices[1])) if px.cell_info(1, e)[:3:2] == (1, 1))
+    return max(e for e in range(len(px.faces[1])) if px.cell_info(1, e)[:3:2] == (1, 1))
 
 
 def test_product_validation_checks_every_triangle(monkeypatch):
@@ -499,7 +498,19 @@ def test_product_validation_checks_every_triangle(monkeypatch):
     product_bundle(px, e_a, e_b)
     assert calls == {}
     explicit_product(px, e_a, e_b)
-    assert calls["ratio_to"] == len(px.simplices[2]) == 426
+    assert calls["ratio_to"] == len(px.faces[2]) == 426
+
+
+def test_a_product_bundle_has_no_holonomy_methods():
+    """It keeps no holonomy, so it has no transport or validate that would read one."""
+    px, e_a, e_b = _fuchs_times("g2_solved_3")
+    bundle = product_bundle(px, e_a, e_b)
+    assert isinstance(bundle, Bundle) and not isinstance(bundle, FlatBundle)
+    assert not hasattr(bundle, "holonomy")
+    assert not hasattr(bundle, "transport") and not hasattr(bundle, "validate")
+    assert {"transport", "validate"} <= vars(FlatBundle).keys()  # the tracer wraps validate there
+    s = Section({0: (3, -1, 2, 5)})
+    assert len(bundle.corner_values(s, 4, 0)) == 5
 
 
 # error texts recorded from the block-by-block check before distinct
@@ -566,14 +577,14 @@ def test_factor_transports_invert_only_the_diagonal_edges(monkeypatch):
     # the 4 generator edges hold inverses, which carry their own scaled
     # inverse: of 9 edges per factor, only the 5 diagonals compute one
     for factor in (e_a, e_b):
-        for eid in range(len(factor.base.simplices[1])):
+        for eid in range(len(factor.base.faces[1])):
             m, lam = factor.transport(eid)
             assert holonomy(factor, eid) @ m == Matrix.identity(2).scaled(lam)
     assert calls == {"_scaled_inverse": 2 * 5}
     # the product's lifts are sums of the factors' lifts: no inverse of its own
     bundle = product_bundle(px, e_a, e_b)
     s = Section({0: (3, -1, 2, 5)})
-    for sid in range(len(px.simplices[4])):
+    for sid in range(len(px.faces[4])):
         bundle._corners(s.values, 4, sid)
     assert calls == {"_scaled_inverse": 2 * 5}
 
@@ -657,7 +668,7 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     lifted = {
         (eid, v)
         for sid in zz.coeffs
-        for eid, v in zip(cx.corner_edges[4][sid], cx.simplices[4][sid].vertices[1:])
+        for eid, v in zip(cx.corner_edges[4][sid], cx.vertices[4][sid][1:])
     }
     assert (len(zz.coeffs), len(lifted)) == (216, 63)  # 216 * 4 = 864 corner lifts
     # the factor edges under them, None where the product edge keeps a factor's vertex
@@ -872,7 +883,7 @@ def test_sampling_reads_corner_edges_from_the_table(monkeypatch, mode):
     # the package has no face walk: the transported edges are the table's
     # entries on the top simplices, in mode "strong" too
     assert transported == {e for edges in bundle.base.corner_edges[2] for e in edges}
-    assert len(transported) == 7 < len(bundle.base.simplices[1])
+    assert len(transported) == 7 < len(bundle.base.faces[1])
 
 
 # left multiplication by the unit quaternions i and j: [L_i, L_j] = L_{-1} = -I
@@ -1026,7 +1037,7 @@ def test_a_product_factor_may_be_a_product():
     assert (bundle.n, bundle.tag, bundle.factors) == (6, "SL", (e2, e))
     # its block sums are those of three factors, and they pass the triangle check
     explicit = explicit_product(px, e2, e)
-    for eid in range(len(px.simplices[1])):
+    for eid in range(len(px.faces[1])):
         p, sid, q, sid2, _ = px.cell_info(1, eid)
         left = holonomy(e2, sid) if p == 1 else Matrix.identity(4)
         right = holonomy(e, sid2) if q == 1 else Matrix.identity(2)

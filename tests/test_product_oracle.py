@@ -83,12 +83,12 @@ def test_direct_sum_lifts_are_the_block_sum_transports(name):
     rng = random.Random(name)
     values = {v: random_vector(bundle.field, rng, bundle.n, 9) for v in range(px.num_vertices)}
     values = {v: vec for v, vec in values.items() if any(vec)}
-    for eid in (None, *range(len(px.simplices[1]))):
+    for eid in (None, *range(len(px.faces[1]))):
         vec = values[rng.choice(sorted(values))]
         assert _true(bundle._lifted(eid, vec)) == _true(oracle._lifted(eid, vec)), eid
     s = Section(values)
     top = px.dimension
-    for sid in range(len(px.simplices[top])):
+    for sid in range(len(px.faces[top])):
         assert bundle.corner_values(s, top, sid) == oracle.corner_values(s, top, sid), sid
 
 

@@ -59,8 +59,7 @@ def _quad_sphere_bundle(seed=0):
         y = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) + rng.randint(-1, 1) * r
         g.append(Matrix([[x, y], [0, 1 / x]]))
     hol = {}
-    for e, s in enumerate(cx.simplices[1]):
-        a, b = s.vertices
+    for e, (a, b) in enumerate(cx.vertices[1]):
         hol[e] = g[b] @ g[a].inverse()
     return FlatBundle(cx, 2, "SL", hol, field=QUAD)
 
@@ -84,7 +83,7 @@ BUNDLES = {
 
 def _max_scale(bundle):
     """The largest lam of an edge transport lam * h^-1 (h a block sum over a product)."""
-    return max(holonomy(bundle, e).scaled_inverse()[1] for e in range(len(bundle.base.simplices[1])))
+    return max(holonomy(bundle, e).scaled_inverse()[1] for e in range(len(bundle.base.faces[1])))
 
 
 def _random_values(bundle, rng, bound):
@@ -111,7 +110,7 @@ def _planted_values(bundle, rng):
     one common linear image of the u_v: parallel and zero-sum corner
     tuples are frequent.
     """
-    edges = {s.vertices: e for e, s in enumerate(bundle.base.simplices[1])}
+    edges = {v: e for e, v in enumerate(bundle.base.vertices[1])}
     small = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)]
     values = {0: rng.choice(small)}
     for v in range(1, bundle.base.num_vertices):
@@ -122,7 +121,7 @@ def _planted_values(bundle, rng):
 def _oracle_partial(bundle, s, assigned, d, sid, mode):
     """The decision on the true corner values of the assigned vertices."""
     n = bundle.n
-    verts = bundle.base.simplices[d][sid].vertices
+    verts = bundle.base.vertices[d][sid]
     tup = [x for x, v in zip(bundle.corner_values(s, d, sid), verts) if v in assigned]
     if len(tup) <= n:
         return not tup or is_linearly_generic(tup, n)
@@ -146,7 +145,7 @@ def _oracle_scalar_set(bundle, s, support):
 
 def _tops(bundle, support):
     n = bundle.n
-    return sorted(support) if support is not None else range(len(bundle.base.simplices[n]))
+    return sorted(support) if support is not None else range(len(bundle.base.faces[n]))
 
 
 def _compare_partial(bundle, s, support, rng):
@@ -156,7 +155,7 @@ def _compare_partial(bundle, s, support, rng):
     """
     seen = set()
     for sid in _tops(bundle, support):
-        verts = set(bundle.base.simplices[bundle.n][sid].vertices)
+        verts = set(bundle.base.vertices[bundle.n][sid])
         for assigned in (verts, {v for v in verts if rng.random() < 0.6}):
             values = {v: s.values[v] for v in assigned}
             decisions = []
@@ -189,7 +188,7 @@ def _lower_faces(cx, d, sid):
     """The faces of dimension >= 1 below simplex (d, sid), walked level by level."""
     level, faces = {sid}, set()
     for k in range(d, 1, -1):
-        level = {f for x in level for f in cx.simplices[k][x].faces}
+        level = {f for x in level for f in cx.faces[k][x]}
         faces |= {(k - 1, f) for f in level}
     return faces
 
@@ -203,7 +202,7 @@ def _face_implications(bundle, s, support, rng):
     """
     out = Counter()
     for sid in _tops(bundle, support):
-        verts = set(bundle.base.simplices[bundle.n][sid].vertices)
+        verts = set(bundle.base.vertices[bundle.n][sid])
         assigned = {v for v in verts if rng.random() < 0.7}
         values = {v: s.values[v] for v in assigned}
         top = _check_simplex_partial(bundle, values, sid, "basic")
@@ -241,7 +240,7 @@ def test_scalar_sets_match_the_true_value_oracle(name):
 def _engineered_bundle():
     """The standard 2-simplex; its transports have scales 2, 6 and 3 (edges 01, 02, 12)."""
     cx = standard_simplex_complex(2)
-    edges = {s.vertices: e for e, s in enumerate(cx.simplices[1])}
+    edges = {v: e for e, v in enumerate(cx.vertices[1])}
     h01 = Matrix([[Fraction(1, 2), 0], [0, 2]])
     h12 = Matrix([[Fraction(1, 3), 0], [0, 3]])
     hol = {edges[0, 1]: h01, edges[1, 2]: h12, edges[0, 2]: h12 @ h01}

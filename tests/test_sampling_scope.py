@@ -15,7 +15,7 @@ import pytest
 
 from fixture_builders import sphere_complex, transport_to_base
 from tautclass import flatbundles
-from tautclass.complexes import DeltaComplex, Simplex
+from tautclass.complexes import DeltaComplex
 from tautclass.exactmath import Matrix, is_linearly_generic, unique_relation
 from tautclass.flatbundles import (
     FlatBundle,
@@ -39,12 +39,12 @@ def strip_bundle(triangles, gen, seed=0):
     """Triangles (i, i+1, i+2), each glued to the next along (i+1, i+2)."""
     rng = random.Random(seed)
     t = triangles
-    vertices = [Simplex((i,), ()) for i in range(t + 2)]
     # edge (i, i+1) has id i, edge (i, i+2) has id t+1+i
-    edges = [Simplex((i, i + 1), (i + 1, i)) for i in range(t + 1)]
-    edges += [Simplex((i, i + 2), (i + 2, i)) for i in range(t)]
-    tris = [Simplex((i, i + 1, i + 2), (i + 1, t + 1 + i, i)) for i in range(t)]
-    cx = DeltaComplex([vertices, edges, tris])
+    edges = [(i, i + 1) for i in range(t + 1)] + [(i, i + 2) for i in range(t)]
+    cx = DeltaComplex(
+        [[(i,) for i in range(t + 2)], edges, [(i, i + 1, i + 2) for i in range(t)]],
+        [[()] * (t + 2), [(b, a) for a, b in edges], [(i + 1, t + 1 + i, i) for i in range(t)]],
+    )
     hol = {i: gen(rng) for i in range(t + 1)}
     for i in range(t):
         hol[t + 1 + i] = hol[i + 1] @ hol[i]  # h02 = h12 h01
@@ -57,8 +57,7 @@ def sphere_bundle(seed=0):
     cx, _ = sphere_complex()
     g = [_sl2(rng) for _ in range(cx.num_vertices)]
     hol = {}
-    for e, s in enumerate(cx.simplices[1]):
-        a, b = s.vertices
+    for e, (a, b) in enumerate(cx.vertices[1]):
         hol[e] = g[b] @ g[a].inverse()
     return FlatBundle(cx, 2, "SL", hol)
 
@@ -73,14 +72,14 @@ def _scope(bundle, mode):
     """Every top simplex, and in mode "strong" every simplex of dimension >= 1."""
     n, cx = bundle.n, bundle.base
     dims = range(1, n + 1) if mode == "strong" else [n]
-    return [(d, sid) for d in dims for sid in range(len(cx.simplices[d]))]
+    return [(d, sid) for d in dims for sid in range(len(cx.faces[d]))]
 
 
 def _partial_generic(bundle, values, d, sid, mode, transports):
     n = bundle.n
     tup = [
         transports[d, sid, c].apply(values[v])
-        for c, v in enumerate(bundle.base.simplices[d][sid].vertices)
+        for c, v in enumerate(bundle.base.vertices[d][sid])
         if v in values
     ]
     if len(tup) <= n:
@@ -151,9 +150,9 @@ def test_each_draw_checks_only_the_star_of_its_vertex(monkeypatch, name, mode):
     assert sorted(checked) == list(range(cx.num_vertices))
     for v, sids in checked.items():
         # the n-simplices at v, in mode "strong" too: no lower face is checked
-        star = {sid for sid, s in enumerate(cx.simplices[n]) if v in s.vertices}
+        star = {sid for sid, verts in enumerate(cx.vertices[n]) if v in verts}
         assert sids == star, v
-    assert max(len(s) for s in checked.values()) < len(cx.simplices[n])
+    assert max(len(s) for s in checked.values()) < len(cx.faces[n])
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLES))
@@ -161,10 +160,10 @@ def test_a_partial_read_is_the_full_read_at_the_assigned_corners(name):
     bundle = BUNDLES[name]
     s = random_generic_section(bundle, seed=4)
     rng = random.Random(1)
-    for d, level in enumerate(bundle.base.simplices):
-        for sid, simplex in enumerate(level):
+    for d, level in enumerate(bundle.base.vertices):
+        for sid, verts in enumerate(level):
             full = bundle._corners(s.values, d, sid)
             assert len(full) == d + 1
             assigned = {v: x for v, x in s.values.items() if rng.random() < 0.5}
-            expected = [c for c, v in zip(full, simplex.vertices) if v in assigned]
+            expected = [c for c, v in zip(full, verts) if v in assigned]
             assert bundle._corners(assigned, d, sid) == expected
