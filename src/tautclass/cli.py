@@ -240,16 +240,20 @@ def _load_bundle(path: str):
     return rep, sc, z, bundle
 
 
-def _suite_smillie(args, rng):
+def _rep_euplus(args, rng):
+    """The --rep of a suite: rep, cycle, bundle, a sampled section and the euplus value."""
     if not args.rep:
-        raise UsageError("suite smillie needs --rep")
-    rep, sc, z, bundle = _load_bundle(args.rep)
+        raise UsageError(f"suite {args.suite} needs --rep")
+    rep, _, z, bundle = _load_bundle(args.rep)
+    s = random_generic_section(bundle, seed=rng.randint(0, 10**6))
+    return rep, z, bundle, s, evaluate_class(bundle, s, Selector("euplus"), z)
+
+
+def _suite_smillie(args, rng):
+    _, _, bundle, _, euplus_value = _rep_euplus(args, rng)
     n = bundle.n
-    failures = []
-    seed = rng.randint(0, 10**6)
-    s = random_generic_section(bundle, seed=seed)
-    values = dict(enumerate(evaluate_class(bundle, s, Selector("euplus"), z).coefficients))
-    factors = {}
+    values = dict(enumerate(euplus_value.coefficients))
+    failures, factors = [], {}
     for k in range(1, n // 2 + 1):
         expected = (-1) ** k * comb(n + 1, k) * values[0]
         factors[f"eu{k}"] = (-1) ** k * comb(n + 1, k)
@@ -260,14 +264,9 @@ def _suite_smillie(args, rng):
 
 
 def _suite_comparison(args, rng):
-    if not args.rep:
-        raise UsageError("suite comparison needs --rep")
-    rep, sc, z, bundle = _load_bundle(args.rep)
+    rep, z, bundle, s, euplus_value = _rep_euplus(args, rng)
     n = bundle.n
     failures = []
-    seed = rng.randint(0, 10**6)
-    s = random_generic_section(bundle, seed=seed)
-    euplus_value = evaluate_class(bundle, s, Selector("euplus"), z)
     eu0 = euplus_value.coefficients[0]
     info = {"n": n, "field": bundle.field.name, "eu0": eu0}
     if n % 2 == 0:

@@ -63,9 +63,10 @@ class DeltaComplex:
         """Check row counts, face ids, vertex consistency of faces and the double-face identities.
 
         Each check compares whole columns of a level (face j of every
-        simplex, vertex k of every simplex or face) as tuples, in this
-        order: counts, face ids, vertices of faces, then d_i d_j = d_{j-1} d_i
-        for i < j.  A failing check is located at its first simplex.
+        simplex, vertex k of every simplex or face) as tuples, in this order:
+        counts, vertex ids (level 0), face ids, vertices of faces, then
+        d_i d_j = d_{j-1} d_i for i < j.  A failing check is located at its
+        first simplex.
         """
         if len(self.vertices) != len(self.faces):
             raise ValueError(f"{len(self.vertices)} vertex levels, {len(self.faces)} face levels")
@@ -83,6 +84,10 @@ class DeltaComplex:
         if set(map(len, faces)) - {n_faces}:
             sid = next(sid for sid, f in enumerate(faces) if len(f) != n_faces)
             raise ValueError(f"simplex ({d},{sid}) has wrong face count")
+        # vertex v is the row (v,): a product numbers its vertices v * N' + w
+        bad = [] if d else [v for v, row in enumerate(vertices) if row != (v,)]
+        if bad:
+            raise ValueError(f"vertex {bad[0]} has row {vertices[bad[0]]}, not ({bad[0]},)")
         if not (d and faces):
             return
         n_below = len(self.faces[d - 1])

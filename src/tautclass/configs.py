@@ -107,15 +107,6 @@ def face_minors(minors: dict, face: Sequence[int]) -> list[Scalar]:
     return [minors[face[:j] + face[j + 1 :]] for j in range(len(face))]
 
 
-def _generic_minors(points: Sequence[Point]) -> list[Scalar]:
-    minors = maximal_minors(points)
-    if not minors[-1]:
-        raise GenericityError("first n lifts are linearly dependent")
-    if not all(minors):
-        raise GenericityError("tuple is not generic")
-    return minors
-
-
 @cache
 def _plus_class(signs: tuple[int, ...]) -> tuple[int, int]:
     """(a, e): a generic tuple in P_+^{n-1} has symbol e * (a+), by the signs of D_0..D_n.
@@ -142,7 +133,10 @@ def _plus_class(signs: tuple[int, ...]) -> tuple[int, int]:
 
 def witt_symbol_from_minors(minors: Sequence[Scalar]) -> WittElement:
     """<det(u,v) det(v,w) det(w,u)> = <-D_0 D_1 D_2> for a triple in Q^2."""
-    return WittElement.symbol(-minors[0] * minors[1] * minors[2])
+    d = -minors[0] * minors[1] * minors[2]
+    if not d:
+        raise GenericityError("a maximal minor is zero")
+    return WittElement.symbol(d)
 
 
 def u_symbol(points: Sequence[Point]) -> USymbol:
@@ -154,7 +148,7 @@ def u_symbol(points: Sequence[Point]) -> USymbol:
     n = len(points) - 1
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P^{n - 1}")
-    return symbol_sum("P", n, [(_generic_minors(points), 1)])
+    return symbol_sum("P", n, [(maximal_minors(points), 1)])
 
 
 def uplus_symbol(points: Sequence[Point]) -> UPlusSymbol:
@@ -165,12 +159,12 @@ def uplus_symbol(points: Sequence[Point]) -> UPlusSymbol:
     n = len(points) - 1
     if any(len(p) != n for p in points):
         raise ValueError(f"need n+1 points of P_+^{n - 1}")
-    return symbol_sum("P+", n, [(_generic_minors(points), 1)])
+    return symbol_sum("P+", n, [(maximal_minors(points), 1)])
 
 
 def witt_triple_symbol(u: Point, v: Point, w: Point) -> WittElement:
-    """<det(u,v) det(v,w) det(w,u)> for pairwise independent u,v,w in Q^2."""
-    return witt_symbol_from_minors(_generic_minors([u, v, w]))
+    """<det(u,v) det(v,w) det(w,u)> for pairwise independent u,v,w in Q^2, else GenericityError."""
+    return witt_symbol_from_minors(maximal_minors([u, v, w]))
 
 
 Mode = Literal["P", "P+", "witt"]
@@ -183,13 +177,14 @@ def symbol_sum(
 ):
     """sum c * symbol(minors) over the (minors, c) pairs, in the group of ``mode``.
 
-    The minors are the nonzero maximal minors of lifts in K^n.  A
-    UPlusSymbol (mode "P+"): each term's canonical (a, e), one lookup by
-    the signs of its minors, is folded into integer coefficients c_a (a
-    zero minor raises GenericityError).  A USymbol (mode "P", n even): the
-    same fold pushed forward by P_+ -> P, which sends a+ to (-1)^a [+], so
-    the coefficient is sum_a (-1)^a c_a.  A WittElement ("witt", n = 2),
-    summed in one pass.
+    The minors are the maximal minors of lifts in K^n.  The symbol is
+    defined on generic tuples only: in every mode a zero minor raises
+    GenericityError("a maximal minor is zero"), and no caller checks
+    first.  A UPlusSymbol (mode "P+"): each term's canonical (a, e), one
+    lookup by the signs of its minors, is folded into integer
+    coefficients c_a.  A USymbol (mode "P", n even): the same fold pushed
+    forward by P_+ -> P, which sends a+ to (-1)^a [+], so the coefficient
+    is sum_a (-1)^a c_a.  A WittElement ("witt", n = 2), summed in one pass.
     """
     if mode == "witt":
         return WittElement.combination((witt_symbol_from_minors(minors), c) for minors, c in terms)
@@ -211,19 +206,17 @@ def boundary_symbol_sum(points: Sequence[Point], mode: Mode):
     "P+"), or a WittElement (mode "witt", n = 2).  The boundary
     relations are trivial, so the result is always zero; computing it
     lets tests assert exactly that.  One ``subset_minors`` sweep, then
-    ``boundary_sum_from_minors``.
+    ``boundary_sum_from_minors``, whose fold refuses a non-generic tuple:
+    each n-subset minor is a maximal minor of two faces.
     """
     n = len(points) - 2
     if any(len(p) != n for p in points):
         raise ValueError("ambient dimension mismatch")
-    minors = subset_minors(points, n)
-    if not all(minors.values()):
-        raise GenericityError("tuple is not generic")
-    return boundary_sum_from_minors(minors, n, mode)
+    return boundary_sum_from_minors(subset_minors(points, n), n, mode)
 
 
 def boundary_sum_from_minors(minors: dict, n: int, mode: Mode):
-    """``boundary_symbol_sum`` of an (n+2)-tuple read from its nonzero ``subset_minors``."""
+    """``boundary_symbol_sum`` of an (n+2)-tuple read from its ``subset_minors``."""
     if mode == "witt" and n != 2:
         raise ValueError("witt mode needs 2-dimensional lifts")
     everything = tuple(range(n + 2))

@@ -510,15 +510,12 @@ def evaluate_class(
     """
     check_usage(bundle, selector, z)
     n = bundle.n
-    # one pass per top simplex: the maximal minors of the lifts decide
-    # genericity and give the symbol (see ``configs.subset_minors``)
-    terms = []
-    for sid, c in z.coeffs.items():
-        lifts = [lift for lift, _ in bundle._corners(s.values, n, sid)]
-        minors = maximal_minors_int(lifts)
-        if not all(minors):
-            raise GenericityError("section is not generic on the support of z")
-        terms.append((minors, c))
+    # one pass per top simplex: the maximal minors of the lifts give the
+    # symbol, and symbol_sum refuses a zero one (see ``configs.subset_minors``)
+    terms = [
+        (maximal_minors_int([lift for lift, _ in bundle._corners(s.values, n, sid)]), c)
+        for sid, c in z.coeffs.items()
+    ]
     mode = {"eu": "P", "witt": "witt"}.get(selector.kind, "P+")
     total = configs.symbol_sum(mode, n, terms)
     if selector.kind == "eu":

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ._value import Value
 from .configs import GenericityError, witt_triple_symbol
 from .exactmath import Matrix, Scalar, vec_is_zero
 from .witt import WittElement
 
 Vector = Sequence[Scalar]
 Cocycle = Callable[[Matrix, Matrix, Matrix, Vector], WittElement]
+# a bar 2-chain: an integer combination of homogeneous triples of PSL(2,Q) matrices
+BarChain2 = list[tuple[int, tuple[Matrix, Matrix, Matrix]]]
 
 
 def witt_cocycle(g0: Matrix, g1: Matrix, g2: Matrix, u: Vector) -> WittElement:
@@ -50,18 +51,9 @@ def cocycle_identity_residual(gs: Sequence[Matrix], u: Vector) -> WittElement:
     return WittElement.combination((witt_cocycle(*face, u), (-1) ** i) for i, face in enumerate(faces))
 
 
-class BarChain2(Value):
-    """An integer combination of homogeneous triples of PSL(2,Q) matrices."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: list[tuple[int, tuple[Matrix, Matrix, Matrix]]]):
-        self._set(terms=terms)
-
-
 def evaluate_bar(cocycle: Cocycle, chain: BarChain2, u: Vector) -> WittElement:
     """Linear extension of a cocycle over a bar 2-chain."""
-    return WittElement.combination((cocycle(*triple, u), c) for c, triple in chain.terms)
+    return WittElement.combination((cocycle(*triple, u), c) for c, triple in chain)
 
 
 def surface_cycle_from_rep(genus: int, matrices: Sequence[Matrix]) -> BarChain2:
@@ -81,7 +73,7 @@ def surface_cycle_from_rep(genus: int, matrices: Sequence[Matrix]) -> BarChain2:
             w.append(w[-1] @ x)
     if w[-1] != w[0]:
         raise ValueError(f"relator is not the identity: {w[-1]!r}")
-    return BarChain2([
+    return [
         (1, (w[0], w[i], w[i + 1])) if i % 4 in (0, 1) else (-1, (w[0], w[i + 1], w[i]))
         for i in range(1, 4 * genus - 1)
-    ])
+    ]

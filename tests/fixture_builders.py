@@ -172,7 +172,7 @@ def commuting_pair_cycle(g: Matrix, h: Matrix) -> BarChain2:
     if not psl_equal(gh, h @ g):
         raise ValueError("matrices do not commute in PSL(2, Q)")
     one = Matrix.identity(g.nrows)
-    return BarChain2([(1, (one, g, gh)), (-1, (one, h, h @ g))])
+    return [(1, (one, g, gh)), (-1, (one, h, h @ g))]
 
 
 def block_diag(*blocks: Matrix) -> Matrix:

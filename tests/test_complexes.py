@@ -254,6 +254,37 @@ def test_validation_rejects_unequal_tables():
         DeltaComplex([[(0,)], [(0, 0), (0, 0)]], [[()], [(0, 0)]])
 
 
+@pytest.mark.parametrize(
+    "vertices, faces, v",
+    [
+        # one vertex named 5: its product with itself had the vertex row (10,)
+        ([[(5,)], [(5, 5)]], [[()], [(0, 0)]], 0),
+        ([[(1,), (0,)]], [[(), ()]], 0),
+        ([[(0,), (2,), (1,)], [(0, 2)]], [[(), (), ()], [(1, 0)]], 1),
+    ],
+    ids=["renamed", "swapped", "second"],
+)
+def test_validation_requires_each_vertex_row_to_be_its_id(vertices, faces, v):
+    expected = _first_fault(vertices, faces)
+    assert expected == f"vertex {v} has row {vertices[0][v]}, not ({v},)"
+    with pytest.raises(ValueError) as err:
+        DeltaComplex(vertices, faces)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validation_locates_a_renumbered_vertex_of_a_product(seed):
+    rng = random.Random(seed)
+    vertices, faces = _tables(product_complex(sphere_complex()[0], standard_simplex_complex(2)))
+    v = rng.randrange(len(vertices[0]))
+    vertices[0][v] = (v + rng.choice([-1, 1, len(vertices[0])]),)
+    expected = _first_fault(vertices, faces)
+    assert expected == f"vertex {v} has row {vertices[0][v]}, not ({v},)"
+    with pytest.raises(ValueError) as err:
+        DeltaComplex(vertices, faces)
+    assert str(err.value) == expected
+
+
 @pytest.mark.parametrize("bad_id", [-1, 1], ids=["negative", "too-large"])
 def test_validation_rejects_face_ids_outside_the_level_below(bad_id):
     with pytest.raises(ValueError, match=rf"^face 1 of simplex \(1,0\) has id {bad_id} out"):
@@ -274,6 +305,9 @@ def _first_fault(vertices, faces) -> str | None:
         for sid, f in enumerate(face_rows):
             if len(f) != (d + 1 if d else 0):
                 return f"simplex ({d},{sid}) has wrong face count"
+        for v, row in enumerate(() if d else rows):
+            if row != (v,):
+                return f"vertex {v} has row {row}, not ({v},)"
         for sid, f in enumerate(face_rows):
             for j, fid in enumerate(f):
                 if not 0 <= fid < len(below):

@@ -182,6 +182,14 @@ def test_witt_triple_symbol_examples():
         witt_triple_symbol((1, 0), (2, 0), (0, 1))
 
 
+@pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+def test_witt_triple_symbol_of_a_proportional_pair_is_a_genericity_error(pair):
+    points = [(1, 2), (3, -1), (-2, 5)]
+    points[pair[1]] = tuple(-3 * x for x in points[pair[0]])
+    with pytest.raises(GenericityError, match="^a maximal minor is zero$"):
+        witt_triple_symbol(*points)
+
+
 def _normalization_oracle(u, v, w):
     """Transform by an explicit SL(2,Q) element to the standard triple, read off the class."""
     delta = determinant([u, v])
@@ -247,15 +255,15 @@ def _relation_coefficients(points):
     n = len(points) - 1
     basis = [tuple(p) for p in points[:n]]
     det = determinant(basis)
-    if not det:
-        raise GenericityError("first n lifts are linearly dependent")
+    if not det:  # D_n = 0
+        raise GenericityError("a maximal minor is zero")
     return det, solve_square(list(basis), tuple(points[n]))
 
 
 def _cramer_raw(points):
     det, coeffs = _relation_coefficients(points)
-    if any(not c for c in coeffs):
-        raise GenericityError("tuple is not generic")
+    if any(not c for c in coeffs):  # a_i = 0 exactly when D_i = 0
+        raise GenericityError("a maximal minor is zero")
     return sign(det), tuple(sign(c) for c in coeffs)
 
 
@@ -273,7 +281,9 @@ def _random_tuple(rng, kind, n):
 
 
 def _minor_signs(points):
-    return tuple(map(sign, configs._generic_minors(points)))
+    minors = maximal_minors(points)
+    symbol_sum("P+", len(points) - 1, [(minors, 1)])  # the reader refuses a zero minor
+    return tuple(map(sign, minors))
 
 
 def _cramer_signs(points):
@@ -518,6 +528,11 @@ def test_adjacent_swaps_negate_the_symbol_on_every_sign_vector(n):
 
 
 def test_a_zero_minor_in_a_symbol_sum_is_a_genericity_error():
-    for mode, n, minors in (("P", 2, [1, 0, -1]), ("P+", 2, [1, 1, 0]), ("P+", 3, [0, 2, 3, 5])):
+    for mode, n, minors in (
+        ("P", 2, [1, 0, -1]),
+        ("P+", 2, [1, 1, 0]),
+        ("P+", 3, [0, 2, 3, 5]),
+        ("witt", 2, [1, 0, 2]),
+    ):
         with pytest.raises(GenericityError, match="a maximal minor is zero"):
             symbol_sum(mode, n, [([1] * (n + 1), 1), (minors, 1)])

@@ -226,7 +226,7 @@ TEST_ONLY = {
     "standard_simplex_complex", "sphere_complex", "psl_equal", "commuting_pair_cycle",
     "rep_to_json", "holonomies", "_BlockSums", "_simplex",
     "Matrix.__neg__", "Chain.scale", "BarChain2.__add__", "BarChain2.__neg__", "WittElement.scale",
-    "is_generic_tuple", "relation_coefficients",
+    "is_generic_tuple", "relation_coefficients", "_generic_minors",
     "DeltaComplex.counts", "DeltaComplex.euler_characteristic",
     "transport_to_base", "FlatBundle.transport_to_base",
     "Matrix.block_diag", "block_diag", "explicit_product", "_path_ratio",
