@@ -22,7 +22,7 @@ import traceback
 from fractions import Fraction
 from math import comb
 
-from .complexes import cup_evaluate, product_chain, product_complex, surface_complex
+from .complexes import surface_complex
 from .configs import (
     GenericityError,
     boundary_sum_from_minors,
@@ -35,14 +35,14 @@ from .configs import (
 from .exactmath import Matrix, QQ, QuadraticField
 from .flatbundles import (
     RelatorError,
-    Section,
     Selector,
     TagError,
     UsageError,
     bundle_from_surface_rep,
+    check_product,
     check_usage,
     evaluate_class,
-    product_bundle,
+    product_eu0,
     random_generic_section,
     random_vector,
     scalar_set,
@@ -222,13 +222,13 @@ def _oracle(rep) -> int | None:
     """The rotation-number Euler number, or None when the float oracle cannot give it.
 
     Building the bundle has already decided the relator exactly, so an
-    OracleError (a float residual or determinant out of tolerance, as
-    with entries of many digits) leaves the representation valid: the
-    oracle is reported unavailable, with the reason on stderr.
+    OracleError (a float residual or determinant out of tolerance) or
+    OverflowError (an entry past the float range) leaves the representation
+    valid: the oracle is reported unavailable, with the reason on stderr.
     """
     try:
         return rotation_euler(rep.float_matrices())
-    except OracleError as exc:
+    except (OracleError, OverflowError) as exc:
         sys.stderr.write(f"oracle unavailable: {exc}\n")
         return None
 
@@ -376,47 +376,30 @@ def cmd_eval(args) -> int:
 def cmd_product(args) -> int:
     t0 = time.time()
     rng = random.Random(args.seed)
-    repA, scA, zA, bundleA = _load_bundle(args.repA)
-    repB, scB, zB, bundleB = _load_bundle(args.repB)
-    px = product_complex(scA, scB)
-    bundleP = product_bundle(px, bundleA, bundleB)
-    eu0 = Selector("euk", 0)
+    _, _, zA, bundleA = _load_bundle(args.repA)
+    _, _, zB, bundleB = _load_bundle(args.repB)
+    check_product(bundleA, bundleB)
     for bundle, z in ((bundleA, zA), (bundleB, zB)):
-        check_usage(bundle, eu0, z)
-    attempts = 0
-    disjoint = False
+        check_usage(bundle, Selector("euk", 0), z)
+    attempts, disjoint = 0, False
     while attempts < 30 and not disjoint:
         if attempts % 10 == 0:  # a fresh A after every 10 colliding B draws
-            sA = random_generic_section(
-                bundleA, seed=rng.randint(0, 10**6), mode="strong"
-            )
+            sA = random_generic_section(bundleA, seed=rng.randint(0, 10**6), mode="strong")
             setA = scalar_set(bundleA, sA)
         attempts += 1
-        sB = random_generic_section(
-            bundleB, seed=rng.randint(0, 10**6), mode="strong"
-        )
+        sB = random_generic_section(bundleB, seed=rng.randint(0, 10**6), mode="strong")
         disjoint = not (setA & scalar_set(bundleB, sB))
     if not disjoint:
         sys.stderr.write("could not reach disjoint scalar sets\n")
         return EXIT_RESAMPLING
-    zz = product_chain(px, zA, zB)
-    section = Section(
-        {
-            v: tuple(sA.values[0]) + tuple(sB.values[0])
-            for v in range(px.num_vertices)
-        }
-    )
-    euA, symbolsA = evaluate_class(bundleA, sA, eu0, zA, detail=True)
-    euB, symbolsB = evaluate_class(bundleB, sB, eu0, zB, detail=True)
-    lhs = evaluate_class(bundleP, section, eu0, zz)
-    cup = _cup_product_check(px, bundleA.n, symbolsA, bundleB.n, symbolsB, zz)
+    euA, euB, lhs, top_simplices, cup = product_eu0(bundleA, sA, zA, bundleB, sB, zB)
     report = {
         "repA": args.repA,
         "repB": args.repB,
         "seed": args.seed,
         "resample_attempts": attempts,
         "scalars_disjoint": disjoint,
-        "top_simplices": zz.support_size(),
+        "top_simplices": top_simplices,
         "euler_A": euA,
         "euler_B": euB,
         "euler_product": lhs,
@@ -426,25 +409,6 @@ def cmd_product(args) -> int:
     }
     _emit(report, args.csv, t0)
     return EXIT_OK if report["cross_product_check"] and report["cup_check"] else EXIT_FAIL
-
-
-def _cup_product_check(px, nA, symbolsA, nB, symbolsB, zz) -> int:
-    """<pr1* T0 cup pr2* T0, z x z'> via front/back faces.
-
-    A front (back) face over a factor's top simplex lies over a simplex of
-    that factor's cycle, so T0 is read from the symbols the factor's own
-    eu0 evaluation gave, one per simplex of supp(zA) and supp(zB).
-    """
-
-    def alpha(pid):
-        p, sid, q, _, _ = px.cell_info(nA, pid)
-        return symbolsA[sid].coefficients[0] if p == nA and q == 0 else 0
-
-    def beta(pid):
-        p, _, q, sid2, _ = px.cell_info(nB, pid)
-        return symbolsB[sid2].coefficients[0] if p == 0 and q == nB else 0
-
-    return cup_evaluate(px, nA, alpha, nB, beta, zz)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,13 @@ tuple over the cycle's top simplices.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from . import configs
 from ._kernels import maximal_minors_int, rank_int
 from ._value import Value
-from .complexes import Chain, DeltaComplex, ProductComplex, boundary
+from .complexes import Chain, DeltaComplex, ProductComplex, admissible_paths, boundary, path_sign
 from .configs import GenericityError
 from .exactmath import (
     Field,
@@ -291,12 +291,17 @@ def bundle_from_surface_rep(
         raise RelatorError(relator_product(matrices)) from None
 
 
-def product_bundle(px: ProductComplex, e1: Bundle, e2: Bundle) -> ProductBundle:
-    """The direct sum of the factors over their product complex."""
+def check_product(e1: Bundle, e2: Bundle) -> None:
+    """Raise UsageError unless the direct sum of e1 and e2 exists: one field, linear tags."""
     if e1.field != e2.field:
         raise UsageError("product of bundles over different fields")
     if e1.tag not in LINEAR_TAGS or e2.tag not in LINEAR_TAGS:
         raise UsageError("product bundles need linear tags (GL+ or SL)")
+
+
+def product_bundle(px: ProductComplex, e1: Bundle, e2: Bundle) -> ProductBundle:
+    """The direct sum of the factors over their product complex."""
+    check_product(e1, e2)
     if px.left is not e1.base or px.right is not e2.base:
         raise ValueError("product complex does not match the bundle bases")
     tag = "SL" if (e1.tag, e2.tag) == ("SL", "SL") else "GL+"
@@ -528,3 +533,28 @@ def evaluate_class(
         symbols = [configs.symbol_sum(mode, n, [(minors, 1)]) for minors, _ in terms]
         return acc, dict(zip(z.coeffs, symbols))
     return acc
+
+
+def product_eu0(bundleA, sA, zA, bundleB, sB, zB) -> tuple[int, int, int, int, int]:
+    """eu0 on zA, on zB and, of the direct sum, on zA x zB; its top simplices; the cup value.
+
+    No product complex: simplex (sid, sid2, path) of zA x zB has coefficient c c'
+    path_sign(path) and corner (i, j) lifted to kB lA + kA lB from the factors' cached
+    corners (lA, kA) of sid and (lB, kB) of sid2.  The cup sums c c' alpha(sid) beta(sid2),
+    the factors' own symbols, over the lower edge: the one path whose front nA-face lies
+    over (nA, 0).  Needs check_product and check_usage (eu0); GenericityError if not generic.
+    """
+    eu0, nA, nB = Selector("euk", 0), bundleA.n, bundleB.n
+    euA, alpha = evaluate_class(bundleA, sA, eu0, zA, detail=True)
+    euB, beta = evaluate_class(bundleB, sB, eu0, zB, detail=True)
+    paths = [(path, path_sign(path)) for path in admissible_paths(nA, nB)]
+    terms, cup = [], 0
+    for (sid, c), (sid2, c2) in product(zA.coeffs.items(), zB.coeffs.items()):
+        lifts = {
+            (i, j): tuple(kB * x for x in lA) + tuple(kA * x for x in lB)
+            for i, (lA, kA) in enumerate(bundleA._corners(sA.values, nA, sid))
+            for j, (lB, kB) in enumerate(bundleB._corners(sB.values, nB, sid2))
+        }
+        terms += [(maximal_minors_int([lifts[ij] for ij in p]), c * c2 * e) for p, e in paths]
+        cup += c * c2 * alpha[sid].coefficients[0] * beta[sid2].coefficients[0]
+    return euA, euB, configs.symbol_sum("P+", nA + nB, terms).coefficients[0], len(terms), cup

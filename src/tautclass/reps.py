@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import sys
 from pathlib import Path
 
 from ._value import Value
@@ -44,7 +46,11 @@ def _parse_entry(text: str, field: Field):
     try:
         return parse_scalar(text, field)
     except ValueError:
-        raise RepFormatError(f"key 'matrices': cannot parse entry {text!r}") from None
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+            reason = f"exceeds Python's {limit:,}-digit integer-string limit"
+            raise RepFormatError(f"key 'matrices': entry {text!r:.80} {reason}") from None
+        raise RepFormatError(f"key 'matrices': cannot parse entry {text!r:.80}") from None
 
 
 def _is_matrix_list(x) -> bool:

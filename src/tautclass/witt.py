@@ -60,7 +60,7 @@ def _factorize(n: int) -> dict[int, int]:
             # have a factor <= sqrt(n) <= bound: n is prime
             out[n] = out.get(n, 0) + 1
         else:
-            raise FactorizationError(f"cofactor {n} exceeds bound {bound}")
+            raise FactorizationError(f"cofactor of {n.bit_length()} bits exceeds bound {bound}")
     return out
 
 

@@ -1,12 +1,21 @@
+import ast
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import rep_path
-from fixture_builders import genus2_fuchsian_moved, save_rep, sqrt2_conjugated
-from tautclass import cli, configs
+from fixture_builders import (
+    genus2_fuchsian_moved,
+    handle_moves,
+    random_move_word,
+    save_rep,
+    sqrt2_conjugated,
+)
+from test_golden_reports import PRODUCTS, REPO, _golden
+from tautclass import cli, complexes, configs, flatbundles, witt
 from tautclass.cli import main
 from tautclass.oracle import OracleError, rotation_euler
 from tautclass.reps import SurfaceRep, load_rep
@@ -308,6 +317,8 @@ def test_exit_codes(capsys, tmp_path):
 
 _UNIPOTENT = [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]
 _ONE = [["1", "0"], ["0", "1"]]
+# valid by the file format, but past CPython's 4,300-digit int() limit
+_BIG = "1" + "0" * 4999
 
 
 @pytest.mark.parametrize(
@@ -341,8 +352,17 @@ _ONE = [["1", "0"], ["0", "1"]]
             [[["sqrt(2)", "0"], ["0", "1"]], _ONE],
             "tag SL needs det 1, got det 1*sqrt(2)",
         ),
+        (
+            "Q",
+            "GL+",
+            [[[_BIG, "0"], ["0", "1"]], _ONE],
+            f"key 'matrices': entry '{_BIG[:79]} exceeds Python's 4,300-digit integer-string limit",
+        ),
     ],
-    ids=["relator", "relator-P+GL+", "relator-g2", "relator-quad", "det", "det-frac", "det-quad"],
+    ids=[
+        "relator", "relator-P+GL+", "relator-g2", "relator-quad", "det", "det-frac", "det-quad",
+        "int-string-limit",
+    ],
 )
 def test_eval_invalid_representation_stderr(capsys, tmp_path, field, tag, matrices, message):
     # the texts the relator check gave before validation decided the relator
@@ -420,16 +440,23 @@ def test_directory_as_rep_is_a_missing_file(capsys, monkeypatch, fixtures_dir, t
     assert main(["eval", "--rep", "g1_diag.json", "--selector", "eu0"]) == 2
 
 
-def test_factorization_bound_has_its_own_exit_code(capsys, monkeypatch):
-    # two primes above the trial-division bound 10^6: the cofactor cannot be certified
-    big = Fraction(1_000_003 * 1_000_033)
-    monkeypatch.setattr(cli, "_random_rational", lambda rng, bound=99: big)
+@pytest.mark.parametrize(
+    "value, bound, bits",
+    [(1_000_003 * 1_000_033, 10**6, 40), (13**4501, 10, 16656)],
+    ids=["two-primes", "past-int-string-limit"],
+)
+def test_factorization_bound_has_its_own_exit_code(capsys, monkeypatch, value, bound, bits):
+    # an uncertified cofactor: two primes above the trial-division bound 10^6,
+    # or 5,014 digits, more than CPython writes as a string (its message names
+    # the bit length; the low bound spares the trial division)
+    monkeypatch.setattr(witt, "DEFAULT_FACTOR_BOUND", bound)
+    monkeypatch.setattr(cli, "_random_rational", lambda rng, bound=99: Fraction(value))
     code = main(["verify", "witt-relations", "--samples", "1"])
     assert code == cli.EXIT_FACTOR_BOUND == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "factorization bound exceeded: cofactor 1000036000099 exceeds bound 1000000\n"
+        f"factorization bound exceeded: cofactor of {bits} bits exceeds bound {bound}\n"
     )
 
 
@@ -594,26 +621,73 @@ def test_product_computes_each_sections_scalar_set_once(capsys, monkeypatch):
     assert len({id(s) for s in calls}) == 13
 
 
-def test_cup_check_takes_one_symbol_per_factor_simplex(capsys, monkeypatch):
-    # 6 top simplices per genus-2 factor; the 216 product simplices reuse the
-    # symbols the factors' own eu0 evaluations give, and no other is read
-    supports, symbols = [], []
-    real = cli.evaluate_class
+def test_product_builds_no_product_complex(capsys, monkeypatch):
+    # the product is read from the factors' corner lifts: no product complex
+    # or product bundle, and every lift made is kept in its factor's cache
+    def refused(*args):
+        raise AssertionError("the explicit product was built")
 
-    def counted(bundle, s, selector, z, detail=False):
-        supports.append(z.support_size())
-        return real(bundle, s, selector, z, detail)
+    monkeypatch.setattr(complexes.ProductComplex, "__init__", refused)
+    monkeypatch.setattr(flatbundles.ProductBundle, "_lift", refused)
+    bundles, made = [], []
+    load, lift = cli._load_bundle, flatbundles.FlatBundle._lift
 
-    monkeypatch.setattr(cli, "evaluate_class", counted)
-    monkeypatch.setattr(configs, "uplus_symbol", lambda lifts: symbols.append(lifts))
-    g2 = rep_path("g2_fuchs.json")
-    code, out = _run(capsys, "product", "--repA", g2, "--repB", g2)
-    assert code == 0
+    def loaded(path):
+        out = load(path)
+        bundles.append(out[-1])
+        return out
+
+    def lifted(self, eid, vec):
+        made.append((bundles.index(self), (eid, vec)))
+        return lift(self, eid, vec)
+
+    monkeypatch.setattr(cli, "_load_bundle", loaded)
+    monkeypatch.setattr(flatbundles.FlatBundle, "_lift", lifted)
+    monkeypatch.chdir(REPO)
+    argv = ["product", "--repA", "fixtures/g2_fuchs.json", "--repB", "fixtures/g2_fuchs.json"]
+    argv += ["--seed", "0"]
+    expected = _golden(PRODUCTS)[" ".join(argv)]
+    assert (main(argv), capsys.readouterr().out) == (expected["exit"], expected["stdout"])
+    assert len(bundles) == 2
+    caches = [(i, key) for i, bundle in enumerate(bundles) for key in bundle._lifts]
+    assert len(made) == len(caches) > 0
+    assert sorted(made, key=repr) == sorted(caches, key=repr)
+
+
+def test_cli_imports_no_explicit_product():
+    # the explicit product stays the tests' reference; the CLI reads none of it
+    names = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    explicit = {"product_complex", "product_bundle", "product_chain", "cup_evaluate"}
+    assert names & (explicit | {"ProductComplex", "ProductBundle"}) == set()
+
+
+def test_oracle_past_the_float_range_is_unavailable(capsys, tmp_path):
+    # 40 within-handle moves give entries of up to 1,597 digits: exact
+    # arithmetic is unaffected, but float() of an entry overflows
+    rep = handle_moves(
+        load_rep(rep_path("g2_fuchs.json")), random_move_word(random.Random(0), 2, 40)
+    )
+    with pytest.raises(OverflowError):
+        rep.float_matrices()
+    path = str(tmp_path / "g2_fuchs_moved40.json")
+    save_rep(rep, path)
+    code = main(["eval", "--rep", path, "--selector", "eu0", "--oracle"])
+    out, err = capsys.readouterr()
     report = json.loads(out)
-    assert report["top_simplices"] == 216
-    assert report["cup_check"]
-    assert supports == [6, 6, 216]
-    assert symbols == []
+    assert code == 0
+    assert (report["value"], report["oracle"], report["agree"]) == (-1, None, None)
+    assert "oracle unavailable: integer division result too large for a float\n" in err
+    # comparison shares the oracle; tagged GL+, it runs no witt check
+    save_rep(SurfaceRep(rep.field, rep.genus, "GL+", rep.matrices), path)
+    code, out = _run(capsys, "verify", "comparison", "--rep", path, "--oracle")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["eu0"], report["oracle"], report["failures"]) == (-1, None, [])
 
 
 def _count_sweeps(monkeypatch):

@@ -729,9 +729,9 @@ def test_sampling_and_evaluation_compute_each_lift_once(monkeypatch, capsys):
     argv = ["product", "--repA", rep_path("g2_fuchs.json"), "--repB", rep_path("g2_solved_3.json")]
     assert cli.main(argv) == cli.EXIT_OK
     capsys.readouterr()
-    # each factor's 8 sampling lifts; the product's 64 corner lifts are direct
-    # sums of those, and compute no matrix lift of their own
-    assert (sum(lifted.values()), sum(sums.values())) == (16, 64)
+    # each factor's 8 sampling lifts; the product's corners are direct sums
+    # of those, read from the factors' caches, so no product bundle lifts
+    assert (sum(lifted.values()), sum(sums.values())) == (16, 0)
 
 
 def test_product_checks_only_the_factors_top_simplices(monkeypatch, capsys):

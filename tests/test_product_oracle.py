@@ -1,4 +1,5 @@
-"""The direct-sum product bundle against its explicit block-sum oracle.
+"""The direct-sum product bundle against its explicit block-sum oracle,
+and the table path (``product_eu0``) against the explicit product.
 
 ``product_bundle`` keeps no holonomy: a lift along a product edge is the
 direct sum of the factors' own lifts.  ``explicit_product`` builds the
@@ -20,7 +21,7 @@ from fixture_builders import (
     sqrt2_conjugated,
 )
 from test_sampling_scope import sphere_bundle
-from tautclass.complexes import product_chain, product_complex, surface_complex
+from tautclass.complexes import cup_evaluate, product_chain, product_complex, surface_complex
 from tautclass.configs import GenericityError
 from tautclass.exactmath import exact_div
 from tautclass.flatbundles import (
@@ -29,6 +30,7 @@ from tautclass.flatbundles import (
     bundle_from_surface_rep,
     evaluate_class,
     product_bundle,
+    product_eu0,
     random_generic_section,
     random_vector,
     scalar_set,
@@ -143,3 +145,64 @@ def test_direct_sum_evaluates_as_the_block_sum(a, b):
             assert got == _value(oracle, s, selector, zz), (seed, selector)
             generic += not isinstance(got, str)
     assert generic >= 8 * len(SELECTORS)
+
+
+def _explicit_eu0(e1, s1, z1, e2, s2, z2):
+    """(eu0, top simplices, cup value) on the product complex, bundle and chain.
+
+    The section is s1(a) + s2(b) at product vertex (a, b); the cup value
+    walks each product simplex to its front and back faces (``cup_evaluate``)
+    and reads T0 there from the factors' own per-simplex symbols.
+    """
+    px = product_complex(e1.base, e2.base)
+    zz = product_chain(px, z1, z2)
+    nv = e2.base.num_vertices
+    s = Section({a * nv + b: u + w for a, u in s1.values.items() for b, w in s2.values.items()})
+    eu0, n1, n2 = Selector("euk", 0), e1.n, e2.n
+    value = evaluate_class(product_bundle(px, e1, e2), s, eu0, zz)
+    symbols1 = evaluate_class(e1, s1, eu0, z1, detail=True)[1]
+    symbols2 = evaluate_class(e2, s2, eu0, z2, detail=True)[1]
+
+    def alpha(pid):
+        p, sid, q, _, _ = px.cell_info(n1, pid)
+        return symbols1[sid].coefficients[0] if (p, q) == (n1, 0) else 0
+
+    def beta(pid):
+        p, _, q, sid2, _ = px.cell_info(n2, pid)
+        return symbols2[sid2].coefficients[0] if (p, q) == (0, n2) else 0
+
+    return value, zz.support_size(), cup_evaluate(px, n1, alpha, n2, beta, zz)
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except GenericityError as exc:
+        return str(exc)
+
+
+# a four-vertex sphere factor on either side and on both
+TABLE_PAIRS = [
+    ("g2_fuchs", "g2_fuchs"),
+    ("g2_fuchs", "sphere"),
+    ("sphere", "g1_diag"),
+    ("sphere", "sphere"),
+    ("g2_fuchs", "g2_solved_3"),
+    ("g2_swap2", "g2_fuchs"),
+    ("g1_diag", "g1_diag2"),
+]
+
+
+@pytest.mark.parametrize("a, b", TABLE_PAIRS, ids=[f"{a} x {b}" for a, b in TABLE_PAIRS])
+def test_table_path_is_the_explicit_product(a, b):
+    (e1, z1), (e2, z2) = _factor(a), _factor(b)
+    generic = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        s1, s2 = (
+            random_generic_section(e, seed=rng.randint(0, 10**6), mode="strong") for e in (e1, e2)
+        )
+        table = _outcome(lambda *args: product_eu0(*args)[2:], e1, s1, z1, e2, s2, z2)
+        assert table == _outcome(_explicit_eu0, e1, s1, z1, e2, s2, z2), seed
+        generic += not isinstance(table, str)
+    assert generic >= 8

@@ -105,3 +105,13 @@ def test_rep_format_errors_name_the_key():
         del data[key]
         with pytest.raises(RepFormatError, match=f"missing key '{key}'"):
             rep_from_dict(data)
+
+
+def test_an_unparsable_entry_is_echoed_to_80_characters():
+    # as the other format errors echo a value (an entry past the int-string
+    # limit is named as such: test_cli's invalid-representation cases)
+    matrices = [[["x" * 5000, "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]
+    data = {"field": "Q", "genus": 1, "tag": "GL+", "matrices": matrices}
+    with pytest.raises(RepFormatError) as info:
+        rep_from_dict(data)
+    assert str(info.value) == f"key 'matrices': cannot parse entry '{'x' * 79}"
