@@ -137,20 +137,6 @@ class Chain(Value):
     def __init__(self, dim: int, coeffs: dict[int, int] | None = None):
         self._set(dim=dim, coeffs={s: c for s, c in (coeffs or {}).items() if c != 0})
 
-    def __add__(self, other: "Chain") -> "Chain":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return Chain(self.dim, out)
-
-    def __neg__(self) -> "Chain":
-        return Chain(self.dim, {s: -c for s, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -247,18 +233,11 @@ def _covering_chains(p: int, q: int) -> list[GridChain]:
     return out
 
 
-def admissible_paths(p: int, q: int) -> list[GridChain]:
-    """Monotone lattice paths (0,0) -> (p,q) with unit steps only: the longest chains."""
-    return [chain for chain, _ in _chain_templates(p, q) if len(chain) == p + q + 1]
-
-
-def path_sign(path: GridChain) -> int:
-    """(-1)^area under the path; the lower-edge path is positive."""
-    area = 0
-    for a, b in zip(path, path[1:]):
-        if b[0] == a[0] + 1 and b[1] == a[1]:
-            area += a[1]
-    return -1 if area % 2 else 1
+def signed_paths(p: int, q: int) -> list[tuple[GridChain, int]]:
+    """The unit-step chains (0,0) -> (p,q), in id order, each with (-1)^(area under it)."""
+    paths = [chain for chain, _ in _chain_templates(p, q) if len(chain) == p + q + 1]
+    areas = [sum(a[1] for a, b in zip(path, path[1:]) if a[1] == b[1]) for path in paths]
+    return [(path, (-1) ** area) for path, area in zip(paths, areas)]
 
 
 ProductKey = tuple[int, int, int, int, GridChain]  # (p, sid, q, sid2, chain)
@@ -366,7 +345,7 @@ def product_complex(left: DeltaComplex, right: DeltaComplex) -> ProductComplex:
 def product_chain(px: ProductComplex, z: Chain, zp: Chain) -> Chain:
     """The cross product of chains: sum over admissible paths with signs."""
     n, k = z.dim, zp.dim
-    signed = [(path, path_sign(path)) for path in admissible_paths(n, k)]
+    signed = signed_paths(n, k)
     out: dict[int, int] = {}
     for sid, c in z.coeffs.items():
         for sid2, c2 in zp.coeffs.items():

@@ -183,8 +183,8 @@ def symbol_sum(
     first.  A UPlusSymbol (mode "P+"): each term's canonical (a, e), one
     lookup by the signs of its minors, is folded into integer
     coefficients c_a.  A USymbol (mode "P", n even): the same fold pushed
-    forward by P_+ -> P, which sends a+ to (-1)^a [+], so the coefficient
-    is sum_a (-1)^a c_a.  A WittElement ("witt", n = 2), summed in one pass.
+    forward by P_+ -> P (``pushforward``).  A WittElement ("witt", n = 2),
+    summed in one pass.
     """
     if mode == "witt":
         return WittElement.combination((witt_symbol_from_minors(minors), c) for minors, c in terms)
@@ -195,8 +195,13 @@ def symbol_sum(
         a, e = _plus_class(tuple(map(sign, minors)))
         coeffs[a] += e * c
     if mode == "P":
-        return USymbol(n, sum((-1) ** a * c for a, c in enumerate(coeffs)))
+        return USymbol(n, pushforward(coeffs))
     return UPlusSymbol(n, tuple(coeffs))
+
+
+def pushforward(coefficients: Sequence[int]) -> int:
+    """The P_+ -> P image of sum_a c_a (a+): a+ goes to (-1)^a [+], so sum_a (-1)^a c_a."""
+    return sum((-1) ** a * c for a, c in enumerate(coefficients))
 
 
 def boundary_symbol_sum(points: Sequence[Point], mode: Mode):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from itertools import chain, combinations
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from ._kernels import det_int, maximal_minors_int, rank_int
@@ -25,16 +25,15 @@ Scalar = Union[int, Fraction, "QuadExt"]
 
 
 class QuadExt:
-    """An element a + b*sqrt(d) of Q(sqrt(d)), d a squarefree positive integer.
+    """An element a + b*sqrt(d) of Q(sqrt(d)), d a squarefree integer > 1.
 
-    Ordered by the real embedding with sqrt(d) > 0.  Immutable.
+    Ordered by the real embedding with sqrt(d) > 0.  Immutable.  d is not checked
+    here: ``QuadraticField`` decides it once.
     """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational, d: int):
-        if d <= 1 or not _is_squarefree(d):
-            raise ValueError(f"d must be a squarefree integer > 1, got {d}")
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "d", d)
@@ -149,16 +148,16 @@ class QuadExt:
 
 
 def _is_squarefree(n: int) -> bool:
-    if n <= 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
+    """For 1 < n < 10**18: trial divisors up to 10**6 leave a cofactor of at most two
+    primes, which is squarefree iff it is not a perfect square."""
+    for p in chain((2,), range(3, 10**6, 2)):
+        if p * p > n:
+            return True
         if n % p == 0:
             n //= p
-        p += 1
-    return True
+            if n % p == 0:
+                return False
+    return isqrt(n) ** 2 != n
 
 
 def sign(x: Scalar) -> int:
@@ -203,8 +202,8 @@ class QuadraticField:
     """The real quadratic field Q(sqrt(d)), d squarefree > 1."""
 
     def __init__(self, d: int):
-        if d <= 1 or not _is_squarefree(d):
-            raise ValueError(f"d must be a squarefree integer > 1, got {d}")
+        if not 1 < d < 10**18 or not _is_squarefree(d):
+            raise ValueError(f"d must be a squarefree integer with 1 < d < 10**18, got {d}")
         self.d = d
         self.name = f"Q(sqrt({d}))"
 
@@ -229,8 +228,8 @@ Field = Union[RationalField, QuadraticField]
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
-    if isinstance(obj, dict) and set(obj) == {"quad"}:
-        return QuadraticField(int(obj["quad"]))
+    if isinstance(obj, dict) and set(obj) == {"quad"} and type(obj["quad"]) is int:
+        return QuadraticField(obj["quad"])
     raise ValueError(f"bad field spec {obj!r}")
 
 

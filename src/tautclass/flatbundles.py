@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 from . import configs
 from ._kernels import maximal_minors_int, rank_int
 from ._value import Value
-from .complexes import Chain, DeltaComplex, ProductComplex, admissible_paths, boundary, path_sign
+from .complexes import Chain, DeltaComplex, ProductComplex, boundary, signed_paths
 from .configs import GenericityError
 from .exactmath import (
     Field,
@@ -535,20 +535,19 @@ def evaluate_class(
     return acc
 
 
-def product_eu0(bundleA, sA, zA, bundleB, sB, zB) -> tuple[int, int, int, int, int]:
-    """eu0 on zA, on zB and, of the direct sum, on zA x zB; its top simplices; the cup value.
+def product_eu0(bundleA, sA, zA, bundleB, sB, zB) -> tuple[int, int, int, int]:
+    """eu0 on zA, on zB and, of the direct sum, on zA x zB; and its top simplices.
 
-    No product complex: simplex (sid, sid2, path) of zA x zB has coefficient c c'
-    path_sign(path) and corner (i, j) lifted to kB lA + kA lB from the factors' cached
-    corners (lA, kA) of sid and (lB, kB) of sid2.  The cup sums c c' alpha(sid) beta(sid2),
-    the factors' own symbols, over the lower edge: the one path whose front nA-face lies
-    over (nA, 0).  Needs check_product and check_usage (eu0); GenericityError if not generic.
+    No product complex: simplex (sid, sid2, path) of zA x zB has coefficient c c' times
+    the path's ``signed_paths`` sign and corner (i, j) lifted to kB lA + kA lB from the
+    factors' cached corners (lA, kA) of sid and (lB, kB) of sid2.  Needs check_product and
+    check_usage (eu0); GenericityError if not generic.
     """
     eu0, nA, nB = Selector("euk", 0), bundleA.n, bundleB.n
-    euA, alpha = evaluate_class(bundleA, sA, eu0, zA, detail=True)
-    euB, beta = evaluate_class(bundleB, sB, eu0, zB, detail=True)
-    paths = [(path, path_sign(path)) for path in admissible_paths(nA, nB)]
-    terms, cup = [], 0
+    euA = evaluate_class(bundleA, sA, eu0, zA)
+    euB = evaluate_class(bundleB, sB, eu0, zB)
+    paths = signed_paths(nA, nB)
+    terms = []
     for (sid, c), (sid2, c2) in product(zA.coeffs.items(), zB.coeffs.items()):
         lifts = {
             (i, j): tuple(kB * x for x in lA) + tuple(kA * x for x in lB)
@@ -556,5 +555,4 @@ def product_eu0(bundleA, sA, zA, bundleB, sB, zB) -> tuple[int, int, int, int, i
             for j, (lB, kB) in enumerate(bundleB._corners(sB.values, nB, sid2))
         }
         terms += [(maximal_minors_int([lifts[ij] for ij in p]), c * c2 * e) for p, e in paths]
-        cup += c * c2 * alpha[sid].coefficients[0] * beta[sid2].coefficients[0]
-    return euA, euB, configs.symbol_sum("P+", nA + nB, terms).coefficients[0], len(terms), cup
+    return euA, euB, configs.symbol_sum("P+", nA + nB, terms).coefficients[0], len(terms)

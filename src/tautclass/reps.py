@@ -45,7 +45,7 @@ def _parse_entry(text: str, field: Field):
     text = text.strip()
     try:
         return parse_scalar(text, field)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # "1/0" is a ZeroDivisionError
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
             reason = f"exceeds Python's {limit:,}-digit integer-string limit"

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,10 +359,24 @@ _BIG = "1" + "0" * 4999
             [[[_BIG, "0"], ["0", "1"]], _ONE],
             f"key 'matrices': entry '{_BIG[:79]} exceeds Python's 4,300-digit integer-string limit",
         ),
+        (
+            "Q",
+            "SL",
+            [[["1/0", "0"], ["0", "1"]], _ONE],
+            "key 'matrices': cannot parse entry '1/0'",
+        ),
+        (
+            {"quad": 2},
+            "SL",
+            [[["1/0+sqrt(2)", "0"], ["0", "1"]], _ONE],
+            "key 'matrices': cannot parse entry '1/0+sqrt(2)'",
+        ),
+        ({"quad": 2.0}, "SL", [_ONE, _ONE], "key 'field': bad field spec {'quad': 2.0}"),
+        ({"quad": True}, "SL", [_ONE, _ONE], "key 'field': bad field spec {'quad': True}"),
     ],
     ids=[
         "relator", "relator-P+GL+", "relator-g2", "relator-quad", "det", "det-frac", "det-quad",
-        "int-string-limit",
+        "int-string-limit", "zero-denominator", "zero-denominator-quad", "float-d", "bool-d",
     ],
 )
 def test_eval_invalid_representation_stderr(capsys, tmp_path, field, tag, matrices, message):
@@ -371,6 +386,25 @@ def test_eval_invalid_representation_stderr(capsys, tmp_path, field, tag, matric
     bad.write_text(json.dumps(rep))
     assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
     assert capsys.readouterr() == ("", f"invalid representation: {message}\n")
+
+
+@pytest.mark.parametrize("where", ["file", "--field"])
+def test_a_quadratic_d_past_the_limit_is_refused_at_once(capsys, tmp_path, where):
+    # squarefreeness is decided by trial division up to 10**6: every d < 10**18
+    d = 10**40 + 1
+    rep = tmp_path / "rep.json"
+    data = {"field": {"quad": d}, "genus": 1, "tag": "SL", "matrices": [_ONE, _ONE]}
+    rep.write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    if where == "file":
+        code = main(["eval", "--rep", str(rep), "--selector", "eu0"])
+    else:
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "euler-boundary", "--field", f"quad:{d}", "--samples", "1"])
+        code = info.value.code
+    assert time.perf_counter() - t0 < 1
+    assert code == {"file": 3, "--field": 2}[where]
+    assert "squarefree integer with 1 < d < 10**18, got 1" in capsys.readouterr().err
 
 
 def test_fixture_dir_env(capsys, monkeypatch, fixtures_dir):
@@ -654,6 +688,31 @@ def test_product_builds_no_product_complex(capsys, monkeypatch):
     assert sorted(made, key=repr) == sorted(caches, key=repr)
 
 
+def test_product_folds_each_class_once(capsys, monkeypatch):
+    # one symbol_sum per factor and one for the product: the cup value is
+    # euA * euB, so no factor is evaluated again for its per-simplex symbols
+    modes, details = [], []
+    fold, evaluate = configs.symbol_sum, flatbundles.evaluate_class
+
+    def folded(mode, n, terms):
+        modes.append((mode, n))
+        return fold(mode, n, terms)
+
+    def evaluated(*args, **kwargs):
+        details.append(kwargs.get("detail", False))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(configs, "symbol_sum", folded)
+    monkeypatch.setattr(flatbundles, "evaluate_class", evaluated)
+    g2 = rep_path("g2_fuchs.json")
+    code, out = _run(capsys, "product", "--repA", g2, "--repB", g2)
+    assert code == 0
+    report = json.loads(out)
+    assert report["cup_value"] == report["euler_A"] * report["euler_B"] == report["euler_product"]
+    assert modes == [("P+", 2), ("P+", 2), ("P+", 4)]
+    assert details == [False, False]
+
+
 def test_cli_imports_no_explicit_product():
     # the explicit product stays the tests' reference; the CLI reads none of it
     names = set()
@@ -739,11 +798,11 @@ def test_alternation_sweeps_the_draw_and_its_swap_once_each(capsys, monkeypatch)
     "suite, rep, selectors",
     [
         ("smillie", "g2_swap.json", ["euplus"]),
-        ("comparison", "g2_fuchs.json", ["eu", "euplus", "witt"]),
+        ("comparison", "g2_fuchs.json", ["euplus", "witt"]),
     ],
 )
 def test_class_suites_evaluate_each_class_once(capsys, monkeypatch, suite, rep, selectors):
-    # every eu_k is a coefficient of the one euplus evaluation
+    # every eu_k is a coefficient of the one euplus evaluation, and eu its pushforward
     kinds = []
     real = cli.evaluate_class
     monkeypatch.setattr(

@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -72,6 +73,21 @@ def test_quadext_arithmetic_closed():
         QuadExt(1, 1, 5) + QuadExt(1, 1, 7)
     with pytest.raises(ValueError):
         QuadraticField(12)  # not squarefree
+
+
+def test_a_quadratic_field_decides_d_once():
+    # trial division up to 10**6 decides every d < 10**18; an element checks nothing
+    x = QuadraticField(10**10 + 19).from_pair(3, -2)
+    t0 = time.perf_counter()
+    for _ in range(1000):
+        x * x + x
+    assert time.perf_counter() - t0 < 1
+    assert QuadraticField(1000003 * 1000033).d == 1000003 * 1000033  # two primes past 10**6
+    for d in (1000003**2, 7 * 999983**2):
+        with pytest.raises(ValueError, match="squarefree integer"):
+            QuadraticField(d)
+    with pytest.raises(ValueError, match=r"1 < d < 10\*\*18"):
+        QuadraticField(10**18)
 
 
 def test_parse_render_roundtrip():

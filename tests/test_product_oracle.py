@@ -1,5 +1,6 @@
 """The direct-sum product bundle against its explicit block-sum oracle,
-and the table path (``product_eu0``) against the explicit product.
+the table path (``product_eu0``) against the explicit product, and the
+explicit product's face-walk cup against the product of the factor values.
 
 ``product_bundle`` keeps no holonomy: a lift along a product edge is the
 direct sum of the factors' own lifts.  ``explicit_product`` builds the
@@ -104,6 +105,7 @@ PAIRS = [
     ("sphere", "g2_fuchs"),
 ]
 SELECTORS = [Selector.parse(text) for text in ("eu0", "eu", "euplus")]
+EU0 = SELECTORS[0]
 
 
 def _factor(name):
@@ -147,21 +149,25 @@ def test_direct_sum_evaluates_as_the_block_sum(a, b):
     assert generic >= 8 * len(SELECTORS)
 
 
-def _explicit_eu0(e1, s1, z1, e2, s2, z2):
-    """(eu0, top simplices, cup value) on the product complex, bundle and chain.
+def _explicit_eu0(px, zz, e1, s1, e2, s2):
+    """(eu0, top simplices) of the product bundle on the product chain.
 
-    The section is s1(a) + s2(b) at product vertex (a, b); the cup value
-    walks each product simplex to its front and back faces (``cup_evaluate``)
-    and reads T0 there from the factors' own per-simplex symbols.
+    The section is s1(a) + s2(b) at product vertex (a, b).
     """
-    px = product_complex(e1.base, e2.base)
-    zz = product_chain(px, z1, z2)
     nv = e2.base.num_vertices
     s = Section({a * nv + b: u + w for a, u in s1.values.items() for b, w in s2.values.items()})
-    eu0, n1, n2 = Selector("euk", 0), e1.n, e2.n
-    value = evaluate_class(product_bundle(px, e1, e2), s, eu0, zz)
-    symbols1 = evaluate_class(e1, s1, eu0, z1, detail=True)[1]
-    symbols2 = evaluate_class(e2, s2, eu0, z2, detail=True)[1]
+    return evaluate_class(product_bundle(px, e1, e2), s, EU0, zz), zz.support_size()
+
+
+def _explicit_cup(px, zz, e1, s1, z1, e2, s2, z2):
+    """<T0 cup T0, z1 x z2> by the face walk on the explicit product.
+
+    Each product simplex is walked to its front and back faces (``cup_evaluate``),
+    and T0 is read there from the factors' own per-simplex symbols.
+    """
+    n1, n2 = e1.n, e2.n
+    symbols1 = evaluate_class(e1, s1, EU0, z1, detail=True)[1]
+    symbols2 = evaluate_class(e2, s2, EU0, z2, detail=True)[1]
 
     def alpha(pid):
         p, sid, q, _, _ = px.cell_info(n1, pid)
@@ -171,7 +177,7 @@ def _explicit_eu0(e1, s1, z1, e2, s2, z2):
         p, _, q, sid2, _ = px.cell_info(n2, pid)
         return symbols2[sid2].coefficients[0] if (p, q) == (0, n2) else 0
 
-    return value, zz.support_size(), cup_evaluate(px, n1, alpha, n2, beta, zz)
+    return cup_evaluate(px, n1, alpha, n2, beta, zz)
 
 
 def _outcome(evaluate, *args):
@@ -195,14 +201,26 @@ TABLE_PAIRS = [
 
 @pytest.mark.parametrize("a, b", TABLE_PAIRS, ids=[f"{a} x {b}" for a, b in TABLE_PAIRS])
 def test_table_path_is_the_explicit_product(a, b):
+    """The table's values are the explicit product's, and so is the reported cup value.
+
+    ``product`` reports the cup value as euA euB (Eilenberg-Zilber); the face walk
+    on the explicit product must give the same.
+    """
     (e1, z1), (e2, z2) = _factor(a), _factor(b)
+    px = product_complex(e1.base, e2.base)
+    zz = product_chain(px, z1, z2)
     generic = 0
     for seed in range(10):
         rng = random.Random(seed)
         s1, s2 = (
             random_generic_section(e, seed=rng.randint(0, 10**6), mode="strong") for e in (e1, e2)
         )
-        table = _outcome(lambda *args: product_eu0(*args)[2:], e1, s1, z1, e2, s2, z2)
-        assert table == _outcome(_explicit_eu0, e1, s1, z1, e2, s2, z2), seed
+        table = _outcome(product_eu0, e1, s1, z1, e2, s2, z2)
+        euA, euB = (evaluate_class(e, s, EU0, z) for e, s, z in ((e1, s1, z1), (e2, s2, z2)))
         generic += not isinstance(table, str)
+        if not isinstance(table, str):
+            assert table[:2] == (euA, euB), seed
+            table = table[2:]
+        assert table == _outcome(_explicit_eu0, px, zz, e1, s1, e2, s2), seed
+        assert _explicit_cup(px, zz, e1, s1, z1, e2, s2, z2) == euA * euB, seed
     assert generic >= 8
