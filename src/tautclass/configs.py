@@ -27,27 +27,6 @@ class GenericityError(ValueError):
     """A point tuple failed the genericity required by a symbol."""
 
 
-class USymbol(Value):
-    """Value in the sign coefficient group of P^{n-1} tuples, n even: c * [+]."""
-
-    __slots__ = ("n", "coefficient")
-
-    def __init__(self, n: int, coefficient: int):
-        if n % 2:
-            raise ValueError("the coefficient group is zero for odd n")
-        self._set(n=n, coefficient=coefficient)
-
-    def __str__(self):
-        c = self.coefficient
-        if c == 0:
-            return "0"
-        if c == 1:
-            return "[+]"
-        if c == -1:
-            return "-[+]"
-        return f"{c}*[+]"
-
-
 class UPlusSymbol(Value):
     """Canonical coefficients on the basis {a+ : a = 0..floor(n/2)}."""
 
@@ -57,13 +36,6 @@ class UPlusSymbol(Value):
         if len(coefficients) != n // 2 + 1:
             raise ValueError("coefficient vector has wrong length")
         self._set(n=n, coefficients=coefficients)
-
-    def __add__(self, other: "UPlusSymbol") -> "UPlusSymbol":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return UPlusSymbol(
-            self.n, tuple(a + b for a, b in zip(self.coefficients, other.coefficients))
-        )
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coefficients)
@@ -139,11 +111,11 @@ def witt_symbol_from_minors(minors: Sequence[Scalar]) -> WittElement:
     return WittElement.symbol(d)
 
 
-def u_symbol(points: Sequence[Point]) -> USymbol:
-    """Orbit symbol of a generic (n+1)-tuple in P^{n-1}, n even.
+def u_symbol(points: Sequence[Point]) -> int:
+    """Orbit symbol of a generic (n+1)-tuple in P^{n-1}, n even, as its coefficient on [+].
 
-    Equals sgn(det(v_1,...,v_n) * a_1 * ... * a_n) on the generator [+],
-    where v_{n+1} = sum a_i v_i: the one-term ``symbol_sum``.
+    Equals sgn(det(v_1,...,v_n) * a_1 * ... * a_n), where v_{n+1} = sum
+    a_i v_i: the one-term ``symbol_sum``.
     """
     n = len(points) - 1
     if any(len(p) != n for p in points):
@@ -182,20 +154,23 @@ def symbol_sum(
     GenericityError("a maximal minor is zero"), and no caller checks
     first.  A UPlusSymbol (mode "P+"): each term's canonical (a, e), one
     lookup by the signs of its minors, is folded into integer
-    coefficients c_a.  A USymbol (mode "P", n even): the same fold pushed
-    forward by P_+ -> P (``pushforward``).  A WittElement ("witt", n = 2),
-    summed in one pass.
+    coefficients c_a.  An int (mode "P", n even), the coefficient on the
+    generator [+] of P's group Z [+]: the same fold pushed forward by
+    P_+ -> P (``pushforward``).  A WittElement ("witt", n = 2), summed in
+    one pass.
     """
     if mode == "witt":
         return WittElement.combination((witt_symbol_from_minors(minors), c) for minors, c in terms)
     if mode not in ("P", "P+"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "P" and n % 2:
+        raise ValueError("the coefficient group is zero for odd n")
     coeffs = [0] * (n // 2 + 1)
     for minors, c in terms:
         a, e = _plus_class(tuple(map(sign, minors)))
         coeffs[a] += e * c
     if mode == "P":
-        return USymbol(n, pushforward(coeffs))
+        return pushforward(coeffs)
     return UPlusSymbol(n, tuple(coeffs))
 
 
@@ -229,8 +204,7 @@ def boundary_sum_from_minors(minors: dict, n: int, mode: Mode):
         (face_minors(minors, everything[:j] + everything[j + 1 :]), (-1) ** j)
         for j in everything
     )
-    total = symbol_sum(mode, n, faces)
-    return total.coefficient if mode == "P" else total
+    return symbol_sum(mode, n, faces)
 
 
 def homological_core_check(c: UPlusSymbol) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
@@ -147,17 +147,28 @@ class QuadExt:
         return render_scalar(self)
 
 
+def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """({p: exponent}, cofactor) of n > 0 divided by 2, then odd p <= bound, while p*p <= n.
+
+    The cofactor is 1 or a prime if the divisors passed its square root;
+    otherwise it has no prime factor <= bound and is left uncertified.
+    """
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n and p <= bound:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    return factors, n
+
+
 def _is_squarefree(n: int) -> bool:
     """For 1 < n < 10**18: trial divisors up to 10**6 leave a cofactor of at most two
-    primes, which is squarefree iff it is not a perfect square."""
-    for p in chain((2,), range(3, 10**6, 2)):
-        if p * p > n:
-            return True
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return False
-    return isqrt(n) ** 2 != n
+    primes, so n is squarefree iff no divisor divides twice and that cofactor is 1 or
+    not a perfect square."""
+    factors, rest = trial_division(n, 10**6)
+    return max(factors.values(), default=1) == 1 and (rest == 1 or isqrt(rest) ** 2 != rest)
 
 
 def sign(x: Scalar) -> int:

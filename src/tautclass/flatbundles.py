@@ -365,22 +365,24 @@ def _random_nonzero_vector(field: Field, rng: random.Random, n: int, bound: int)
             return vec
 
 
+SECTION_BOUND = 9  # sections and cli's random tuples draw entries from [-9, 9]
+
+
 def random_generic_section(
     bundle: Bundle,
     seed: int,
     mode: str = "basic",
-    bound: int = 9,
     support: Iterable[int] | None = None,
 ) -> Section:
     """Seeded vertex-by-vertex rejection sampling of a generic section.
 
-    Entries are integers in [-bound, bound] (pairs of integers over a
-    quadratic field).  The bound doubles after every 50n rejections at a
-    vertex, a constant, up to 2^12 times; after 1000n rejections the
-    vertex raises GenericityError.  A candidate is checked only on the
-    in-scope simplices at its vertex: the others keep the corners they
-    already passed with, so the checks of the whole scope would decide
-    the same.
+    Entries are integers in [-SECTION_BOUND, SECTION_BOUND] (pairs of
+    integers over a quadratic field).  The bound doubles after every 50n
+    rejections at a vertex, a constant, up to 2^12 times; after 1000n
+    rejections the vertex raises GenericityError.  A candidate is checked
+    only on the in-scope simplices at its vertex: the others keep the
+    corners they already passed with, so the checks of the whole scope
+    would decide the same.
     """
     n = bundle.n
     rng = random.Random(seed)
@@ -388,7 +390,7 @@ def random_generic_section(
     escalate_after = 50 * n
     values: dict[int, tuple] = {}
     for v in sorted(star) or range(bundle.base.num_vertices):
-        m = bound
+        m = SECTION_BOUND
         rejections = 0
         while True:
             if rejections > 20 * escalate_after:
@@ -405,7 +407,7 @@ def random_generic_section(
             ):
                 break
             rejections += 1
-            if rejections % escalate_after == 0 and m < bound << 12:
+            if rejections % escalate_after == 0 and m < SECTION_BOUND << 12:
                 m *= 2
     return Section(values)
 
@@ -523,12 +525,7 @@ def evaluate_class(
     ]
     mode = {"eu": "P", "witt": "witt"}.get(selector.kind, "P+")
     total = configs.symbol_sum(mode, n, terms)
-    if selector.kind == "eu":
-        acc = total.coefficient
-    elif selector.kind == "euk":
-        acc = total.coefficients[selector.k]
-    else:
-        acc = total
+    acc = total.coefficients[selector.k] if selector.kind == "euk" else total
     if detail:
         symbols = [configs.symbol_sum(mode, n, [(minors, 1)]) for minors, _ in terms]
         return acc, dict(zip(z.coeffs, symbols))

@@ -113,6 +113,8 @@ def load_rep(path: str) -> SurfaceRep:
     with open(resolve_rep_path(path), encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # not JSON, not UTF-8, an int past the integer-string limit (the
+            # message names the limit) or nesting past the recursion limit
             raise RepFormatError(f"not a JSON file: {exc}") from None
     return rep_from_dict(data)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Union
 
-from .exactmath import sign
+from .exactmath import sign, trial_division
 
 Rational = Union[int, Fraction]
 
@@ -42,13 +42,7 @@ class SenselessSymbolError(ValueError):
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of n > 0 by trial division up to DEFAULT_FACTOR_BOUND."""
     bound = DEFAULT_FACTOR_BOUND
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n and p <= bound:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
+    out, n = trial_division(n, bound)
     if n > 1:
         root = isqrt(n)
         if root * root == n:
@@ -93,9 +87,7 @@ def _legendre(u: int, p: int) -> int:
 def _check_place(place) -> None:
     if place == "inf":
         return
-    if not isinstance(place, int) or place < 2 or any(
-        place % q == 0 for q in range(2, isqrt(place) + 1)
-    ):
+    if not isinstance(place, int) or place < 2 or trial_division(place, isqrt(place))[0]:
         raise ValueError(f"place must be a prime or 'inf', got {place!r}")
 
 

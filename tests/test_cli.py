@@ -464,6 +464,28 @@ def test_rep_with_ill_typed_genus_or_broken_json(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda text: text.replace('"genus": 1', '"genus": 1' + "0" * 5000),
+            "Exceeds the limit (4300 digits) for integer string conversion",
+        ),
+        (lambda text: "[" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["int-string-limit", "deep-nesting"],
+)
+def test_json_that_cannot_be_read_is_an_invalid_representation(capsys, tmp_path, edit, message):
+    # written as text: json.dumps cannot write a 5,001-digit int
+    text = Path(rep_path("g1_diag.json")).read_text()
+    assert '"genus": 1' in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(text))
+    assert main(["eval", "--rep", str(bad), "--selector", "eu0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"invalid representation: not a JSON file: {message}")
+
+
 def test_directory_as_rep_is_a_missing_file(capsys, monkeypatch, fixtures_dir, tmp_path):
     assert main(["eval", "--rep", str(fixtures_dir), "--selector", "eu0"]) == 2
     assert capsys.readouterr() == ("", f"missing file: {fixtures_dir}\n")
@@ -813,3 +835,20 @@ def test_class_suites_evaluate_each_class_once(capsys, monkeypatch, suite, rep, 
     code, _ = _run(capsys, "verify", suite, "--rep", rep_path(rep))
     assert code == 0
     assert sorted(kinds) == selectors
+
+
+def test_comparison_checks_the_homological_core_once(capsys, monkeypatch):
+    # euplus = 0+ is off the core: sum_a (n - 2a + 1) c_a = 3, reported by one check only
+    real = cli.evaluate_class
+
+    def off_core(bundle, s, selector, z):
+        if selector.kind == "euplus":
+            return configs.UPlusSymbol(2, (1, 0))
+        return real(bundle, s, selector, z)
+
+    monkeypatch.setattr(cli, "evaluate_class", off_core)
+    code, out = _run(capsys, "verify", "comparison", "--rep", rep_path("g2_fuchs.json"))
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert [f["check"] for f in failures] == ["eu=2^n*eu0", "homological-core", "witt-signature"]
+    assert failures[1] == {"check": "homological-core", "euplus": [1, 0]}

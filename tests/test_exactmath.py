@@ -83,7 +83,7 @@ def test_a_quadratic_field_decides_d_once():
         x * x + x
     assert time.perf_counter() - t0 < 1
     assert QuadraticField(1000003 * 1000033).d == 1000003 * 1000033  # two primes past 10**6
-    for d in (1000003**2, 7 * 999983**2):
+    for d in (1000003**2, 7 * 999983**2, 8, 54):  # 8 = 2^3 and 54 = 2 * 3^3: cube factors
         with pytest.raises(ValueError, match="squarefree integer"):
             QuadraticField(d)
     with pytest.raises(ValueError, match=r"1 < d < 10\*\*18"):

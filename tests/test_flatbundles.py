@@ -253,9 +253,10 @@ def test_random_generic_section_determinism_and_variety():
         assert is_generic_section(bundle, s)
 
 
-def test_random_generic_section_small_bound():
+def test_random_generic_section_small_bound(monkeypatch):
     bundle = _trivial_bundle_over_simplex()
-    s = random_generic_section(bundle, seed=0, bound=1)
+    monkeypatch.setattr(flatbundles, "SECTION_BOUND", 1)
+    s = random_generic_section(bundle, seed=0)
     assert is_generic_section(bundle, s)
     assert all(abs(x) <= 2 for vec in s.values.values() for x in vec)
 
@@ -689,7 +690,7 @@ def test_evaluation_applies_each_corner_transport_once(monkeypatch):
     expected = {
         "eu0": (total.coefficients[0], plus),
         "euplus": (total, plus),
-        "eu": (sum(plain[sid].coefficient * c for sid, c in zz.coeffs.items()), plain),
+        "eu": (sum(plain[sid] * c for sid, c in zz.coeffs.items()), plain),
     }
     bundle = _fresh(bundle)
     calls, lifted_now, sums = Counter(), Counter(), Counter()

@@ -161,6 +161,15 @@ def test_hilbert_symbol_values():
         hilbert_symbol(0, 1, 2)
 
 
+def test_hilbert_symbol_accepts_exactly_the_prime_places():
+    # a place is "inf" or a prime, decided by trial division up to its square root
+    for place in (0, 1, 4, True, 1000003 * 1000033):
+        with pytest.raises(ValueError, match="place must be a prime or 'inf'"):
+            hilbert_symbol(2, 3, place)
+    for place in (1000003, "inf"):  # 2 and 3 are units at 1000003
+        assert hilbert_symbol(2, 3, place) == 1
+
+
 def test_hilbert_minus_one_minus_one_at_2_by_search():
     # -x^2 - y^2 = z^2 has no primitive 2-adic solution: exhaust residues mod 8
     solvable = False
