@@ -111,19 +111,19 @@ def _flatten(obj, prefix=""):
         yield prefix[:-1], obj
 
 
-def _random_rational(rng, bound=99) -> Fraction:
+def _random_rational(rng) -> Fraction:
     num = 0
     while num == 0:
-        num = rng.randint(-bound, bound)
-    return Fraction(num, rng.randint(1, bound))
+        num = rng.randint(-99, 99)
+    return Fraction(num, rng.randint(1, 99))
 
 
-def _random_sl2(rng, bound=9) -> Matrix:
+def _random_sl2(rng) -> Matrix:
     while True:
-        a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+        a, b, c = (rng.randint(-9, 9) for _ in range(3))
         if a and (1 + b * c) % a == 0:
             d = (1 + b * c) // a
-            if abs(d) <= bound:
+            if abs(d) <= 9:
                 return Matrix([[a, b], [c, d]])
 
 

@@ -14,8 +14,8 @@ The cost is linear in the number of terms.
 
 The classical invariants of the associated diagonal form (dimension,
 signature, discriminant, Hasse invariants at the relevant places with the
-convention eps(q) = prod_{i<j} (a_i, a_j)_p) are still reported, computed
-from the terms.
+convention eps(q) = prod_{i<j} (a_i, a_j)_p) are also reported, from one
+factorization per term and one pass over the terms per place.
 """
 
 from __future__ import annotations
@@ -214,34 +214,9 @@ class WittElement:
                 out = (out // g) * (entry // g)
         return out
 
-    def relevant_places(self) -> list:
-        primes = {2}
-        for rep, _ in self._terms:
-            primes.update(_factorize(abs(rep)))
-        return sorted(primes)
-
-    def hasse_invariant(self, p) -> int:
-        """prod_{i<j} (a_i, a_j)_p over the diagonal entries, from the terms.
-
-        An entry e repeated k times meets itself in C(k, 2) pairs and an
-        entry f repeated l times in k*l pairs.
-        """
-        _check_place(p)
-        entries = [(rep if mult > 0 else -rep, abs(mult)) for rep, mult in self._terms]
-        out = 1
-        for i, (e, k) in enumerate(entries):
-            if (k * (k - 1) // 2) % 2 and _hilbert(e, e, p) < 0:
-                out = -out
-            for f, l in entries[i + 1 :]:
-                if (k * l) % 2 and _hilbert(e, f, p) < 0:
-                    out = -out
-        return out
-
-    def is_zero(self) -> bool:
-        """Exact Witt-triviality over Q: the signature and every second
-        residue vanish."""
-        if self.signature() != 0:
-            return False
+    def _residues(self) -> tuple[Iterable[int], bool]:
+        """The primes dividing a term, and whether every second residue at
+        them vanishes, from one factorization of each term."""
         # prime -> [sum of m, sum of m over terms whose residue is a non-square]
         residues: dict[int, list[int]] = {}
         for rep, mult in self._terms:
@@ -250,24 +225,49 @@ class WittElement:
                 acc[0] += mult
                 if p != 2 and _legendre(rep // p, p) < 0:
                     acc[1] += mult
-        for p, (total, nonsquare) in residues.items():
-            if p % 4 == 3:
-                # W(F_p) = Z/4, and <u> = chi_p(u) <1> there
-                if (total - 2 * nonsquare) % 4:
-                    return False
-            elif total % 2 or nonsquare % 2:
-                # W(F_2) = Z/2; W(F_p) = Z/2 x Z/2 (rank, discriminant) for p = 1 mod 4
-                return False
-        return True
+        # W(F_p) = Z/4 for p = 3 mod 4, and <u> = chi_p(u) <1> there; W(F_2) = Z/2
+        # and W(F_p) = Z/2 x Z/2 (rank, discriminant) for p = 1 mod 4
+        vanish = all(
+            (total - 2 * nonsquare) % 4 == 0 if p % 4 == 3 else total % 2 == nonsquare % 2 == 0
+            for p, (total, nonsquare) in residues.items()
+        )
+        return residues.keys(), vanish
+
+    def relevant_places(self) -> list:
+        return sorted({2, *self._residues()[0]})
+
+    def hasse_invariant(self, p) -> int:
+        """prod_{i<j} (a_i, a_j)_p over the diagonal entries, in one pass.
+
+        p is a prime or "inf" that the caller certified: it is not checked.
+        By bimultiplicativity an entry e repeated k times, after entries of
+        square class d, contributes (d, e)_p^k * (e, e)_p^C(k, 2)."""
+        out, d = 1, 1
+        for rep, mult in self._terms:
+            e, k = (rep, mult) if mult > 0 else (-rep, -mult)
+            if k % 2:
+                if _hilbert(d, e, p) < 0:
+                    out = -out
+                g = gcd(d, e)
+                d = (d // g) * (e // g)
+            if (k * (k - 1) // 2) % 2 and _hilbert(e, e, p) < 0:
+                out = -out
+        return out
+
+    def is_zero(self) -> bool:
+        """Exact Witt-triviality over Q: the signature and every second
+        residue vanish."""
+        return self.signature() == 0 and self._residues()[1]
 
     def invariants(self) -> dict:
         """Signature, discriminant and Hasse data, for reports."""
+        primes, vanish = self._residues()
         return {
             "dimension": self.dimension(),
             "signature": self.signature(),
             "discriminant": self.discriminant(),
-            "hasse": {str(p): self.hasse_invariant(p) for p in self.relevant_places()},
-            "is_zero": self.is_zero(),
+            "hasse": {str(p): self.hasse_invariant(p) for p in sorted({2, *primes})},
+            "is_zero": self.signature() == 0 and vanish,
         }
 
     def to_text(self) -> str:

@@ -20,7 +20,8 @@ as one validated block-sum matrix per edge (the oracle of
 corner 0 as one matrix.
 ``mixed_dimension_product`` and ``positive_generic_section`` give the
 mixed-dimension product Sigma x S^2 a generic section that is positive
-for its witnesses.
+for its witnesses.  ``pachner_cones`` applies random 1-3 moves to a
+bundle and its 2-cycle, each gauged by an ``elementary_gauge``.
 """
 
 from __future__ import annotations
@@ -415,6 +416,51 @@ FUCHS_MOVES = "b2 b2 b1 b1 b2 a1 a2 b2 a2 a1 b1 a1 b2 b1 b2 b2"
 
 def genus2_fuchsian_moved() -> SurfaceRep:
     return handle_moves(genus2_fuchsian(), FUCHS_MOVES)
+
+
+def elementary_gauge(rng: random.Random) -> Matrix:
+    """[[1, k], [0, 1]] [[1, 0], [l, 1]] for random k, l in [-3, 3]: an element of SL(2, Z)."""
+    k, l = rng.randint(-3, 3), rng.randint(-3, 3)
+    return Matrix([[1, k], [0, 1]]) @ Matrix([[1, 0], [l, 1]])
+
+
+def pachner_cones(bundle: FlatBundle, z: Chain, count: int, rng: random.Random):
+    """(bundle, cycle) after ``count`` 1-3 moves on random triangles of z.
+
+    A move cones triangle t = (v0, v1, v2), faces (e12, e02, e01), off a new
+    vertex w.  The new edges (v_i, w) carry h_0w = G, h_1w = G h01^-1 and
+    h_2w = G h02^-1 for a gauge G at w (``elementary_gauge``), so the
+    triangles (v0, v1, w), (v0, v2, w) and (v1, v2, w) hold the triangle
+    condition; they replace t's coefficient c on the cycle by (c, -c, c).
+    t stays in the complex, off the cycle.  The tables are extended in
+    place and the complex and bundle built once, after the last move.
+    """
+    vertices = [list(level) for level in bundle.base.vertices]
+    faces = [list(level) for level in bundle.base.faces]
+    holonomy = dict(bundle.holonomy)
+    coeffs = dict(z.coeffs)
+    for _ in range(count):
+        t = rng.choice(list(coeffs))
+        c = coeffs.pop(t)
+        (v0, v1, v2), (e12, e02, e01) = vertices[2][t], faces[2][t]
+        w, g = len(vertices[0]), elementary_gauge(rng)
+        vertices[0].append((w,))
+        faces[0].append(())
+        e0w, e1w, e2w = range(len(faces[1]), len(faces[1]) + 3)
+        for v, h in ((v0, g), (v1, g @ holonomy[e01].inverse()), (v2, g @ holonomy[e02].inverse())):
+            holonomy[len(faces[1])] = h
+            vertices[1].append((v, w))
+            faces[1].append((w, v))
+        for verts, fids, sign_c in (
+            ((v0, v1, w), (e1w, e0w, e01), c),
+            ((v0, v2, w), (e2w, e0w, e02), -c),
+            ((v1, v2, w), (e2w, e1w, e12), c),
+        ):
+            coeffs[len(faces[2])] = sign_c
+            vertices[2].append(verts)
+            faces[2].append(fids)
+    base = DeltaComplex(vertices, faces)
+    return FlatBundle(base, bundle.n, bundle.tag, holonomy, bundle.field), Chain(2, coeffs)
 
 
 def is_positive_section(bundle: FlatBundle, s: Section, witnesses) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tautclass import witt
 from tautclass.exactmath import sign
 from tautclass.witt import (
     FactorizationError,
@@ -354,9 +355,12 @@ def test_dimension_640_decided():
 
 
 def test_invariants_from_terms_match_the_diagonal_form():
+    # up to 12 terms, so the folded prefix class of hasse_invariant meets
+    # many earlier entries; the pairwise product stays the reference
+    symbol = lru_cache(maxsize=None)(hilbert_symbol)
     rng = random.Random(11)
     for _ in range(150):
-        terms = [(_random_rep(rng), rng.randint(-6, 6)) for _ in range(rng.randint(0, 4))]
+        terms = [(_random_rep(rng), rng.randint(-6, 6)) for _ in range(rng.randint(0, 12))]
         w = WittElement(terms)
         entries = _diagonal_entries(w)
         prod = 1
@@ -364,14 +368,50 @@ def test_invariants_from_terms_match_the_diagonal_form():
             prod *= e
         assert w.discriminant() == square_class(prod)
         assert w.relevant_places() == _prime_places(entries)
+        report = w.invariants()
+        assert report["is_zero"] == w.is_zero()
+        assert list(report["hasse"]) == [str(p) for p in w.relevant_places()]
         for p in w.relevant_places() + [11, "inf"]:
             eps = 1
             for i in range(len(entries)):
                 for j in range(i + 1, len(entries)):
-                    eps *= hilbert_symbol(entries[i], entries[j], p)
+                    eps *= symbol(entries[i], entries[j], p)
             assert w.hasse_invariant(p) == eps, (w, p)
-    with pytest.raises(ValueError):
-        HASSE_ONLY.hasse_invariant(9)
+            assert report["hasse"].get(str(p), eps) == eps, (w, p)
+
+
+def _counting(monkeypatch, name) -> list:
+    """Replace witt.<name> by a wrapper that records each call's arguments."""
+    calls, fn = [], getattr(witt, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(witt, name, wrapper)
+    return calls
+
+
+def test_invariants_factor_each_term_once(monkeypatch):
+    # signature 0, so the zero test needs the residues as well as the places
+    w = _relation_sum(1) + HASSE_ONLY
+    assert (len(w.terms), w.signature(), len(w.relevant_places())) == (16, 0, 8)
+    calls = _counting(monkeypatch, "trial_division")
+    report = w.invariants()
+    assert sorted(n for n, _ in calls) == sorted(abs(r) for r, _ in w.terms)
+    assert report["is_zero"] is False and len(report["hasse"]) == 8
+
+
+def test_hasse_invariant_makes_at_most_two_symbols_per_term(monkeypatch):
+    # odd multiplicities: the pairwise product needs a symbol for every pair
+    reps = (-1, 2, 3, -5, 6, 7, -10, 11, 13, -14, 15, 17)
+    w = WittElement([(r, 1 if i % 2 else -3) for i, r in enumerate(reps)])
+    assert len(w.terms) == 12
+    calls = _counting(monkeypatch, "_hilbert")
+    for p in w.relevant_places() + ["inf"]:
+        calls.clear()
+        w.hasse_invariant(p)
+        assert len(calls) <= 2 * len(w.terms), (p, len(calls))
 
 
 def test_arithmetic_terms_are_canonical():
