@@ -22,42 +22,11 @@ import traceback
 from fractions import Fraction
 from math import comb
 
-from .complexes import surface_complex
-from .configs import (
-    GenericityError,
-    boundary_sum_from_minors,
-    face_minors,
-    homological_core_check,
-    maximal_minors,
-    pushforward,
-    subset_minors,
-    symbol_sum,
+# each command imports the rest of the package where it runs, so that a
+# fresh process compiles only the modules its command reads
+from .errors import (
+    FactorizationError, GenericityError, RelatorError, RepFormatError, TagError, UsageError
 )
-from .exactmath import Matrix, QQ, QuadraticField
-from .flatbundles import (
-    RelatorError,
-    SECTION_BOUND,
-    Selector,
-    TagError,
-    UsageError,
-    bundle_from_surface_rep,
-    check_product,
-    check_usage,
-    evaluate_class,
-    product_eu0,
-    random_generic_section,
-    random_vector,
-    scalar_set,
-)
-from .groupcoh import (
-    cocycle_identity_residual,
-    evaluate_bar,
-    surface_cycle_from_rep,
-    witt_cocycle,
-)
-from .oracle import OracleError, rotation_euler
-from .reps import RepFormatError, load_rep
-from .witt import FactorizationError, WittElement
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -70,6 +39,8 @@ EXIT_CLOSED_STDOUT = 141
 
 
 def _parse_field(text: str):
+    from .exactmath import QQ, QuadraticField
+
     if text == "Q":
         return QQ
     if text.startswith("quad:"):
@@ -118,7 +89,9 @@ def _random_rational(rng) -> Fraction:
     return Fraction(num, rng.randint(1, 99))
 
 
-def _random_sl2(rng) -> Matrix:
+def _random_sl2(rng):
+    from .exactmath import Matrix
+
     while True:
         a, b, c = (rng.randint(-9, 9) for _ in range(3))
         if a and (1 + b * c) % a == 0:
@@ -129,6 +102,9 @@ def _random_sl2(rng) -> Matrix:
 
 def _random_generic_tuple(rng, field, n, count):
     """``count`` >= n random vectors of field^n, generic, and their ``subset_minors``."""
+    from .configs import subset_minors
+    from .flatbundles import SECTION_BOUND, random_vector
+
     while True:
         vecs = [random_vector(field, rng, n, SECTION_BOUND) for _ in range(count)]
         minors = subset_minors(vecs, n)
@@ -142,6 +118,8 @@ def _random_generic_tuple(rng, field, n, count):
 
 
 def _suite_witt_relations(args, rng):
+    from .witt import WittElement
+
     failures = []
     for i in range(args.samples):
         a = _random_rational(rng)
@@ -163,6 +141,9 @@ def _suite_witt_relations(args, rng):
 
 
 def _engineered_coincidence_quadruple(rng, u):
+    from .configs import subset_minors
+    from .exactmath import Matrix
+
     while True:
         g0 = _random_sl2(rng)
         lam = Fraction(rng.randint(1, 5))
@@ -174,6 +155,8 @@ def _engineered_coincidence_quadruple(rng, u):
 
 
 def _suite_witt_cocycle(args, rng):
+    from .groupcoh import cocycle_identity_residual
+
     failures = []
     u = (Fraction(1), Fraction(0))
     for i in range(args.samples):
@@ -188,26 +171,34 @@ def _suite_witt_cocycle(args, rng):
 
 
 def _suite_euler_boundary(args, rng):
+    from .configs import boundary_sum_from_minors
+    from .exactmath import QQ
+
+    field = args.field or QQ
     failures = []
     n = args.n
     modes = ["P", "P+"] if n % 2 == 0 else ["P+"]
-    if n == 2 and args.field == QQ:
+    if n == 2 and field == QQ:
         modes.append("witt")
     for i in range(args.samples):
-        _, minors = _random_generic_tuple(rng, args.field, n, n + 2)
+        _, minors = _random_generic_tuple(rng, field, n, n + 2)
         for mode in modes:
             value = boundary_sum_from_minors(minors, n, mode)
             if not (value == 0 if mode == "P" else value.is_zero()):
                 failures.append({"sample": i, "mode": mode})
-    return failures, {}
+    return failures, {"field": field.name}
 
 
 def _suite_alternation(args, rng):
+    from .configs import face_minors, maximal_minors, symbol_sum
+    from .exactmath import QQ
+
+    field = args.field or QQ
     failures = []
     n = args.n
     everything = tuple(range(n + 1))
     for i in range(args.samples):
-        tup, minors = _random_generic_tuple(rng, args.field, n, n + 1)
+        tup, minors = _random_generic_tuple(rng, field, n, n + 1)
         k = rng.randint(0, n - 1)
         swapped = list(tup)
         swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
@@ -220,7 +211,7 @@ def _suite_alternation(args, rng):
         before, after = (symbol_sum("P+", n, t).coefficients for t in terms)
         if after != tuple(-c for c in before):
             failures.append({"sample": i, "kind": "uplus", "swap": k})
-    return failures, {}
+    return failures, {"field": field.name}
 
 
 def _oracle(rep) -> int | None:
@@ -231,6 +222,8 @@ def _oracle(rep) -> int | None:
     OverflowError (an entry past the float range) leaves the representation
     valid: the oracle is reported unavailable, with the reason on stderr.
     """
+    from .oracle import OracleError, rotation_euler
+
     try:
         return rotation_euler(rep.float_matrices())
     except (OracleError, OverflowError) as exc:
@@ -239,6 +232,10 @@ def _oracle(rep) -> int | None:
 
 
 def _load_bundle(path: str):
+    from .complexes import surface_complex
+    from .flatbundles import bundle_from_surface_rep
+    from .reps import load_rep
+
     rep = load_rep(path)
     sc, z = surface_complex(rep.genus)
     bundle = bundle_from_surface_rep(sc, rep.matrices, rep.tag, rep.field)
@@ -247,6 +244,8 @@ def _load_bundle(path: str):
 
 def _rep_euplus(args, rng):
     """The --rep of a suite: rep, cycle, bundle, a sampled section and the euplus value."""
+    from .flatbundles import Selector, evaluate_class, random_generic_section
+
     if not args.rep:
         raise UsageError(f"suite {args.suite} needs --rep")
     rep, _, z, bundle = _load_bundle(args.rep)
@@ -269,6 +268,9 @@ def _suite_smillie(args, rng):
 
 
 def _suite_comparison(args, rng):
+    from .configs import homological_core_check, pushforward
+    from .flatbundles import Selector, check_usage, evaluate_class
+
     rep, z, bundle, s, euplus_value = _rep_euplus(args, rng)
     n = bundle.n
     failures = []
@@ -286,6 +288,8 @@ def _suite_comparison(args, rng):
     except UsageError:
         pass
     else:
+        from .groupcoh import evaluate_bar, surface_cycle_from_rep, witt_cocycle
+
         w = evaluate_class(bundle, s, Selector("witt"), z)
         info["witt"] = w.to_json()
         info["witt_signature"] = w.signature()
@@ -312,7 +316,8 @@ SUITES = {
     "comparison": _suite_comparison,
 }
 
-# options a suite never reads; a --rep suite reports its bundle's n and field
+# options a suite never reads; a suite that reads a field reports it (a --rep
+# suite its bundle's n and field), so --field's default Q is resolved there
 UNREAD = {
     "witt-relations": ("n", "field"),
     "witt-cocycle": ("n", "field"),
@@ -330,7 +335,7 @@ def cmd_verify(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "n": args.n,
-        "field": args.field.name,
+        "field": None,  # from the suite's extra fields, or dropped by UNREAD
         "failures": failures,
         **extra,
     }
@@ -341,6 +346,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .configs import homological_core_check
+    from .flatbundles import Selector, check_usage, evaluate_class, random_generic_section
+
     t0 = time.time()
     selector = Selector.parse(args.selector)
     rep, sc, z, bundle = _load_bundle(args.rep)
@@ -375,6 +383,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from .flatbundles import (
+        Selector, check_product, check_usage, product_eu0, random_generic_section, scalar_set
+    )
+
     t0 = time.time()
     rng = random.Random(args.seed)
     _, _, zA, bundleA = _load_bundle(args.repA)
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_positive_int, default=2)
     p_verify.add_argument("--samples", type=_positive_int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--field", type=_parse_field, default=QQ)
+    p_verify.add_argument("--field", type=_parse_field)  # Q when absent: see UNREAD
     p_verify.add_argument("--rep", help="representation file (smillie, comparison)")
     p_verify.add_argument("--oracle", action="store_true")
     p_verify.add_argument("--csv", action="store_true")

@@ -17,14 +17,11 @@ from typing import Iterable, Literal, Sequence
 
 from ._kernels import maximal_minors_int, minors_int
 from ._value import Value
+from .errors import GenericityError
 from .exactmath import Scalar, clear_denominators, sign
 from .witt import WittElement
 
 Point = Sequence[Scalar]
-
-
-class GenericityError(ValueError):
-    """A point tuple failed the genericity required by a symbol."""
 
 
 class UPlusSymbol(Value):

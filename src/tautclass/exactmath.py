@@ -19,6 +19,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from ._kernels import det_int, maximal_minors_int, rank_int
+from .witt import trial_division
 
 Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "QuadExt"]
@@ -145,22 +146,6 @@ class QuadExt:
 
     def __str__(self):
         return render_scalar(self)
-
-
-def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """({p: exponent}, cofactor) of n > 0 divided by 2, then odd p <= bound, while p*p <= n.
-
-    The cofactor is 1 or a prime if the divisors passed its square root;
-    otherwise it has no prime factor <= bound and is left uncertified.
-    """
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n and p <= bound:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    return factors, n
 
 
 def _is_squarefree(n: int) -> bool:

@@ -18,7 +18,7 @@ from . import configs
 from ._kernels import maximal_minors_int, rank_int
 from ._value import Value
 from .complexes import Chain, DeltaComplex, ProductComplex, boundary, signed_paths
-from .configs import GenericityError
+from .errors import GenericityError, RelatorError, TagError, UsageError
 from .exactmath import (
     Field,
     clear_denominators,
@@ -36,24 +36,8 @@ TAGS = ("GL+", "SL", "PGL+", "P+GL+")
 LINEAR_TAGS = ("GL+", "SL")
 
 
-class RelatorError(ValueError):
-    """The defining relator of a representation is not the identity."""
-
-    def __init__(self, residual: Matrix):
-        self.residual = residual
-        super().__init__(f"relator is not the identity; residual {residual!r}")
-
-
-class TagError(ValueError):
-    """A holonomy matrix violates the structure tag."""
-
-
 class TriangleError(ValueError):
     """The triangle condition fails on a 2-simplex."""
-
-
-class UsageError(ValueError):
-    """The caller's input is at fault: a selector, cycle or bundle that doesn't fit."""
 
 
 def _tag_allows(x: Scalar, y: Scalar, tag: str) -> bool:

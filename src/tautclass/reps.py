@@ -19,14 +19,11 @@ import sys
 from pathlib import Path
 
 from ._value import Value
+from .errors import RepFormatError
 from .exactmath import Field, Matrix, field_from_json, parse_scalar
 from .flatbundles import TAGS
 
 FIXTURES_ENV = "TAUTCLASS_FIXTURES"
-
-
-class RepFormatError(ValueError):
-    """A representation file is missing a key or has one of the wrong type."""
 
 
 class SurfaceRep(Value):

@@ -24,19 +24,31 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Union
 
-from .exactmath import sign, trial_division
+from .errors import FactorizationError
 
 Rational = Union[int, Fraction]
 
 DEFAULT_FACTOR_BOUND = 10**6
 
 
-class FactorizationError(ArithmeticError):
-    """Trial division hit the configured bound before finishing."""
-
-
 class SenselessSymbolError(ValueError):
     """The symbol <0> has no meaning in the group of square classes."""
+
+
+def trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """({p: exponent}, cofactor) of n > 0 divided by 2, then odd p <= bound, while p*p <= n.
+
+    The cofactor is 1 or a prime if the divisors passed its square root;
+    otherwise it has no prime factor <= bound and is left uncertified.
+    """
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n and p <= bound:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    return factors, n
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -201,7 +213,7 @@ class WittElement:
         return sum(abs(m) for _, m in self._terms)
 
     def signature(self) -> int:
-        return sum(m * sign(r) for r, m in self._terms)
+        return sum(m if r > 0 else -m for r, m in self._terms)
 
     def discriminant(self) -> int:
         """Square class of the product of the diagonal entries."""

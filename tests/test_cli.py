@@ -30,13 +30,13 @@ def _run(capsys, *argv):
 
 def _count_sampling(monkeypatch) -> list:
     """The calls the CLI makes to ``random_generic_section``, as they happen."""
-    calls, sample = [], cli.random_generic_section
+    calls, sample = [], flatbundles.random_generic_section
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sample(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "random_generic_section", counted)
+    monkeypatch.setattr(flatbundles, "random_generic_section", counted)
     return calls
 
 
@@ -607,7 +607,7 @@ def _colliding_scalar_sets(monkeypatch, collide):
     The first call is on bundle A; its sections are collected in draw order.
     """
     seen, a_sets = [], []
-    real = cli.scalar_set
+    real = flatbundles.scalar_set
 
     def fake(bundle, s):
         out = real(bundle, s)
@@ -617,7 +617,7 @@ def _colliding_scalar_sets(monkeypatch, collide):
             return out
         return out | a_sets[-1][1] if collide(len(seen) - 1) else out
 
-    monkeypatch.setattr(cli, "scalar_set", fake)
+    monkeypatch.setattr(flatbundles, "scalar_set", fake)
     return seen
 
 
@@ -667,8 +667,10 @@ def test_product_recovers_from_an_unlucky_a(capsys):
 def test_product_computes_each_sections_scalar_set_once(capsys, monkeypatch):
     # 11 attempts draw 2 sections A and 11 sections B: 13 scalar sets, not 22
     calls = []
-    real = cli.scalar_set
-    monkeypatch.setattr(cli, "scalar_set", lambda bundle, s: calls.append(s) or real(bundle, s))
+    real = flatbundles.scalar_set
+    monkeypatch.setattr(
+        flatbundles, "scalar_set", lambda bundle, s: calls.append(s) or real(bundle, s)
+    )
     g2 = rep_path("g2_fuchs.json")
     code, out = _run(capsys, "product", "--repA", g2, "--repB", g2, "--seed", "30843")
     assert code == 0
@@ -775,7 +777,7 @@ def _count_sweeps(monkeypatch):
     """Count the minor sweeps of ``configs`` and the vectors ``verify`` draws."""
     sweeps, vectors = [], []
     real_minors, real_maximal = configs.minors_int, configs.maximal_minors_int
-    real_vector = cli.random_vector
+    real_vector = flatbundles.random_vector
     monkeypatch.setattr(
         configs, "minors_int", lambda rows, n: sweeps.append(n) or real_minors(rows, n)
     )
@@ -785,7 +787,7 @@ def _count_sweeps(monkeypatch):
         lambda rows: sweeps.append(len(rows) - 1) or real_maximal(rows),
     )
     monkeypatch.setattr(
-        cli, "random_vector", lambda *a: vectors.append(a) or real_vector(*a)
+        flatbundles, "random_vector", lambda *a: vectors.append(a) or real_vector(*a)
     )
     return sweeps, vectors
 
@@ -826,9 +828,9 @@ def test_alternation_sweeps_the_draw_and_its_swap_once_each(capsys, monkeypatch)
 def test_class_suites_evaluate_each_class_once(capsys, monkeypatch, suite, rep, selectors):
     # every eu_k is a coefficient of the one euplus evaluation, and eu its pushforward
     kinds = []
-    real = cli.evaluate_class
+    real = flatbundles.evaluate_class
     monkeypatch.setattr(
-        cli,
+        flatbundles,
         "evaluate_class",
         lambda bundle, s, selector, z: kinds.append(str(selector)) or real(bundle, s, selector, z),
     )
@@ -839,14 +841,14 @@ def test_class_suites_evaluate_each_class_once(capsys, monkeypatch, suite, rep, 
 
 def test_comparison_checks_the_homological_core_once(capsys, monkeypatch):
     # euplus = 0+ is off the core: sum_a (n - 2a + 1) c_a = 3, reported by one check only
-    real = cli.evaluate_class
+    real = flatbundles.evaluate_class
 
     def off_core(bundle, s, selector, z):
         if selector.kind == "euplus":
             return configs.UPlusSymbol(2, (1, 0))
         return real(bundle, s, selector, z)
 
-    monkeypatch.setattr(cli, "evaluate_class", off_core)
+    monkeypatch.setattr(flatbundles, "evaluate_class", off_core)
     code, out = _run(capsys, "verify", "comparison", "--rep", rep_path("g2_fuchs.json"))
     assert code == 1
     failures = json.loads(out)["failures"]
